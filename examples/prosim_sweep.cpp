@@ -119,24 +119,30 @@ bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs) {
   return true;
 }
 
-/// `num_sms` turns the ticked SM-cycles into a wake rate: the share of
-/// SM-cycles the run actually executed.
+/// `num_sms` and `num_partitions` turn the ticked SM- and partition-cycles
+/// into wake rates: the shares of those cycles the run actually executed.
 void write_sim_profile_json(std::ostream& os, const SimProfile& p,
-                            std::size_t num_sms) {
-  const double sm_cycles =
-      static_cast<double>(p.total_cycles) * static_cast<double>(num_sms);
+                            std::size_t num_sms, int num_partitions) {
+  const auto rate = [&](std::uint64_t ticked, double per_cycle) {
+    const double cycles = static_cast<double>(p.total_cycles) * per_cycle;
+    return cycles > 0.0 ? static_cast<double>(ticked) / cycles : 0.0;
+  };
   os << "{\"total_cycles\": " << p.total_cycles
      << ", \"ff_spans\": " << p.ff_spans
      << ", \"ff_skipped_cycles\": " << p.ff_skipped_cycles
      << ", \"sm_cycles_ticked\": " << p.sm_cycles_ticked
      << ", \"sm_wake_rate\": "
-     << (sm_cycles > 0.0 ? static_cast<double>(p.sm_cycles_ticked) / sm_cycles
-                         : 0.0);
+     << rate(p.sm_cycles_ticked, static_cast<double>(num_sms))
+     << ", \"partition_cycles_ticked\": " << p.partition_cycles_ticked
+     << ", \"partition_wake_rate\": "
+     << rate(p.partition_cycles_ticked, static_cast<double>(num_partitions))
+     << ", \"admission_evals\": " << p.admission_evals;
   os << "}";
 }
 
 void write_results_json(std::ostream& os, const SweepReport& report,
-                        double wall_ms, int jobs_used, bool profile) {
+                        const std::vector<SweepJob>& jobs, double wall_ms,
+                        int jobs_used, bool profile) {
   os << "{\n  \"build\": ";
   write_build_info_json(os);
   os << ",\n  \"summary\": {\"cells\": " << report.cells.size()
@@ -167,7 +173,8 @@ void write_results_json(std::ostream& os, const SweepReport& report,
       if (profile && !cell.from_cache) {
         os << ",\n     \"profile\": ";
         write_sim_profile_json(os, cell.result->profile,
-                               cell.result->per_sm.size());
+                               cell.result->per_sm.size(),
+                               jobs[i].config.mem.num_partitions);
       }
     } else {
       os << "\"error\": ";
@@ -268,8 +275,8 @@ int main(int argc, char** argv) {
                     "per-cell Perfetto kernel timeline (suffixed like "
                     "--metrics)");
   parser.add_flag("--profile", &opt.profile,
-                  "profile the simulator itself (fast-forward spans and "
-                  "ticked SM-cycles, i.e. the SM wake rate) and add a "
+                  "profile the simulator itself (fast-forward spans, SM and "
+                  "partition wake rates, admission evaluations) and add a "
                   "per-cell \"profile\" block to --out JSON");
   parser.add_section("output");
   parser.add_flag("--progress", &opt.progress_line,
@@ -370,7 +377,7 @@ int main(int argc, char** argv) {
 
   if (!opt.out_path.empty() &&
       !write_to(opt.out_path, "results", [&](std::ostream& os) {
-        write_results_json(os, report, wall_ms, jobs_used, opt.profile);
+        write_results_json(os, report, jobs, wall_ms, jobs_used, opt.profile);
       })) {
     return 1;
   }

@@ -1,7 +1,9 @@
 // DelayQueue models a latency + bandwidth limited link: items become visible
 // `latency` cycles after push, and at most `bandwidth` items can be popped
-// per cycle. Used for interconnect ports, cache response paths, and the
-// DRAM data bus return path.
+// per cycle. Used for interconnect ports and the L2-hit response path.
+//
+// The per-cycle pop budget is keyed by cycle: the first pop of a new cycle
+// resets it, so a queue nobody touches needs no per-cycle call.
 #pragma once
 
 #include <deque>
@@ -32,21 +34,18 @@ class DelayQueue {
     queue_.emplace_back(now + latency_, std::move(item));
   }
 
-  /// Must be called once per cycle before pops to reset the bandwidth
-  /// budget for cycle `now`.
-  void begin_cycle(Cycle now) {
-    current_cycle_ = now;
-    pops_this_cycle_ = 0;
+  /// True if an item is ready at cycle `now` and bandwidth remains in it.
+  bool can_pop(Cycle now) const {
+    return (pops_cycle_ != now || pops_this_cycle_ < bandwidth_) &&
+           !queue_.empty() && queue_.front().first <= now;
   }
 
-  /// True if an item is ready and bandwidth remains this cycle.
-  bool can_pop() const {
-    return pops_this_cycle_ < bandwidth_ && !queue_.empty() &&
-           queue_.front().first <= current_cycle_;
-  }
-
-  T pop() {
-    PROSIM_CHECK(can_pop());
+  T pop(Cycle now) {
+    PROSIM_CHECK(can_pop(now));
+    if (pops_cycle_ != now) {
+      pops_cycle_ = now;
+      pops_this_cycle_ = 0;
+    }
     ++pops_this_cycle_;
     T item = std::move(queue_.front().second);
     queue_.pop_front();
@@ -74,7 +73,8 @@ class DelayQueue {
   Cycle latency_ = 0;
   int bandwidth_ = 1;
   std::size_t capacity_ = 64;
-  Cycle current_cycle_ = 0;
+  /// The cycle pops_this_cycle_ counts pops of.
+  Cycle pops_cycle_ = kNoCycle;
   int pops_this_cycle_ = 0;
   std::deque<std::pair<Cycle, T>> queue_;
 };

@@ -108,6 +108,7 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
   // Fault injection draws per-cycle random numbers, so it ticks too.
   tick_all_ =
       std::getenv("PROSIM_NO_FASTFORWARD") != nullptr || faults_ != nullptr;
+  mem_.set_tick_all(tick_all_);
 
   streams_.reserve(launches.size());
   for (KernelLaunch& l : launches) {
@@ -133,6 +134,10 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
   sms_.resize(n);
   wake_at_.assign(n, 0);
   synced_.assign(n, 0);
+  dirty_.assign(n, 1);
+  eval_.assign(n, 0);
+  bound_sms_.assign(streams_.size(), 0);
+  unfinished_ = static_cast<int>(streams_.size());
   // Every SM starts bound to the earliest-arrival kernel (stream 0); in
   // single-kernel mode this reproduces the classic construction exactly.
   for (int s = 0; s < config_.num_sms; ++s) bind_sm(s, 0);
@@ -144,6 +149,7 @@ void Gpu::bind_sm(int s, int k) {
   Stream& st = *streams_[k];
   if (sms_[s] != nullptr) {
     sync_sm(s);
+    --bound_sms_[binding_[s]];
     // Tear-down accounting: the outgoing generation's counters belong to
     // the stream it executed and to this SM slot's running totals.
     Stream& old = *streams_[binding_[s]];
@@ -174,8 +180,11 @@ void Gpu::bind_sm(int s, int k) {
   }
   if (trace_ != nullptr) sms_[s]->set_trace_sink(trace_);
   binding_[s] = k;
+  ++bound_sms_[k];
   synced_[s] = now_;
   wake_at_[s] = now_;
+  mark_dirty(s);
+  view_stale_ = true;
   if (journal_ != nullptr) {
     journal_->record(now_, SimEventKind::kSmBind, k, s);
   }
@@ -196,12 +205,17 @@ int Gpu::waiting_tbs() const {
   return waiting;
 }
 
-bool Gpu::assign_tbs() {
-  if (faults_ != nullptr && faults_->tb_launch_blocked(now_)) return false;
+void Gpu::assign_tbs() {
+  if (faults_ != nullptr && faults_->tb_launch_blocked(now_)) return;
   const int n = static_cast<int>(sms_.size());
-  bool launched = false;
+  // This cycle evaluates the SMs marked since the last evaluation; marks
+  // made from here on are for the next cycle.
+  eval_.swap(dirty_);
+  if (tick_all_) std::fill(eval_.begin(), eval_.end(), 1);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
+  admission_due_ = false;
   if (multi_) {
-    launched = assign_tbs_multi();
+    assign_tbs_multi();
   } else {
     // One TB per SM per cycle, round-robin over SMs — models the global
     // work distribution engine refilling an SM as soon as a resident TB
@@ -209,6 +223,8 @@ bool Gpu::assign_tbs() {
     Stream& st = *streams_[0];
     for (int i = 0; i < n && st.tbs.has_waiting(); ++i) {
       const int s = (next_sm_ + i) % n;
+      if (!eval_[s]) continue;
+      ++admission_evals_;
       if (sms_[s]->can_accept_tb()) {
         if (!st.launched_any) {
           st.launched_any = true;
@@ -224,18 +240,36 @@ bool Gpu::assign_tbs() {
         if (journal_ != nullptr) {
           journal_->record(now_, SimEventKind::kTbLaunch, 0, s, ctaid);
         }
-        launched = true;
       }
     }
   }
   next_sm_ = (next_sm_ + 1) % n;
-  return launched;
+}
+
+bool Gpu::refresh_view() {
+  if (!view_stale_ && !tick_all_) return false;
+  view_stale_ = false;
+  std::vector<int> active;
+  std::vector<int> waiting;
+  for (const auto& st : streams_) {
+    if (st->finished || st->launch.arrival > now_) continue;
+    active.push_back(st->launch.kernel_id);
+    if (st->tbs.has_waiting() || !st->parked.empty()) {
+      waiting.push_back(st->launch.kernel_id);
+    }
+  }
+  if (active == active_ && waiting == waiting_) return false;
+  active_ = std::move(active);
+  waiting_ = std::move(waiting);
+  return true;
 }
 
 void Gpu::harvest_yields() {
   // Quiescent yield victims checkpoint into their stream's parked queue;
-  // the freed slot is available to this same cycle's launch loop.
+  // the freed slot is available to this same cycle's launch loop. A victim
+  // turns quiescent only in a cycle that did work, which marks it.
   for (std::size_t s = 0; s < sms_.size(); ++s) {
+    if (!eval_[s]) continue;
     if (sms_[s]->yield_pending() < 0 || !sms_[s]->yield_quiescent()) continue;
     Stream& st = *streams_[binding_[s]];
     touch_sm(static_cast<int>(s));
@@ -248,11 +282,12 @@ void Gpu::harvest_yields() {
   }
 }
 
-void Gpu::request_yields(const std::vector<int>& active,
-                         const std::vector<int>& waiting) {
-  const AdmissionView view{active, waiting, arrivals_.data(), tenants_.data(),
+void Gpu::request_yields() {
+  const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
                            static_cast<int>(streams_.size())};
   for (std::size_t s = 0; s < sms_.size(); ++s) {
+    // Also the SMs this cycle's launch loop touched: their state changed.
+    if (!eval_[s] && !dirty_[s]) continue;
     if (sms_[s]->yield_pending() >= 0 || sms_[s]->resident_tbs() == 0)
       continue;
     const int k = binding_[static_cast<std::size_t>(s)];
@@ -279,27 +314,20 @@ void Gpu::request_yields(const std::vector<int>& active,
   }
 }
 
-bool Gpu::assign_tbs_multi() {
+void Gpu::assign_tbs_multi() {
   const bool preemptive = admission_->preemptive();
   if (preemptive) harvest_yields();
 
-  std::vector<int> active;
-  std::vector<int> waiting;
-  for (const auto& st : streams_) {
-    if (st->finished || st->launch.arrival > now_) continue;
-    active.push_back(st->launch.kernel_id);
-    if (st->tbs.has_waiting() || !st->parked.empty()) {
-      waiting.push_back(st->launch.kernel_id);
-    }
-  }
-  if (active.empty()) return false;
-  const AdmissionView view{active, waiting, arrivals_.data(), tenants_.data(),
+  if (refresh_view()) std::fill(eval_.begin(), eval_.end(), 1);
+  if (active_.empty()) return;
+  const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
                            static_cast<int>(streams_.size())};
 
   const int n = static_cast<int>(sms_.size());
-  bool launched = false;
   for (int i = 0; i < n; ++i) {
     const int s = (next_sm_ + i) % n;
+    if (!eval_[s]) continue;
+    ++admission_evals_;
     int k = binding_[s];
     const Stream& bound = *streams_[k];
     const bool bound_serves = !bound.finished && bound.launch.arrival <= now_ &&
@@ -343,7 +371,6 @@ bool Gpu::assign_tbs_multi() {
         if (journal_ != nullptr) {
           journal_->record(now_, SimEventKind::kTbLaunch, k, s, ctaid);
         }
-        launched = true;
       } else if (!st.parked.empty()) {
         const int ctaid = st.parked.front().ctaid;
         touch_sm(s);
@@ -353,26 +380,34 @@ bool Gpu::assign_tbs_multi() {
         if (journal_ != nullptr) {
           journal_->record(now_, SimEventKind::kTbResume, k, s, ctaid);
         }
-        launched = true;
       }
     }
   }
 
   if (preemptive) {
-    // Launches and resumptions above changed the waiting sets; rebuild the
-    // lists before deciding which SMs must start draining toward a yield.
-    active.clear();
-    waiting.clear();
-    for (const auto& st : streams_) {
-      if (st->finished || st->launch.arrival > now_) continue;
-      active.push_back(st->launch.kernel_id);
-      if (st->tbs.has_waiting() || !st->parked.empty()) {
-        waiting.push_back(st->launch.kernel_id);
-      }
+    // Launches and resumptions above may have changed the waiting set;
+    // the yield decisions see the rebuilt view, and a changed view makes
+    // every SM due for evaluation again next cycle.
+    if (refresh_view()) {
+      std::fill(eval_.begin(), eval_.end(), 1);
+      std::fill(dirty_.begin(), dirty_.end(), 1);
+      admission_due_ = true;
     }
-    request_yields(active, waiting);
+    request_yields();
   }
-  return launched;
+}
+
+void Gpu::note_arrivals() {
+  bool arrived = false;
+  while (next_arrival_ < streams_.size() &&
+         streams_[next_arrival_]->launch.arrival <= now_) {
+    ++next_arrival_;
+    arrived = true;
+  }
+  if (!arrived) return;
+  view_stale_ = true;
+  admission_due_ = true;
+  if (journal_ != nullptr) journal_arrivals();
 }
 
 void Gpu::update_streams() {
@@ -390,78 +425,19 @@ void Gpu::update_streams() {
     if (!busy) {
       st->finished = true;
       st->finish = now_;
+      --unfinished_;
+      view_stale_ = true;
+      admission_due_ = true;
       if (journal_ != nullptr) journal_finish(*st);
     }
   }
-}
-
-void Gpu::fast_forward() {
-  // A pending yield transitions at the next TB-assignment phase (harvest),
-  // which no wake time covers — tick through the drain window instead of
-  // skipping (it lasts at most a writeback latency).
-  if (multi_ && admission_->preemptive()) {
-    for (const auto& sm : sms_) {
-      if (sm->yield_pending() >= 0) return;
-    }
-  }
-  // Every cached wake time is at least now_: an SM whose wake time had
-  // come executed this cycle and re-cached it. The memory subsystem's
-  // lower bound covers the external wakeups (responses, freed ports), so
-  // the jump crosses only cycles that would have repeated the quiet cycle
-  // verbatim.
-  Cycle target = *std::min_element(wake_at_.begin(), wake_at_.end());
-  if (target <= now_) return;
-  const Cycle executed = now_ - 1;
-  target = std::min(target, mem_.next_event(executed));
-  // Never skip past a watchdog window boundary or the max_cycles backstop:
-  // both checks must observe the same cycles they would under ticking.
-  if (config_.watchdog.enabled) {
-    target = std::min(target, watchdog_.next_check());
-  }
-  target = std::min(target, config_.max_cycles);
-  // Metrics sampling must observe counters exactly at interval boundaries;
-  // skipping fewer cycles than the quiet span is always bit-identical.
-  if (metrics_ != nullptr) {
-    target = std::min(target, metrics_->next_sample_cycle());
-  }
-  if (multi_) {
-    // A kernel arrival re-activates TB assignment; never skip past one,
-    // nor over the arrival cycle itself (now_ is not executed yet).
-    for (const auto& st : streams_) {
-      if (st->launch.arrival >= now_) {
-        target = std::min(target, st->launch.arrival);
-      }
-    }
-  }
-  if (target <= now_) return;
-
-  const Cycle skipped = target - now_;
-  ++ff_spans_;
-  ff_skipped_cycles_ += skipped;
-  const auto n = static_cast<Cycle>(sms_.size());
-  next_sm_ = static_cast<int>(
-      (static_cast<Cycle>(next_sm_) + skipped) % n);  // per-cycle rotation
-  // Bindings, queues, and parked sets are constant across a quiet span, so
-  // the per-cycle preemption accounting multiplies out exactly.
-  if (multi_ && admission_->preemptive()) {
-    account_preempted(executed, skipped);
-  }
-  now_ = target;
-  check_progress();
 }
 
 void Gpu::account_preempted(Cycle executed, Cycle count) {
   for (auto& st : streams_) {
     if (st->finished || st->launch.arrival > executed) continue;
     if (!st->tbs.has_waiting() && st->parked.empty()) continue;
-    bool bound_any = false;
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-      if (binding_[s] == st->launch.kernel_id) {
-        bound_any = true;
-        break;
-      }
-    }
-    if (!bound_any) st->preempted_cycles += count;
+    if (bound_sms_[st->launch.kernel_id] == 0) st->preempted_cycles += count;
   }
 }
 
@@ -479,6 +455,9 @@ void Gpu::sync_all() {
 void Gpu::touch_sm(int s) {
   sync_sm(s);
   wake_at_[s] = now_;
+  mark_dirty(s);
+  view_stale_ = true;
+  streams_check_ = true;
 }
 
 void Gpu::wake_bound(int k) {
@@ -495,7 +474,15 @@ bool Gpu::tick_sm(int s) {
   synced_[s] = now_ + 1;
   // An active cycle may have unblocked anything (a released register, a
   // drained response), so only a quiet one can sleep until its next event.
-  wake_at_[s] = active ? now_ + 1 : sm.next_event(now_);
+  // Only an active cycle changes what admission reads from the SM (free
+  // slots, drained, yield quiescence, spin-stuck).
+  if (active) {
+    wake_at_[s] = now_ + 1;
+    mark_dirty(s);
+    if (sm.drained()) streams_check_ = true;
+  } else {
+    wake_at_[s] = sm.next_event(now_);
+  }
   return active;
 }
 
@@ -513,32 +500,47 @@ void Gpu::check_progress() {
   }
 }
 
+Cycle Gpu::next_step(Cycle sm_wake) const {
+  if (admission_due_) return now_;
+  Cycle target = std::min(sm_wake, mem_.next_event());
+  if (target <= now_) return now_;
+  // Never skip past a watchdog window boundary or the max_cycles backstop:
+  // both checks must observe the same cycles they would under ticking.
+  if (config_.watchdog.enabled) {
+    target = std::min(target, watchdog_.next_check());
+  }
+  target = std::min(target, config_.max_cycles);
+  // Metrics sampling must observe counters exactly at interval boundaries.
+  if (metrics_ != nullptr) {
+    target = std::min(target, metrics_->next_sample_cycle());
+  }
+  // A kernel arrival is a stream event: its cycle executes.
+  if (multi_ && next_arrival_ < streams_.size()) {
+    target = std::min(target, streams_[next_arrival_]->launch.arrival);
+  }
+  return std::max(target, now_);
+}
+
 bool Gpu::step() {
-  if (journal_ != nullptr && multi_) journal_arrivals();
-  const bool launched = assign_tbs();
+  if (multi_) note_arrivals();
+  assign_tbs();
   mem_.cycle(now_);
-  bool sm_active = false;
+  const Interconnect& icnt = mem_.interconnect();
+  Cycle sm_wake = kNoCycle;
   for (int s = 0; s < num_sms(); ++s) {
-    if (sm_due(s)) sm_active = tick_sm(s) || sm_active;
+    if (sm_due(s)) tick_sm(s);
+    sm_wake = std::min({sm_wake, wake_at_[s], icnt.response_head_ready(s)});
   }
 
+  const Cycle executed = now_;
   ++now_;
-  if (multi_) {
-    update_streams();
-    if (admission_->preemptive()) account_preempted(now_ - 1, 1);
-  }
-  check_progress();
-
   bool running;
   if (multi_) {
-    running = false;
-    for (const auto& st : streams_) {
-      if (!st->finished) {
-        running = true;
-        break;
-      }
+    if (streams_check_ || tick_all_) {
+      streams_check_ = false;
+      update_streams();
     }
-    if (!running) running = !mem_.idle();
+    running = unfinished_ > 0 || !mem_.idle();
   } else {
     running = streams_[0]->tbs.has_waiting();
     if (!running) {
@@ -552,7 +554,25 @@ bool Gpu::step() {
     if (!running) running = !mem_.idle();
   }
 
-  if (running && !launched && !sm_active && !tick_all_) fast_forward();
+  // Advance the clock to the next cycle anything is due: every cycle in
+  // between would have repeated the executed one verbatim.
+  const Cycle target = running && !tick_all_ ? next_step(sm_wake) : now_;
+  if (target > now_) {
+    const Cycle skipped = target - now_;
+    ++ff_spans_;
+    ff_skipped_cycles_ += skipped;
+    const auto n = static_cast<Cycle>(sms_.size());
+    next_sm_ = static_cast<int>(
+        (static_cast<Cycle>(next_sm_) + skipped) % n);  // per-cycle rotation
+  }
+  if (multi_ && admission_->preemptive()) {
+    // Bindings, queues and parked sets are constant until the next step,
+    // so the per-cycle preemption accounting multiplies out exactly.
+    account_preempted(executed, target - executed);
+  }
+  now_ = target;
+  check_progress();
+
   if (!running) sync_all();
   if (metrics_ != nullptr && now_ >= metrics_->next_sample_cycle()) {
     sync_all();
@@ -802,6 +822,8 @@ GpuResult Gpu::collect() {
   result.profile.ff_spans = ff_spans_;
   result.profile.ff_skipped_cycles = ff_skipped_cycles_;
   result.profile.sm_cycles_ticked = sm_cycles_ticked_;
+  result.profile.partition_cycles_ticked = mem_.partition_cycles_ticked();
+  result.profile.admission_evals = admission_evals_;
   result.l2_hits = mem_.l2_hits();
   result.l2_misses = mem_.l2_misses();
   result.dram_row_hits = mem_.dram_row_hits();

@@ -88,7 +88,9 @@ class Gpu {
   /// results or the structured SimError describing what got stuck.
   Expected<GpuResult> run_checked();
 
-  /// Single-step interface for tests: returns true while still running.
+  /// Single-step interface for tests: executes cycle now() and advances
+  /// now() to the next cycle anything is due (a step may skip cycles that
+  /// would repeat the executed one). Returns true while still running.
   /// Throws SimException like run().
   bool step();
   Cycle now() const { return now_; }
@@ -115,8 +117,8 @@ class Gpu {
 
   /// Attaches a time-series metrics collector (metrics/; nullptr
   /// detaches). The Gpu samples per-SM/per-kernel/GPU series at every
-  /// interval boundary (the fast-forward path clamps to boundaries, which
-  /// is provably bit-identical) plus one final partial sample at run end.
+  /// interval boundary (the clock never jumps past a boundary, which is
+  /// provably bit-identical) plus one final partial sample at run end.
   /// Strictly observational, same contract as set_trace_sink; attach
   /// before the first step()/run().
   void set_metrics(MetricsCollector* metrics);
@@ -176,11 +178,23 @@ class Gpu {
   /// it; every sleeping cycle repeated the SM's last executed one.
   void sync_sm(int s);
   void sync_all();
-  /// Syncs SM `s` before the Gpu mutates it and makes it due at now_.
+  /// Syncs SM `s` before the Gpu mutates it, makes it due at now_ and
+  /// marks it and the stream state for re-evaluation.
   void touch_sm(int s);
+  /// Marks SM `s` for admission re-evaluation next cycle.
+  void mark_dirty(int s) {
+    dirty_[s] = 1;
+    admission_due_ = true;
+  }
   /// Makes every SM bound to stream `k` due at now_: its TB queue just
   /// emptied, which PRO's phase check observes in begin_cycle.
   void wake_bound(int k);
+  /// The cycle the step after the one just executed (now_ - 1) must run:
+  /// the earliest of `sm_wake` (the SMs' cached wake times and response
+  /// heads), the partitions' wake times and a pending admission, capped by
+  /// the watchdog window, max_cycles, the next metrics sample and the next
+  /// kernel arrival. Every cycle before it would repeat the executed one.
+  Cycle next_step(Cycle sm_wake) const;
   /// Raises the watchdog's verdict when a check window closes at now_,
   /// and the max_cycles overrun.
   void check_progress();
@@ -191,21 +205,27 @@ class Gpu {
   /// switch flushes it).
   void bind_sm(int s, int k);
 
-  /// Returns true when at least one TB was launched this cycle.
-  bool assign_tbs();
-  bool assign_tbs_multi();
+  /// TB assignment for the SMs marked for evaluation (see dirty_). An SM
+  /// neither ticked nor touched since its last evaluation, under an
+  /// unchanged AdmissionView, would repeat its last no-op decision.
+  void assign_tbs();
+  void assign_tbs_multi();
   /// Preemptive-only phases of assign_tbs_multi: parks quiescent yield
   /// victims (before launches) and requests new yields where the policy's
   /// focus demands the SM but every resident TB is spin-stuck (after).
   void harvest_yields();
-  void request_yields(const std::vector<int>& active,
-                      const std::vector<int>& waiting);
+  void request_yields();
+  /// Rebuilds active_/waiting_ when a stream event made them stale.
+  /// Returns true when they changed: every SM must then be re-evaluated.
+  bool refresh_view();
+  /// Records the kernel arrivals reached at now_ (stream events).
+  void note_arrivals();
   /// Adds `count` cycles to preempted_cycles of every arrived, unfinished
   /// stream that has runnable work but no SM bound to it (preemptive only;
-  /// `executed` is the last cycle of the accounted span).
+  /// `executed` is the first cycle of the accounted span).
   void account_preempted(Cycle executed, Cycle count);
   /// Marks arrived streams whose TBs have all drained as finished
-  /// (multi-stream bookkeeping; runs once per executed cycle).
+  /// (multi-stream bookkeeping; runs when an SM drained or was touched).
   void update_streams();
   /// Unassigned TBs across arrived, unfinished streams (watchdog context).
   int waiting_tbs() const;
@@ -221,14 +241,6 @@ class Gpu {
   void journal_arrivals();
   /// Emits stream `st`'s finish-time rows (kernel_finish + SLO verdict).
   void journal_finish(const Stream& st);
-  /// After a globally quiet cycle (no launch, no SM did any work), jumps
-  /// the clock to the earliest cached SM wake time or memory event. The
-  /// sleeping SMs catch up lazily (sync_sm). Bit-identical to ticking
-  /// through the same span; disabled under fault injection (the injector
-  /// draws per-cycle random numbers) and by the PROSIM_NO_FASTFORWARD
-  /// environment variable.
-  void fast_forward();
-
   GpuConfig config_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::unique_ptr<AdmissionPolicy> admission_;  // null in single-kernel mode
@@ -254,6 +266,29 @@ class Gpu {
   /// cycle its counters do not yet account.
   std::vector<Cycle> wake_at_;
   std::vector<Cycle> synced_;
+
+  // -- event-driven admission ------------------------------------------------
+  /// The AdmissionView lists, rebuilt only after a stream event (arrival,
+  /// a TB queue or parked queue filling or emptying, a rebind, a finish).
+  std::vector<int> active_;
+  std::vector<int> waiting_;
+  bool view_stale_ = true;
+  /// Per SM: ticked with work, touched or rebound since its last admission
+  /// evaluation, or under a view that changed since (dirty_); and the set
+  /// this cycle's admission evaluates (eval_).
+  std::vector<char> dirty_;
+  std::vector<char> eval_;
+  /// Admission has something to evaluate next cycle.
+  bool admission_due_ = true;
+  /// An SM drained or was touched: a stream may have finished.
+  bool streams_check_ = false;
+  /// Per stream: SMs bound to it.
+  std::vector<int> bound_sms_;
+  /// Index of the first stream whose arrival is still ahead.
+  std::size_t next_arrival_ = 0;
+  /// Streams not yet finished.
+  int unfinished_ = 0;
+
   /// Effective sink the SMs see: user_trace_, the metrics stall sink, or
   /// a tee of both (refresh_trace_sink).
   TraceSink* trace_ = nullptr;
@@ -266,6 +301,7 @@ class Gpu {
   std::uint64_t ff_spans_ = 0;
   std::uint64_t ff_skipped_cycles_ = 0;
   std::uint64_t sm_cycles_ticked_ = 0;
+  std::uint64_t admission_evals_ = 0;
 
   /// Flat per-kernel SLO context handed to AdmissionView (indexed by
   /// kernel id; built with the streams).

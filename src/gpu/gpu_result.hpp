@@ -50,11 +50,16 @@ struct SimThroughput {
 /// bytes.
 struct SimProfile {
   std::uint64_t total_cycles = 0;
-  /// Global fast-forward: jumps taken and cycles crossed by them.
+  /// Clock advances of more than one cycle, and the cycles they skipped.
   std::uint64_t ff_spans = 0;
   std::uint64_t ff_skipped_cycles = 0;
   /// SM-cycles actually executed; the rest slept (per-SM wakeups).
   std::uint64_t sm_cycles_ticked = 0;
+  /// Memory-partition cycles actually executed; the rest slept.
+  std::uint64_t partition_cycles_ticked = 0;
+  /// Per-SM TB-admission decisions evaluated; the rest provably repeated
+  /// their last no-op.
+  std::uint64_t admission_evals = 0;
 };
 
 /// Per-kernel accounting of a concurrent (multi-stream) run: one slice per

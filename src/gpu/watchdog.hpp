@@ -54,7 +54,7 @@ class Watchdog {
   /// Cheap per-cycle gate; the full check runs only when this is true.
   bool due(Cycle now) const { return config_.enabled && now >= next_check_; }
 
-  /// Next window boundary. The fast-forward path never skips past this, so
+  /// Next window boundary. The GPU's clock never jumps past this, so
   /// progress checks run at exactly the same cycles as under ticking.
   Cycle next_check() const { return next_check_; }
 

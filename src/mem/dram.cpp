@@ -103,19 +103,10 @@ void Dram::cycle(Cycle now) {
 Cycle Dram::next_event(Cycle now) const {
   Cycle t = kNoCycle;
   if (!completions_.empty()) {
-    t = std::min(t, std::max(completions_.front().first, now + 1));
+    t = std::max(completions_.front().first, now + 1);
   }
   if (!queue_.empty()) {
-    Cycle earliest_bank = kNoCycle;
-    for (const Pending& p : queue_) {
-      earliest_bank = std::min(
-          earliest_bank,
-          banks_[static_cast<std::size_t>(bank_of(p.request.line_addr))]
-              .busy_until);
-    }
-    const Cycle issue =
-        std::max(now + 1, std::max(bus_busy_until_, earliest_bank));
-    t = std::min(t, issue);
+    t = std::min(t, std::max({now + 1, bus_busy_until_, scan_skip_until_}));
   }
   return t;
 }

@@ -39,7 +39,9 @@ class Dram {
 
   /// Lower bound (> now) on the next cycle this channel does anything:
   /// the head completion becoming ready, or the earliest cycle a queued
-  /// request could issue (bus free and its bank free). kNoCycle when idle.
+  /// request could issue (the bus free and, after a scan found every
+  /// queued request's bank busy, the earliest of those banks free). O(1);
+  /// kNoCycle when idle.
   Cycle next_event(Cycle now) const;
 
   // Accounting.
@@ -70,8 +72,8 @@ class Dram {
   std::deque<std::pair<Cycle, MemRequest>> completions_;
   /// Scan memo: when a full FR-FCFS scan finds every queued request's bank
   /// busy, no request can issue before the earliest bank frees — skip the
-  /// per-cycle rescans until then. Invalidated by push (a new request may
-  /// target a free bank).
+  /// rescans until then, and report it as the issue bound in next_event.
+  /// Invalidated by push (a new request may target a free bank).
   Cycle scan_skip_until_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "mem/interconnect.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace prosim {
@@ -38,8 +36,8 @@ void Interconnect::send_request(const MemRequest& request, Cycle now) {
       .push(request, now);
 }
 
-bool Interconnect::has_request(int partition, Cycle) const {
-  return to_partition_[static_cast<std::size_t>(partition)].can_pop();
+bool Interconnect::has_request(int partition, Cycle now) const {
+  return to_partition_[static_cast<std::size_t>(partition)].can_pop(now);
 }
 
 MemRequest Interconnect::peek_request(int partition) const {
@@ -47,7 +45,7 @@ MemRequest Interconnect::peek_request(int partition) const {
 }
 
 MemRequest Interconnect::pop_request(int partition) {
-  return to_partition_[static_cast<std::size_t>(partition)].pop();
+  return to_partition_[static_cast<std::size_t>(partition)].pop(now_);
 }
 
 bool Interconnect::can_send_response(int sm_id) const {
@@ -60,29 +58,11 @@ void Interconnect::send_response(const MemResponse& response, Cycle now) {
 }
 
 bool Interconnect::has_response(int sm_id) const {
-  return to_sm_[static_cast<std::size_t>(sm_id)].can_pop();
+  return to_sm_[static_cast<std::size_t>(sm_id)].can_pop(now_);
 }
 
 MemResponse Interconnect::pop_response(int sm_id) {
-  return to_sm_[static_cast<std::size_t>(sm_id)].pop();
-}
-
-void Interconnect::begin_cycle(Cycle now) {
-  for (auto& q : to_partition_) q.begin_cycle(now);
-  for (auto& q : to_sm_) q.begin_cycle(now);
-}
-
-Cycle Interconnect::next_event(Cycle now) const {
-  Cycle t = kNoCycle;
-  for (const auto& q : to_partition_) {
-    const Cycle r = q.next_ready();
-    if (r != kNoCycle) t = std::min(t, std::max(r, now + 1));
-  }
-  for (const auto& q : to_sm_) {
-    const Cycle r = q.next_ready();
-    if (r != kNoCycle) t = std::min(t, std::max(r, now + 1));
-  }
-  return t;
+  return to_sm_[static_cast<std::size_t>(sm_id)].pop(now_);
 }
 
 bool Interconnect::idle() const {

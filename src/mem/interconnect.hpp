@@ -32,7 +32,7 @@ class Interconnect {
   }
   int num_partitions() const { return num_partitions_; }
   void send_request(const MemRequest& request, Cycle now);
-  bool has_request(int partition, Cycle) const;
+  bool has_request(int partition, Cycle now) const;
   MemRequest peek_request(int partition) const;
   MemRequest pop_request(int partition);
 
@@ -42,17 +42,21 @@ class Interconnect {
   bool has_response(int sm_id) const;
   MemResponse pop_response(int sm_id);
 
-  /// Must be called once per cycle before any pops.
-  void begin_cycle(Cycle now);
+  /// Sets the cycle the pops that follow belong to. O(1): each port resets
+  /// its bandwidth budget on its first pop of a new cycle.
+  void begin_cycle(Cycle now) { now_ = now; }
 
   /// True when no request or response is in flight.
   bool idle() const;
 
-  /// Lower bound (> now) on the next cycle any queued item could move.
-  /// A head whose arrival time has already passed (receiver backpressure)
-  /// yields now + 1, so the fast-forward path never skips over a stalled
-  /// head. kNoCycle when every queue is empty.
-  Cycle next_event(Cycle now) const;
+  /// Cycle the head of a port becomes poppable; kNoCycle when it is empty.
+  /// Arrivals are FIFO with one fixed latency, so the head is the earliest.
+  Cycle request_head_ready(int partition) const {
+    return to_partition_[static_cast<std::size_t>(partition)].next_ready();
+  }
+  Cycle response_head_ready(int sm_id) const {
+    return to_sm_[static_cast<std::size_t>(sm_id)].next_ready();
+  }
 
   // Accounting.
   std::uint64_t requests_sent = 0;
@@ -60,6 +64,7 @@ class Interconnect {
 
  private:
   int num_partitions_;
+  Cycle now_ = 0;
   std::vector<DelayQueue<MemRequest>> to_partition_;
   std::vector<DelayQueue<MemResponse>> to_sm_;
 };

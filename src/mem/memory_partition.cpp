@@ -43,8 +43,8 @@ void MemoryPartition::drain_dram(Cycle now) {
   }
 }
 
-void MemoryPartition::serve_request(Cycle now, Interconnect& icnt) {
-  if (!icnt.has_request(partition_id_, now)) return;
+bool MemoryPartition::serve_request(Cycle now, Interconnect& icnt) {
+  if (!icnt.has_request(partition_id_, now)) return false;
   const MemRequest& head = icnt.peek_request(partition_id_);
 
   switch (head.kind) {
@@ -52,23 +52,25 @@ void MemoryPartition::serve_request(Cycle now, Interconnect& icnt) {
       if (l2_.access(head.line_addr)) {
         l2_.mark_dirty(head.line_addr);
         ++l2_.hits;
-        icnt.pop_request(partition_id_);
       } else {
         // No-allocate: forward to DRAM when there is room.
-        if (!dram_.can_accept()) return;  // backpressure
+        if (!dram_.can_accept()) return false;  // backpressure
         ++l2_.misses;
         dram_.push(head, now);
-        icnt.pop_request(partition_id_);
       }
-      return;
+      icnt.pop_request(partition_id_);
+      return true;
     }
     case MemReqKind::kRead:
     case MemReqKind::kAtomic: {
       const bool is_atomic = head.kind == MemReqKind::kAtomic;
-      if (l2_.access(head.line_addr)) {
+      if (l2_.probe(head.line_addr)) {
+        // A hit blocked on the response path retries without touching the
+        // cache: it counts and refreshes LRU once, when it goes.
+        if (!hit_responses_.can_push()) return false;
+        l2_.access(head.line_addr);
         ++l2_.hits;
         if (is_atomic) l2_.mark_dirty(head.line_addr);
-        if (!hit_responses_.can_push()) return;  // response path full
         MemResponse response;
         response.line_addr = head.line_addr;
         response.sm_id = head.sm_id;
@@ -77,22 +79,22 @@ void MemoryPartition::serve_request(Cycle now, Interconnect& icnt) {
         response.is_const = head.is_const;
         hit_responses_.push(response, now);
         icnt.pop_request(partition_id_);
-        return;
+        return true;
       }
       // Miss: merge or allocate an MSHR entry.
       MissToken token{head.sm_id, head.token, is_atomic, head.is_const};
       if (mshr_.has(head.line_addr)) {
         if (!mshr_.can_merge(head.line_addr)) {
-          return;  // merge slots exhausted: backpressure
+          return false;  // merge slots exhausted: backpressure
         }
         ++l2_.misses;
         ++mshr_.merges;
         mshr_.merge(head.line_addr, token);
         icnt.pop_request(partition_id_);
-        return;
+        return true;
       }
       if (!mshr_.can_allocate() || !dram_.can_accept()) {
-        return;  // backpressure
+        return false;  // backpressure
       }
       ++l2_.misses;
       mshr_.allocate(head.line_addr, token);
@@ -100,18 +102,20 @@ void MemoryPartition::serve_request(Cycle now, Interconnect& icnt) {
       fetch.kind = MemReqKind::kRead;
       dram_.push(fetch, now);
       icnt.pop_request(partition_id_);
-      return;
+      return true;
     }
   }
+  return false;
 }
 
 void MemoryPartition::cycle(Cycle now, Interconnect& icnt) {
-  hit_responses_.begin_cycle(now);
   dram_.cycle(now);
   drain_dram(now);
 
   // Move delayed L2 hits into the ready set.
-  while (hit_responses_.can_pop()) ready_responses_.push_back(hit_responses_.pop());
+  while (hit_responses_.can_pop(now)) {
+    ready_responses_.push_back(hit_responses_.pop(now));
+  }
 
   // Push ready responses into the interconnect while credit remains.
   while (!ready_responses_.empty() &&
@@ -120,7 +124,19 @@ void MemoryPartition::cycle(Cycle now, Interconnect& icnt) {
     ready_responses_.pop_front();
   }
 
-  serve_request(now, icnt);
+  const bool served = serve_request(now, icnt);
+
+  Cycle wake = dram_.next_event(now);
+  const Cycle hit = hit_responses_.next_ready();
+  if (hit != kNoCycle) wake = std::min(wake, std::max(hit, now + 1));
+  if (!pending_writebacks_.empty() && dram_.can_accept()) wake = now + 1;
+  const Cycle head = icnt.request_head_ready(partition_id_);
+  if (head > now) {
+    wake = std::min(wake, head);  // kNoCycle when the port is empty
+  } else if (served) {
+    wake = now + 1;
+  }
+  wake_at_ = wake;
 }
 
 }  // namespace prosim

@@ -26,7 +26,8 @@ class MemoryPartition {
   MemoryPartition(const MemConfig& config, int partition_id);
 
   /// Advances one cycle: drains DRAM completions, serves one incoming
-  /// request from the interconnect, and pushes ready responses back.
+  /// request from the interconnect, pushes ready responses back, and
+  /// caches wake_at().
   void cycle(Cycle now, Interconnect& icnt);
 
   bool idle() const {
@@ -35,19 +36,23 @@ class MemoryPartition {
            mshr_.occupancy() == 0;
   }
 
-  /// Lower bound (> now) on the next cycle this partition does anything.
-  /// Work that retries every cycle against backpressure (ready responses
-  /// waiting for interconnect credit, writebacks waiting for DRAM space)
-  /// conservatively yields now + 1 — the fast-forward path simply does not
-  /// skip while the partition is congested. kNoCycle when fully idle.
-  Cycle next_event(Cycle now) const {
-    Cycle t = dram_.next_event(now);
-    const Cycle hit = hit_responses_.next_ready();
-    if (hit != kNoCycle) t = std::min(t, std::max(hit, now + 1));
-    if (!ready_responses_.empty() || !pending_writebacks_.empty()) {
-      t = std::min(t, now + 1);
-    }
-    return t;
+  /// Earliest cycle at which cycle() can do anything on its own, cached by
+  /// the last cycle(): the DRAM's next issue or completion, the next L2-hit
+  /// response maturing, the request-port head maturing (or now + 1 after
+  /// serving one), or now + 1 while a writeback can enter the DRAM queue. A
+  /// request head blocked on the L2 MSHR or the DRAM queue waits for the
+  /// DRAM's next event; one blocked on the hit path, for the next hit
+  /// response. Two wakeups come from outside (see wake_by): a request sent
+  /// to an empty port, and a response credit freed while ready responses
+  /// wait (credit_wait_sm). Every cycle before wake_at() would repeat the
+  /// last one verbatim, because a blocked head changes nothing.
+  Cycle wake_at() const { return wake_at_; }
+  /// Moves wake_at() up to `cycle` when that is earlier.
+  void wake_by(Cycle cycle) { wake_at_ = std::min(wake_at_, cycle); }
+  /// The SM whose response-port credit the ready responses wait on, or -1
+  /// when none wait.
+  int credit_wait_sm() const {
+    return ready_responses_.empty() ? -1 : ready_responses_.front().sm_id;
   }
 
   const Cache& l2() const { return l2_; }
@@ -63,7 +68,8 @@ class MemoryPartition {
   };
 
   void drain_dram(Cycle now);
-  void serve_request(Cycle now, Interconnect& icnt);
+  /// Serves the request-port head if it can go; true when it was popped.
+  bool serve_request(Cycle now, Interconnect& icnt);
 
   MemConfig config_;
   int partition_id_;
@@ -77,6 +83,7 @@ class MemoryPartition {
   std::deque<MemResponse> ready_responses_;
   /// Dirty victim writebacks waiting for DRAM queue space.
   std::deque<Addr> pending_writebacks_;
+  Cycle wake_at_ = 0;
 };
 
 }  // namespace prosim

@@ -8,7 +8,10 @@ namespace prosim {
 
 MemorySubsystem::MemorySubsystem(const MemConfig& config, int num_sms,
                                  FaultInjector* faults)
-    : config_(config), icnt_(config, num_sms), faults_(faults) {
+    : config_(config),
+      icnt_(config, num_sms),
+      faults_(faults),
+      tick_all_(faults != nullptr) {
   partitions_.reserve(static_cast<std::size_t>(config.num_partitions));
   for (int p = 0; p < config.num_partitions; ++p) {
     partitions_.emplace_back(config, p);
@@ -21,7 +24,12 @@ MemorySubsystem::MemorySubsystem(const MemConfig& config, int num_sms,
 void MemorySubsystem::cycle(Cycle now) {
   now_ = now;
   icnt_.begin_cycle(now);
-  for (auto& partition : partitions_) partition.cycle(now, icnt_);
+  for (auto& partition : partitions_) {
+    if (tick_all_ || partition.wake_at() <= now) {
+      partition.cycle(now, icnt_);
+      ++partition_cycles_ticked_;
+    }
+  }
   if (faults_ != nullptr) divert_responses(now);
 }
 
@@ -35,13 +43,20 @@ void MemorySubsystem::divert_responses(Cycle now) {
       // Responses to one SM stay in order: a delayed head holds back
       // everything behind it (in-flight reordering is not modelled).
       if (!queue.empty()) ready = std::max(ready, queue.back().ready);
-      queue.push_back({ready, icnt_.pop_response(sm)});
+      queue.push_back({ready, take_response(sm)});
     }
   }
 }
 
+MemResponse MemorySubsystem::take_response(int sm_id) {
+  for (auto& partition : partitions_) {
+    if (partition.credit_wait_sm() == sm_id) partition.wake_by(now_ + 1);
+  }
+  return icnt_.pop_response(sm_id);
+}
+
 MemResponse MemorySubsystem::pop_response(int sm_id) {
-  if (faults_ == nullptr) return icnt_.pop_response(sm_id);
+  if (faults_ == nullptr) return take_response(sm_id);
   auto& queue = delayed_[static_cast<std::size_t>(sm_id)];
   PROSIM_CHECK(!queue.empty() && queue.front().ready <= now_);
   MemResponse response = queue.front().response;

@@ -9,6 +9,11 @@
 // queues) and transient backpressure on a partition's inject port. With no
 // injector attached both paths collapse to the bare interconnect at the
 // cost of one pointer test.
+//
+// cycle() ticks only the partitions that are due (MemoryPartition::wake_at);
+// a sleeping partition's cycles would repeat its last one verbatim. Under
+// fault injection, or after set_tick_all(true), every partition ticks every
+// cycle: that is the reference the event-driven path must match.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +43,9 @@ class MemorySubsystem {
 
   void inject(const MemRequest& request, Cycle now) {
     icnt_.send_request(request, now);
+    const int p = icnt_.partition_of(request.line_addr);
+    MemoryPartition& partition = partitions_[static_cast<std::size_t>(p)];
+    partition.wake_by(now + config_.icnt_latency);
   }
 
   bool has_response(int sm_id) const {
@@ -47,23 +55,33 @@ class MemorySubsystem {
   }
   MemResponse pop_response(int sm_id);
 
-  /// Advances the interconnect and every partition by one cycle. Call once
-  /// per core cycle, before the SMs.
+  /// Advances the interconnect and every due partition by one cycle. Call
+  /// once per executed core cycle, before the SMs.
   void cycle(Cycle now);
+
+  /// Ticks every partition every cycle (the reference mode).
+  void set_tick_all(bool tick_all) {
+    tick_all_ = tick_all || faults_ != nullptr;
+  }
 
   bool idle() const;
 
-  /// Lower bound (> now) on the next cycle anything in the memory system
-  /// moves: an interconnect queue head maturing, an L2-hit response
-  /// becoming ready, a DRAM bank/bus freeing up, or a DRAM completion.
-  /// Only meaningful without a fault injector (the fast-forward path is
-  /// disabled under fault injection). kNoCycle when fully idle.
-  Cycle next_event(Cycle now) const {
-    Cycle t = icnt_.next_event(now);
+  /// Earliest cached partition wake time: no partition does anything
+  /// before it unless an SM injects a request or pops a response. May be
+  /// <= the current cycle (a partition is due); kNoCycle when all sleep.
+  /// The responses already in flight toward an SM are not covered (see
+  /// Interconnect::response_head_ready).
+  Cycle next_event() const {
+    Cycle t = kNoCycle;
     for (const auto& partition : partitions_) {
-      t = std::min(t, partition.next_event(now));
+      t = std::min(t, partition.wake_at());
     }
     return t;
+  }
+
+  /// Partition-cycles actually executed (SimProfile).
+  std::uint64_t partition_cycles_ticked() const {
+    return partition_cycles_ticked_;
   }
 
   const std::vector<MemoryPartition>& partitions() const {
@@ -84,6 +102,9 @@ class MemorySubsystem {
   };
 
   void divert_responses(Cycle now);
+  /// Pops SM `sm_id`'s next interconnect response. The freed credit wakes
+  /// a partition whose ready responses wait on it, next cycle.
+  MemResponse take_response(int sm_id);
 
   MemConfig config_;
   Interconnect icnt_;
@@ -92,6 +113,8 @@ class MemorySubsystem {
   /// Per-SM in-order response queues, used only when faults are attached.
   std::vector<std::deque<DelayedResponse>> delayed_;
   Cycle now_ = 0;
+  bool tick_all_ = false;
+  std::uint64_t partition_cycles_ticked_ = 0;
 };
 
 }  // namespace prosim

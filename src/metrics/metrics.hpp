@@ -87,8 +87,8 @@ class MetricsCollector {
   explicit MetricsCollector(Cycle interval);
 
   Cycle interval() const { return interval_; }
-  /// Next cycle at which a sample is due (the fast-forward path never
-  /// skips past it; skipping fewer cycles is provably bit-identical).
+  /// Next cycle at which a sample is due (the GPU's clock never jumps past
+  /// it; skipping fewer cycles is provably bit-identical).
   Cycle next_sample_cycle() const { return next_; }
   Cycle last_sample_cycle() const { return last_; }
   /// Registers that a sample was taken at `cycle` and schedules the next

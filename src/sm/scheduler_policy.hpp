@@ -68,7 +68,7 @@ class SchedulerPolicy {
   /// Earliest future cycle at which the policy's begin_cycle would do
   /// something even without any warp event (threshold sorts, profiling
   /// epoch boundaries). Purely event-driven policies return kNoCycle. The
-  /// GPU's fast-forward path never skips past this cycle, so time-triggered
+  /// SM's wake time never passes this cycle, so time-triggered
   /// policy behaviour lands on exactly the same cycle as under per-cycle
   /// ticking.
   virtual Cycle next_wakeup(Cycle /*now*/) const { return kNoCycle; }

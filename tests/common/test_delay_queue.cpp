@@ -9,24 +9,20 @@ TEST(DelayQueue, ItemInvisibleUntilLatencyElapses) {
   DelayQueue<int> q(/*latency=*/5, /*bandwidth=*/1, /*capacity=*/4);
   q.push(42, /*now=*/10);
   for (Cycle t = 10; t < 15; ++t) {
-    q.begin_cycle(t);
-    EXPECT_FALSE(q.can_pop()) << "cycle " << t;
+    EXPECT_FALSE(q.can_pop(t)) << "cycle " << t;
   }
-  q.begin_cycle(15);
-  ASSERT_TRUE(q.can_pop());
-  EXPECT_EQ(q.pop(), 42);
+  ASSERT_TRUE(q.can_pop(15));
+  EXPECT_EQ(q.pop(15), 42);
 }
 
 TEST(DelayQueue, BandwidthLimitsPopsPerCycle) {
   DelayQueue<int> q(0, /*bandwidth=*/2, /*capacity=*/8);
   for (int i = 0; i < 5; ++i) q.push(i, 0);
-  q.begin_cycle(0);
-  EXPECT_TRUE(q.can_pop());
-  EXPECT_EQ(q.pop(), 0);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_FALSE(q.can_pop());  // budget exhausted
-  q.begin_cycle(1);
-  EXPECT_EQ(q.pop(), 2);
+  EXPECT_TRUE(q.can_pop(0));
+  EXPECT_EQ(q.pop(0), 0);
+  EXPECT_EQ(q.pop(0), 1);
+  EXPECT_FALSE(q.can_pop(0));  // budget exhausted
+  EXPECT_EQ(q.pop(1), 2);      // a new cycle resets the budget
 }
 
 TEST(DelayQueue, CapacityBlocksPush) {
@@ -35,8 +31,7 @@ TEST(DelayQueue, CapacityBlocksPush) {
   q.push(1, 0);
   q.push(2, 0);
   EXPECT_FALSE(q.can_push());
-  q.begin_cycle(1);
-  (void)q.pop();
+  (void)q.pop(1);
   EXPECT_TRUE(q.can_push());
 }
 
@@ -45,10 +40,9 @@ TEST(DelayQueue, FifoOrderPreserved) {
   q.push(7, 0);
   q.push(8, 1);
   q.push(9, 1);
-  q.begin_cycle(10);
-  EXPECT_EQ(q.pop(), 7);
-  EXPECT_EQ(q.pop(), 8);
-  EXPECT_EQ(q.pop(), 9);
+  EXPECT_EQ(q.pop(10), 7);
+  EXPECT_EQ(q.pop(10), 8);
+  EXPECT_EQ(q.pop(10), 9);
   EXPECT_TRUE(q.empty());
 }
 
@@ -69,8 +63,7 @@ TEST(DelayQueueDeathTest, OverflowAborts) {
 TEST(DelayQueueDeathTest, PopWithoutReadyItemAborts) {
   DelayQueue<int> q(5, 1, 4);
   q.push(1, 0);
-  q.begin_cycle(0);
-  EXPECT_DEATH(q.pop(), "can_pop");
+  EXPECT_DEATH(q.pop(0), "can_pop");
 }
 
 }  // namespace

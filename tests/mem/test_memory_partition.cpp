@@ -24,7 +24,7 @@ MemConfig cfg() {
 }
 
 struct Rig {
-  Rig() : icnt(cfg(), 1), part(cfg(), 0) {}
+  explicit Rig(const MemConfig& c = cfg()) : icnt(c, 1), part(c, 0) {}
 
   void send(MemRequest r) { icnt.send_request(r, now); }
 
@@ -161,6 +161,34 @@ TEST(MemoryPartition, IdleReflectsInFlightWork) {
   (void)rig.run_until_response();
   rig.run(5);
   EXPECT_TRUE(rig.part.idle());
+}
+
+TEST(MemoryPartition, BackpressuredHitCountsOnce) {
+  // A 100-cycle hit latency overflows the 64-entry hit-response queue at
+  // one hit per cycle: hits then wait at the request-port head. Each must
+  // count (and refresh LRU) once, when it goes, not on every retry.
+  MemConfig c = cfg();
+  c.l2_hit_latency = 100;
+  Rig rig(c);
+  rig.send(read(0));
+  (void)rig.run_until_response();  // the one miss fills line 0
+  constexpr int kHits = 200;
+  int sent = 0;
+  int got = 0;
+  for (; rig.now < 20'000 && got < kHits; ++rig.now) {
+    while (sent < kHits && rig.icnt.can_send_request(0)) {
+      rig.send(read(0, static_cast<std::uint32_t>(sent++)));
+    }
+    rig.icnt.begin_cycle(rig.now);
+    rig.part.cycle(rig.now, rig.icnt);
+    while (rig.icnt.has_response(0)) {
+      (void)rig.icnt.pop_response(0);
+      ++got;
+    }
+  }
+  EXPECT_EQ(got, kHits);
+  EXPECT_EQ(rig.part.l2().hits, static_cast<std::uint64_t>(kHits));
+  EXPECT_EQ(rig.part.l2().misses, 1u);
 }
 
 }  // namespace

@@ -332,8 +332,15 @@ TEST(SimProfile, FilledButNeverSerialized) {
   // Per-SM wakeups: some SM-cycles ran, and sleeping SMs skipped others.
   EXPECT_GT(r.profile.sm_cycles_ticked, 0u);
   EXPECT_LT(r.profile.sm_cycles_ticked, r.cycles * r.per_sm.size());
+  // Partition wakeups: partitions slept through some of their cycles too.
+  const auto partitions = static_cast<std::uint64_t>(cfg.mem.num_partitions);
+  EXPECT_GT(r.profile.partition_cycles_ticked, 0u);
+  EXPECT_LT(r.profile.partition_cycles_ticked, r.cycles * partitions);
+  EXPECT_GT(r.profile.admission_evals, 0u);
   const std::string json = gpu_result_to_json(r);
   EXPECT_EQ(json.find("ff_spans"), std::string::npos);
+  EXPECT_EQ(json.find("partition_cycles_ticked"), std::string::npos);
+  EXPECT_EQ(json.find("admission_evals"), std::string::npos);
   EXPECT_EQ(json.find("\"profile\""), std::string::npos);
 }
 
