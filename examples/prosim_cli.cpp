@@ -28,7 +28,6 @@
 #include "isa/assembler.hpp"
 #include "kernels/registry.hpp"
 #include "metrics/metrics.hpp"
-#include "trace/trace_session.hpp"
 
 using namespace prosim;
 
@@ -143,16 +142,7 @@ int main(int argc, char** argv) {
                     "bare FILE means tb:FILE");
   parser.add_flag("--stall-report", &stall_report,
                   "collect and print the per-cause stall attribution");
-  parser.add_i64("--metrics-interval", &metrics_interval, "N",
-                 "sample time-series metrics every N cycles (default off)");
-  parser.add_string("--metrics", &oopts.metrics_csv, "FILE",
-                    "write sampled metrics as long-format CSV");
-  parser.add_string("--metrics-json", &oopts.metrics_json, "FILE",
-                    "write sampled metrics as prosim-metrics-v1 JSON");
-  parser.add_string("--events", &oopts.events_jsonl, "FILE",
-                    "write the lifecycle event journal as JSONL");
-  parser.add_string("--kernel-timeline", &oopts.kernel_timeline, "FILE",
-                    "write a Perfetto kernel timeline (pid=kernel, tid=SM)");
+  add_observability_flags(parser, oopts, metrics_interval);
   parser.add_flag("--csv", &csv, "emit the result row as CSV");
   parser.add_flag("--json", &json, "emit the full result as JSON");
   parser.set_epilog(list_schedulers() + "\n" + list_admissions());
@@ -187,16 +177,7 @@ int main(int argc, char** argv) {
               << "' (want tb:FILE, warps:FILE, windows:FILE, or FILE)\n";
     return 2;
   }
-  if (parser.seen("--metrics-interval") && metrics_interval < 1) {
-    std::cerr << "--metrics-interval must be >= 1\n";
-    return 2;
-  }
-  if ((parser.seen("--metrics") || parser.seen("--metrics-json")) &&
-      metrics_interval == 0) {
-    std::cerr << "--metrics/--metrics-json need --metrics-interval N\n";
-    return 2;
-  }
-  oopts.metrics_interval = static_cast<Cycle>(metrics_interval);
+  if (!check_observability_flags(parser, metrics_interval, oopts)) return 2;
 
   if (list) {
     Table t({"Kernel", "Suite", "App", "TBs", "Block"});
@@ -259,19 +240,15 @@ int main(int argc, char** argv) {
   if (max_cycles > 0) cfg.max_cycles = static_cast<Cycle>(max_cycles);
   cfg.watchdog.enabled = !no_watchdog;
 
-  TraceOptions topts;
-  topts.stall_attribution = stall_report;
-  topts.warp_lanes = trace_mode == TraceMode::kWarps;
-  topts.windows = trace_mode == TraceMode::kWindows;
-  TraceSession session(topts);
-
+  oopts.stall_attribution = stall_report;
+  oopts.warp_lanes = trace_mode == TraceMode::kWarps;
+  oopts.windows = trace_mode == TraceMode::kWindows;
   ObservabilitySession obs(oopts);
 
   GlobalMemory mem;
   init(mem);
   const auto wall_start = std::chrono::steady_clock::now();
-  Expected<GpuResult> checked = simulate_checked(
-      cfg, program, mem, session.sink(), obs.metrics(), obs.journal());
+  Expected<GpuResult> checked = simulate_checked(cfg, program, mem, &obs);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -289,8 +266,8 @@ int main(int argc, char** argv) {
   GpuResult r = std::move(checked.value());
   r.throughput =
       SimThroughput::measure(wall_seconds, r.cycles, r.totals.warp_insts);
-  if (session.attribution() != nullptr) {
-    r.stall_breakdown = session.attribution()->breakdown();
+  if (obs.attribution() != nullptr) {
+    r.stall_breakdown = obs.attribution()->breakdown();
   }
 
   Table t({"kernel", "scheduler", "cycles", "ipc", "issued", "idle",
@@ -319,38 +296,31 @@ int main(int argc, char** argv) {
     print_stall_report(std::cout, *r.stall_breakdown, csv);
   }
 
-  if (oopts.any()) {
-    std::string obs_error;
-    if (!obs.write({program.info.name}, obs_error)) {
-      std::cerr << obs_error << "\n";
-      return 1;
-    }
+  TraceFiles trace;
+  if (trace_mode == TraceMode::kWarps) trace.warp_lanes = trace_path;
+  if (trace_mode == TraceMode::kWindows) {
+    trace.windows = trace_path;
+    trace.windows_hist = trace_path + ".hist.csv";
+  }
+  std::string obs_error;
+  if (!obs.write({program.info.name}, obs_error, trace)) {
+    std::cerr << obs_error << "\n";
+    return 1;
   }
 
-  switch (trace_mode) {
-    case TraceMode::kNone:
-      break;
-    case TraceMode::kTb: {
-      std::ofstream out(trace_path);
-      if (!out) {
-        std::cerr << "cannot write " << trace_path << "\n";
-        return 1;
-      }
-      write_chrome_trace(out, r);
-      std::cerr << "wrote " << trace_path << "\n";
-      break;
+  if (trace_mode == TraceMode::kTb) {
+    std::ofstream out(trace_path);
+    if (!out) {
+      std::cerr << "cannot write " << trace_path << "\n";
+      return 1;
     }
-    case TraceMode::kWarps:
-      if (!session.write_warp_lanes_file(trace_path)) return 1;
-      std::cerr << "wrote " << trace_path << "\n";
-      break;
-    case TraceMode::kWindows: {
-      if (!session.write_windows_csv_file(trace_path)) return 1;
-      const std::string hist_path = trace_path + ".hist.csv";
-      if (!session.write_window_histograms_file(hist_path)) return 1;
-      std::cerr << "wrote " << trace_path << " and " << hist_path << "\n";
-      break;
-    }
+    write_chrome_trace(out, r);
+  }
+  if (trace_mode == TraceMode::kWindows) {
+    std::cerr << "wrote " << trace_path << " and " << trace.windows_hist
+              << "\n";
+  } else if (trace_mode != TraceMode::kNone) {
+    std::cerr << "wrote " << trace_path << "\n";
   }
   return 0;
 }

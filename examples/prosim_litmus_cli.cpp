@@ -64,22 +64,11 @@ int main(int argc, char** argv) {
   parser.add_string("--admission", &admission, "A",
                     "admission policy for --background / --preemptive "
                     "(defaults: tb_interleaved / preemptive_slo)");
-  parser.add_section("observability (needs --background or --preemptive)");
-  parser.add_i64("--metrics-interval", &metrics_interval, "N",
-                 "sample time-series metrics every N cycles per cell");
-  parser.add_string("--metrics", &oopts.metrics_csv, "FILE",
-                    "per-cell metrics CSV; the "
-                    "\"<scheduler>.<litmus>.<regime>\" key is inserted "
-                    "before the extension");
-  parser.add_string("--metrics-json", &oopts.metrics_json, "FILE",
-                    "per-cell prosim-metrics-v1 JSON (suffixed like "
-                    "--metrics)");
-  parser.add_string("--events", &oopts.events_jsonl, "FILE",
-                    "per-cell lifecycle event journal JSONL (suffixed "
-                    "like --metrics)");
-  parser.add_string("--kernel-timeline", &oopts.kernel_timeline, "FILE",
-                    "per-cell Perfetto kernel timeline (suffixed like "
-                    "--metrics)");
+  parser.add_section(
+      "observability (needs --background or --preemptive; the "
+      "\"<scheduler>.<litmus>.<regime>\" key is inserted before each "
+      "FILE's extension)");
+  add_observability_flags(parser, oopts, metrics_interval);
   parser.add_flag("--quiet", &quiet, "no per-cell progress on stderr");
   parser.add_flag("--list", &list, "list the litmus suite and exit");
   parser.set_epilog(list_schedulers() + "\n" + list_admissions() +
@@ -114,17 +103,9 @@ int main(int argc, char** argv) {
     std::cerr << "--admission needs --background or --preemptive\n";
     return 2;
   }
-  if (parser.seen("--metrics-interval") && metrics_interval < 1) {
-    std::cerr << "--metrics-interval must be >= 1\n";
-    return 2;
-  }
-  if ((parser.seen("--metrics") || parser.seen("--metrics-json")) &&
-      metrics_interval == 0) {
-    std::cerr << "--metrics/--metrics-json need --metrics-interval N\n";
-    return 2;
-  }
-  oopts.metrics_interval = static_cast<Cycle>(metrics_interval);
-  if (oopts.any() && !background && !preemptive) {
+  if (!check_observability_flags(parser, metrics_interval, oopts)) return 2;
+  if ((oopts.metrics_enabled() || oopts.journal_enabled()) && !background &&
+      !preemptive) {
     std::cerr << "--metrics-interval/--metrics/--metrics-json/--events/"
                  "--kernel-timeline need --background or --preemptive\n";
     return 2;
@@ -195,6 +176,7 @@ int main(int argc, char** argv) {
       std::cerr << "wrote verdict matrix to " << out_path << "\n";
     }
   }
+  if (print_write_errors(std::cerr, report.cells)) return 1;
 
   for (const SchedulerSummary& s : report.schedulers) {
     if (s.broken_cells > 0) return 3;

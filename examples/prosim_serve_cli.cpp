@@ -85,23 +85,11 @@ int main(int argc, char** argv) {
                  "in-flight requests under --closed-loop (default 4)");
   parser.add_string("--out", &out_path, "FILE",
                     "report as prosim-serve-v2 JSON ('-' = stdout)");
-  parser.add_section("observability");
-  parser.add_i64("--metrics-interval", &metrics_interval, "N",
-                 "sample time-series metrics every N cycles in each "
-                 "cell's final serving simulation (default off)");
-  parser.add_string("--metrics", &oopts.metrics_csv, "FILE",
-                    "per-cell metrics CSV; with several cells the "
-                    "\"<scheduler>.<admission>\" key is inserted before "
-                    "the extension");
-  parser.add_string("--metrics-json", &oopts.metrics_json, "FILE",
-                    "per-cell prosim-metrics-v1 JSON (suffixed like "
-                    "--metrics)");
-  parser.add_string("--events", &oopts.events_jsonl, "FILE",
-                    "per-cell lifecycle event journal JSONL (suffixed "
-                    "like --metrics)");
-  parser.add_string("--kernel-timeline", &oopts.kernel_timeline, "FILE",
-                    "per-cell Perfetto kernel timeline, pid=kernel tid=SM "
-                    "(suffixed like --metrics)");
+  parser.add_section(
+      "observability (per cell; with several cells the "
+      "\"<scheduler>.<admission>\" key is inserted before each FILE's "
+      "extension)");
+  add_observability_flags(parser, oopts, metrics_interval);
   parser.add_flag("--progress", &progress_line,
                   "single live progress line (cells done, ETA) instead "
                   "of per-cell lines");
@@ -119,16 +107,7 @@ int main(int argc, char** argv) {
     case ArgParser::Status::kVersion: return 0;
     case ArgParser::Status::kError: return 2;
   }
-  if (parser.seen("--metrics-interval") && metrics_interval < 1) {
-    std::cerr << "--metrics-interval must be >= 1\n";
-    return 2;
-  }
-  if ((parser.seen("--metrics") || parser.seen("--metrics-json")) &&
-      metrics_interval == 0) {
-    std::cerr << "--metrics/--metrics-json need --metrics-interval N\n";
-    return 2;
-  }
-  oopts.metrics_interval = static_cast<Cycle>(metrics_interval);
+  if (!check_observability_flags(parser, metrics_interval, oopts)) return 2;
 
   if (list) {
     std::cout << list_schedulers() << "\n" << list_admissions() << "\nkernels:\n";
@@ -273,6 +252,7 @@ int main(int argc, char** argv) {
       std::cerr << "wrote serving report to " << out_path << "\n";
     }
   }
+  if (print_write_errors(std::cerr, report.cells)) return 1;
 
   return report.failures > 0 ? 4 : 0;
 }

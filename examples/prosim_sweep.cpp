@@ -257,23 +257,10 @@ int main(int argc, char** argv) {
   parser.add_flag("--expect-cached", &opt.expect_cached,
                   "fail (exit 5) if any cell had to simulate — asserts a "
                   "warm cache, e.g. in CI");
-  parser.add_section("observability");
-  parser.add_i64("--metrics-interval", &opt.metrics_interval, "N",
-                 "sample time-series metrics every N cycles in every "
-                 "simulated cell (default off)");
-  parser.add_string("--metrics", &opt.obs.metrics_csv, "FILE",
-                    "per-cell metrics CSV; the cell's cache key is "
-                    "inserted before the extension (lands in --trace-dir "
-                    "when set)");
-  parser.add_string("--metrics-json", &opt.obs.metrics_json, "FILE",
-                    "per-cell prosim-metrics-v1 JSON (suffixed like "
-                    "--metrics)");
-  parser.add_string("--events", &opt.obs.events_jsonl, "FILE",
-                    "per-cell lifecycle event journal JSONL (suffixed "
-                    "like --metrics)");
-  parser.add_string("--kernel-timeline", &opt.obs.kernel_timeline, "FILE",
-                    "per-cell Perfetto kernel timeline (suffixed like "
-                    "--metrics)");
+  parser.add_section(
+      "observability (per simulated cell: the cache key is inserted before "
+      "each FILE's extension; relative FILEs land in --trace-dir when set)");
+  add_observability_flags(parser, opt.obs, opt.metrics_interval);
   parser.add_flag("--profile", &opt.profile,
                   "profile the simulator itself (fast-forward spans, SM and "
                   "partition wake rates, admission evaluations) and add a "
@@ -305,16 +292,9 @@ int main(int argc, char** argv) {
     std::cerr << "--jobs must be >= 0\n";
     return 2;
   }
-  if (parser.seen("--metrics-interval") && opt.metrics_interval < 1) {
-    std::cerr << "--metrics-interval must be >= 1\n";
+  if (!check_observability_flags(parser, opt.metrics_interval, opt.obs)) {
     return 2;
   }
-  if ((parser.seen("--metrics") || parser.seen("--metrics-json")) &&
-      opt.metrics_interval == 0) {
-    std::cerr << "--metrics/--metrics-json need --metrics-interval N\n";
-    return 2;
-  }
-  opt.obs.metrics_interval = static_cast<Cycle>(opt.metrics_interval);
   opt.have_fault_seed = parser.seen("--fault-seed");
 
   std::vector<SweepJob> jobs;
@@ -323,12 +303,9 @@ int main(int argc, char** argv) {
   SweepOptions sweep_opt;
   sweep_opt.jobs = opt.jobs;
   sweep_opt.cache_dir = opt.cache_dir;
-  if (!opt.trace_dir.empty()) {
-    sweep_opt.trace.warp_lanes = true;
-    sweep_opt.trace.windows = true;
-    sweep_opt.trace_dir = opt.trace_dir;
-  }
+  sweep_opt.trace_dir = opt.trace_dir;
   sweep_opt.obs = opt.obs;
+  sweep_opt.obs.warp_lanes = sweep_opt.obs.windows = !opt.trace_dir.empty();
   const auto progress_t0 = std::chrono::steady_clock::now();
   if (opt.progress_line) {
     auto cache_hits = std::make_shared<int>(0);
@@ -387,6 +364,7 @@ int main(int argc, char** argv) {
       })) {
     return 1;
   }
+  if (print_write_errors(std::cerr, report.cells)) return 1;
 
   if (opt.expect_cached && report.simulated > 0) {
     std::cerr << "--expect-cached: " << report.simulated

@@ -18,7 +18,7 @@
 #include "gpu/gpu.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "kernels/registry.hpp"
-#include "trace/trace_session.hpp"
+#include "metrics/metrics.hpp"
 
 using namespace prosim;
 
@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
   GpuConfig cfg;
   cfg.scheduler.kind = info->kind;
 
-  TraceOptions topts;
-  topts.warp_lanes = true;
-  TraceSession session(topts);
-  GpuResult r = simulate(cfg, w.program, mem, session.sink());
+  ObservabilityOptions oopts;
+  oopts.warp_lanes = true;
+  ObservabilitySession session(oopts);
+  GpuResult r = simulate(cfg, w.program, mem, &session);
 
   std::cout << "kernel " << w.kernel << " under " << info->name << ": "
             << r.cycles << " cycles\n\n";
@@ -144,7 +144,11 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    if (!session.write_warp_lanes_file(trace_path)) return 1;
+    std::string error;
+    if (!session.write({w.kernel}, error, {trace_path, {}, {}})) {
+      std::cerr << error << "\n";
+      return 1;
+    }
     std::cout << "\nwrote " << trace_path << "\n";
   }
   return 0;

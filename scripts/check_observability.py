@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Validate prosim observability artifacts (stdlib only; CI trace-smoke).
 
-Checks any subset of the three artifact families produced by the
---metrics / --metrics-json / --events / --kernel-timeline flags
-(docs/OBSERVABILITY.md, "Metrics & event journal"):
+Checks any subset of the products an observability session writes
+(docs/OBSERVABILITY.md):
 
+  * stall report     - prosim_cli --json --stall-report: the per-cause
+                       cycles reconcile with the legacy stall classes
+  * warp lanes       - --trace warps:F, Chrome Trace Event JSON slices
+  * wait windows     - --trace windows:F and its F.hist.csv histogram
   * metrics CSV      - long format, well-typed rows, nondecreasing cycles
   * metrics JSON     - prosim-metrics-v1 schema, samples mirror the CSV
   * event journal    - JSONL rows, known kinds, lifecycle invariants
@@ -24,11 +27,59 @@ EVENT_KINDS = {
     "kernel_finish", "slo_met", "slo_missed", "sim_end",
 }
 SCOPES = {"gpu", "sm", "kernel"}
+# Stall causes that are not idle, by legacy class (docs/OBSERVABILITY.md).
+LEGACY_CLASS = {"issued": "issued", "fu_busy": "pipeline",
+                "scoreboard_mem": "scoreboard",
+                "scoreboard_alu": "scoreboard", "spin_wait": "scoreboard"}
 
 
 def fail(msg):
     print(f"check_observability: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_stall_report(path):
+    r = json.load(open(path))
+    by_class = {"issued": 0, "idle": 0, "scoreboard": 0, "pipeline": 0}
+    for cause, cycles in r["stall_causes"].items():
+        by_class[LEGACY_CLASS.get(cause, "idle")] += cycles
+    if by_class["issued"] != r["issued"]:
+        fail(f"{path}: issued {by_class['issued']} != {r['issued']}")
+    for k in ("idle", "scoreboard", "pipeline"):
+        if by_class[k] != r["stalls"][k]:
+            fail(f"{path}: {k} causes {by_class[k]} != {r['stalls'][k]}")
+    print(f"{path}: {len(r['stall_causes'])} causes reconcile with the "
+          "legacy stall classes")
+
+
+def check_lanes(path):
+    events = json.load(open(path))
+    if not isinstance(events, list) or not events:
+        fail(f"{path}: empty trace")
+    slices = [e for e in events if e.get("ph") == "X"]
+    if not slices:
+        fail(f"{path}: no warp-state slices")
+    for e in slices:
+        if e["dur"] <= 0 or e["ts"] < 0:
+            fail(f"{path}: degenerate slice {e}")
+    print(f"{path}: {len(events)} events, {len(slices)} warp-state slices ok")
+
+
+def check_windows(path):
+    rows = list(csv.reader(open(path, newline="")))
+    if rows[0] != ["kind", "sm", "warp", "start", "end", "length"]:
+        fail(f"{path}: bad header {rows[0]}")
+    for row in rows[1:]:
+        if len(row) != 6 or int(row[4]) <= int(row[3]):
+            fail(f"{path}: bad window {row}")
+    hist_path = path + ".hist.csv"
+    hist = list(csv.reader(open(hist_path, newline="")))
+    if hist[0] != ["kind", "bin_lo", "bin_hi", "count"]:
+        fail(f"{hist_path}: bad header {hist[0]}")
+    binned = sum(int(row[3]) for row in hist[1:])
+    if binned != len(rows) - 1:
+        fail(f"{hist_path}: {binned} binned vs {len(rows) - 1} windows")
+    print(f"{path}: {len(rows) - 1} wait windows, histogram counts match")
 
 
 def check_metrics_csv(path):
@@ -122,6 +173,9 @@ def check_timeline(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--report", help="prosim_cli --json --stall-report")
+    ap.add_argument("--lanes")
+    ap.add_argument("--windows", help="window CSV; F.hist.csv is read too")
     ap.add_argument("--metrics-csv")
     ap.add_argument("--metrics-json")
     ap.add_argument("--events")
@@ -129,6 +183,12 @@ def main():
     args = ap.parse_args()
     if not any(vars(args).values()):
         fail("nothing to check (pass at least one artifact)")
+    if args.report:
+        check_stall_report(args.report)
+    if args.lanes:
+        check_lanes(args.lanes)
+    if args.windows:
+        check_windows(args.windows)
     csv_samples = None
     if args.metrics_csv:
         csv_samples = check_metrics_csv(args.metrics_csv)

@@ -8,7 +8,6 @@
 #include "core/pro_scheduler.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "metrics/metrics.hpp"
-#include "trace/trace_session.hpp"
 
 namespace prosim {
 
@@ -141,9 +140,9 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
   // Every SM starts bound to the earliest-arrival kernel (stream 0); in
   // single-kernel mode this reproduces the classic construction exactly.
   for (int s = 0; s < config_.num_sms; ++s) bind_sm(s, 0);
+  // Cycle-0 arrivals precede every attach, which retro-emits them.
+  note_arrivals();
 }
-
-Gpu::~Gpu() = default;
 
 void Gpu::bind_sm(int s, int k) {
   Stream& st = *streams_[k];
@@ -185,9 +184,7 @@ void Gpu::bind_sm(int s, int k) {
   wake_at_[s] = now_;
   mark_dirty(s);
   view_stale_ = true;
-  if (journal_ != nullptr) {
-    journal_->record(now_, SimEventKind::kSmBind, k, s);
-  }
+  emit({now_, SimEventKind::kSmBind, k, s});
 }
 
 const std::vector<RegValue>& Gpu::stream_registers(int kernel) const {
@@ -229,17 +226,13 @@ void Gpu::assign_tbs() {
         if (!st.launched_any) {
           st.launched_any = true;
           st.first_launch = now_;
-          if (journal_ != nullptr) {
-            journal_->record(now_, SimEventKind::kAdmissionGrant, 0, s);
-          }
+          emit({now_, SimEventKind::kAdmissionGrant, 0, s});
         }
         const int ctaid = st.tbs.pop();
         touch_sm(s);
         sms_[s]->launch_tb(ctaid, now_);
         if (!st.tbs.has_waiting()) wake_bound(0);
-        if (journal_ != nullptr) {
-          journal_->record(now_, SimEventKind::kTbLaunch, 0, s, ctaid);
-        }
+        emit({now_, SimEventKind::kTbLaunch, 0, s, ctaid});
       }
     }
   }
@@ -275,10 +268,8 @@ void Gpu::harvest_yields() {
     touch_sm(static_cast<int>(s));
     st.parked.push_back(sms_[s]->take_yield_checkpoint(now_));
     ++st.demotions;
-    if (journal_ != nullptr) {
-      journal_->record(now_, SimEventKind::kTbCheckpoint, binding_[s],
-                       static_cast<int>(s), st.parked.back().ctaid);
-    }
+    emit({now_, SimEventKind::kTbCheckpoint, binding_[s], static_cast<int>(s),
+          st.parked.back().ctaid});
   }
 }
 
@@ -306,10 +297,8 @@ void Gpu::request_yields() {
       const int slot = sms_[s]->oldest_tb_slot();
       touch_sm(static_cast<int>(s));
       sms_[s]->request_yield(slot);
-      if (journal_ != nullptr) {
-        journal_->record(now_, SimEventKind::kYieldRequest, k,
-                         static_cast<int>(s), sms_[s]->resident_ctaid(slot));
-      }
+      emit({now_, SimEventKind::kYieldRequest, k, static_cast<int>(s),
+            sms_[s]->resident_ctaid(slot)});
     }
   }
 }
@@ -346,9 +335,7 @@ void Gpu::assign_tbs_multi() {
           // Rebinding away from a kernel that still has work is the
           // stream-level demotion (it stops getting SMs).
           ++streams_[k]->demotions;
-          if (journal_ != nullptr) {
-            journal_->record(now_, SimEventKind::kDemotion, k, s);
-          }
+          emit({now_, SimEventKind::kDemotion, k, s});
         }
         bind_sm(s, next);
       }
@@ -360,26 +347,20 @@ void Gpu::assign_tbs_multi() {
         if (!st.launched_any) {
           st.launched_any = true;
           st.first_launch = now_;
-          if (journal_ != nullptr) {
-            journal_->record(now_, SimEventKind::kAdmissionGrant, k, s);
-          }
+          emit({now_, SimEventKind::kAdmissionGrant, k, s});
         }
         const int ctaid = st.tbs.pop();
         touch_sm(s);
         sms_[s]->launch_tb(ctaid, now_);
         if (!st.tbs.has_waiting()) wake_bound(k);
-        if (journal_ != nullptr) {
-          journal_->record(now_, SimEventKind::kTbLaunch, k, s, ctaid);
-        }
+        emit({now_, SimEventKind::kTbLaunch, k, s, ctaid});
       } else if (!st.parked.empty()) {
         const int ctaid = st.parked.front().ctaid;
         touch_sm(s);
         sms_[s]->resume_tb(st.parked.front(), now_);
         st.parked.pop_front();
         ++st.resumptions;
-        if (journal_ != nullptr) {
-          journal_->record(now_, SimEventKind::kTbResume, k, s, ctaid);
-        }
+        emit({now_, SimEventKind::kTbResume, k, s, ctaid});
       }
     }
   }
@@ -398,16 +379,15 @@ void Gpu::assign_tbs_multi() {
 }
 
 void Gpu::note_arrivals() {
-  bool arrived = false;
+  const std::size_t first = next_arrival_;
   while (next_arrival_ < streams_.size() &&
          streams_[next_arrival_]->launch.arrival <= now_) {
-    ++next_arrival_;
-    arrived = true;
+    const KernelLaunch& l = streams_[next_arrival_++]->launch;
+    emit({l.arrival, SimEventKind::kKernelArrival, l.kernel_id});
   }
-  if (!arrived) return;
+  if (next_arrival_ == first) return;
   view_stale_ = true;
   admission_due_ = true;
-  if (journal_ != nullptr) journal_arrivals();
 }
 
 void Gpu::update_streams() {
@@ -428,7 +408,7 @@ void Gpu::update_streams() {
       --unfinished_;
       view_stale_ = true;
       admission_due_ = true;
-      if (journal_ != nullptr) journal_finish(*st);
+      emit_finish(*st);
     }
   }
 }
@@ -581,52 +561,33 @@ bool Gpu::step() {
   return running;
 }
 
-void Gpu::set_trace_sink(TraceSink* trace) {
-  user_trace_ = trace;
-  refresh_trace_sink();
-}
-
-void Gpu::set_metrics(MetricsCollector* metrics) {
-  metrics_ = metrics;
-  refresh_trace_sink();
-}
-
-void Gpu::refresh_trace_sink() {
-  TraceSink* stall =
-      metrics_ != nullptr ? &metrics_->stall_sink() : nullptr;
-  if (user_trace_ != nullptr && stall != nullptr) {
-    obs_tee_ = std::make_unique<TraceTee>();
-    obs_tee_->add(user_trace_);
-    obs_tee_->add(stall);
-    trace_ = obs_tee_.get();
-  } else {
-    trace_ = user_trace_ != nullptr ? user_trace_ : stall;
+void Gpu::set_trace_sink(TraceSink* sink) {
+  if (sink == nullptr) return;
+  // Retro-emit, to this sink only, what the lifecycle already did: the
+  // arrivals so far (cycle-0 launches) and every SM's current binding.
+  for (std::size_t k = 0; k < next_arrival_; ++k) {
+    const KernelLaunch& l = streams_[k]->launch;
+    sink->on_sim_event({l.arrival, SimEventKind::kKernelArrival, l.kernel_id});
+  }
+  for (int s = 0; s < num_sms(); ++s) {
+    sink->on_sim_event({now_, SimEventKind::kSmBind, binding_[s], s});
+  }
+  observers_.all.push_back(sink);
+  if (sink->wants_sm_events()) observers_.sm.push_back(sink);
+  // A single SM sink is dispatched to directly, without the fan-out loop.
+  if (!observers_.sm.empty()) {
+    trace_ = observers_.sm.size() == 1 ? observers_.sm.front() : &observers_;
   }
   for (auto& sm : sms_) sm->set_trace_sink(trace_);
 }
 
-void Gpu::set_event_journal(EventJournal* journal) {
-  journal_ = journal;
-  if (journal_ == nullptr) return;
-  // Retro-emit construction-time state so the journal starts complete:
-  // arrivals that already happened (cycle-0 launches) and the initial SM
-  // bindings made by reset_machine before the journal was attached.
-  journal_arrivals();
-  for (std::size_t s = 0; s < sms_.size(); ++s) {
-    journal_->record(now_, SimEventKind::kSmBind, binding_[s],
-                     static_cast<int>(s));
-  }
+void Gpu::set_metrics(MetricsCollector* metrics) {
+  if (metrics == nullptr) return;
+  metrics_ = metrics;
+  set_trace_sink(&metrics->stall_sink());
 }
 
-void Gpu::journal_arrivals() {
-  for (auto& st : streams_) {
-    if (!st->arrival_logged && st->launch.arrival <= now_) {
-      st->arrival_logged = true;
-      journal_->record(st->launch.arrival, SimEventKind::kKernelArrival,
-                       st->launch.kernel_id);
-    }
-  }
-}
+void Gpu::set_event_journal(EventJournal* journal) { set_trace_sink(journal); }
 
 void Gpu::sample_metrics() {
   MetricsCollector& m = *metrics_;
@@ -634,42 +595,45 @@ void Gpu::sample_metrics() {
   if (span == 0) return;
   MetricsRegistry& reg = m.registry();
   const StallBreakdown& stalls = m.stall_sink().breakdown();
+  // A gauge series records its value; a counter series the delta of its
+  // cumulative value since the previous sample.
+  auto gauge = [&](MetricScope scope, int id, std::string metric,
+                   double value) {
+    reg.record(now_, scope, id, std::move(metric), value);
+  };
+  auto counter = [&](MetricScope scope, int id, std::string metric,
+                     std::uint64_t cumulative) {
+    const std::uint64_t d = m.delta(scope, id, metric.c_str(), cumulative);
+    gauge(scope, id, std::move(metric), static_cast<double>(d));
+    return d;
+  };
 
   std::vector<std::uint64_t> progress_all;
   std::vector<std::uint64_t> progress_sm;
   for (std::size_t s = 0; s < sms_.size(); ++s) {
     const SmCore& sm = *sms_[s];
     const int id = static_cast<int>(s);
+    constexpr MetricScope kSm = MetricScope::kSm;
     // Counters are cumulative across rebind tear-downs (acc + live core),
     // so the per-interval deltas telescope to the run totals exactly.
-    const std::uint64_t issued = per_sm_acc_[s].issued + sm.stats().issued;
     const std::uint64_t d_issued =
-        m.delta(MetricScope::kSm, id, "issued", issued);
-    reg.record(now_, MetricScope::kSm, id, "issued",
-               static_cast<double>(d_issued));
-    reg.record(now_, MetricScope::kSm, id, "ipc",
-               static_cast<double>(d_issued) / static_cast<double>(span));
-    reg.record(now_, MetricScope::kSm, id, "runnable_warps",
-               sm.runnable_warps());
-    reg.record(now_, MetricScope::kSm, id, "resident_tbs",
-               sm.resident_tbs());
-    reg.record(now_, MetricScope::kSm, id, "occupancy",
-               static_cast<double>(sm.resident_tbs()) /
-                   static_cast<double>(sm.max_resident_tbs()));
-    reg.record(now_, MetricScope::kSm, id, "l1_mshr",
-               sm.l1_mshr_occupancy());
+        counter(kSm, id, "issued", per_sm_acc_[s].issued + sm.stats().issued);
+    gauge(kSm, id, "ipc",
+          static_cast<double>(d_issued) / static_cast<double>(span));
+    gauge(kSm, id, "runnable_warps", sm.runnable_warps());
+    gauge(kSm, id, "resident_tbs", sm.resident_tbs());
+    gauge(kSm, id, "occupancy",
+          static_cast<double>(sm.resident_tbs()) /
+              static_cast<double>(sm.max_resident_tbs()));
+    gauge(kSm, id, "l1_mshr", sm.l1_mshr_occupancy());
     // The attribution sink creates per-SM rows lazily, so the vector may
     // still be shorter than num_sms early in the run.
     if (s < stalls.per_sm.size()) {
       for (int c = 0; c < kNumStallCauses; ++c) {
-        const auto cause = static_cast<StallCause>(c);
-        const std::string name =
-            std::string("stall.") + stall_cause_name(cause);
-        const std::uint64_t d = m.delta(
-            MetricScope::kSm, id, name.c_str(),
-            stalls.per_sm[s].cause_cycles[c]);
-        reg.record(now_, MetricScope::kSm, id, name,
-                   static_cast<double>(d));
+        counter(kSm, id,
+                std::string("stall.") +
+                    stall_cause_name(static_cast<StallCause>(c)),
+                stalls.per_sm[s].cause_cycles[c]);
       }
     }
     progress_sm.clear();
@@ -683,13 +647,11 @@ void Gpu::sample_metrics() {
         hi = std::max(hi, p);
         sum += p;
       }
-      reg.record(now_, MetricScope::kSm, id, "progress_min",
-                 static_cast<double>(lo));
-      reg.record(now_, MetricScope::kSm, id, "progress_max",
-                 static_cast<double>(hi));
-      reg.record(now_, MetricScope::kSm, id, "progress_mean",
-                 static_cast<double>(sum) /
-                     static_cast<double>(progress_sm.size()));
+      gauge(kSm, id, "progress_min", static_cast<double>(lo));
+      gauge(kSm, id, "progress_max", static_cast<double>(hi));
+      gauge(kSm, id, "progress_mean",
+            static_cast<double>(sum) /
+                static_cast<double>(progress_sm.size()));
       progress_all.insert(progress_all.end(), progress_sm.begin(),
                           progress_sm.end());
     }
@@ -699,6 +661,7 @@ void Gpu::sample_metrics() {
     for (const auto& st : streams_) {
       if (st->launch.arrival > now_) continue;
       const int k = st->launch.kernel_id;
+      constexpr MetricScope kKernel = MetricScope::kKernel;
       std::uint64_t issued = st->acc.issued;
       std::uint64_t tbs = st->acc.tbs_executed;
       int bound = 0;
@@ -708,72 +671,45 @@ void Gpu::sample_metrics() {
         issued += sms_[s]->stats().issued;
         tbs += sms_[s]->stats().tbs_executed;
       }
-      reg.record(now_, MetricScope::kKernel, k, "issued",
-                 static_cast<double>(
-                     m.delta(MetricScope::kKernel, k, "issued", issued)));
-      reg.record(now_, MetricScope::kKernel, k, "tbs_executed",
-                 static_cast<double>(m.delta(MetricScope::kKernel, k,
-                                             "tbs_executed", tbs)));
-      reg.record(now_, MetricScope::kKernel, k, "bound_sms", bound);
-      reg.record(now_, MetricScope::kKernel, k, "waiting_tbs",
-                 st->tbs.remaining());
-      reg.record(now_, MetricScope::kKernel, k, "parked_tbs",
-                 static_cast<double>(st->parked.size()));
-      reg.record(now_, MetricScope::kKernel, k, "demotions",
-                 static_cast<double>(m.delta(MetricScope::kKernel, k,
-                                             "demotions", st->demotions)));
-      reg.record(
-          now_, MetricScope::kKernel, k, "resumptions",
-          static_cast<double>(m.delta(MetricScope::kKernel, k, "resumptions",
-                                      st->resumptions)));
-      reg.record(now_, MetricScope::kKernel, k, "preempted_cycles",
-                 static_cast<double>(
-                     m.delta(MetricScope::kKernel, k, "preempted_cycles",
-                             st->preempted_cycles)));
+      counter(kKernel, k, "issued", issued);
+      counter(kKernel, k, "tbs_executed", tbs);
+      gauge(kKernel, k, "bound_sms", bound);
+      gauge(kKernel, k, "waiting_tbs", st->tbs.remaining());
+      gauge(kKernel, k, "parked_tbs", static_cast<double>(st->parked.size()));
+      counter(kKernel, k, "demotions", st->demotions);
+      counter(kKernel, k, "resumptions", st->resumptions);
+      counter(kKernel, k, "preempted_cycles", st->preempted_cycles);
     }
   }
 
-  reg.record(now_, MetricScope::kGpu, 0, "l2_hits",
-             static_cast<double>(
-                 m.delta(MetricScope::kGpu, 0, "l2_hits", mem_.l2_hits())));
-  reg.record(now_, MetricScope::kGpu, 0, "l2_misses",
-             static_cast<double>(m.delta(MetricScope::kGpu, 0, "l2_misses",
-                                         mem_.l2_misses())));
-  reg.record(
-      now_, MetricScope::kGpu, 0, "dram_row_hits",
-      static_cast<double>(m.delta(MetricScope::kGpu, 0, "dram_row_hits",
-                                  mem_.dram_row_hits())));
-  reg.record(
-      now_, MetricScope::kGpu, 0, "dram_row_misses",
-      static_cast<double>(m.delta(MetricScope::kGpu, 0, "dram_row_misses",
-                                  mem_.dram_row_misses())));
+  constexpr MetricScope kGpu = MetricScope::kGpu;
+  counter(kGpu, 0, "l2_hits", mem_.l2_hits());
+  counter(kGpu, 0, "l2_misses", mem_.l2_misses());
+  counter(kGpu, 0, "dram_row_hits", mem_.dram_row_hits());
+  counter(kGpu, 0, "dram_row_misses", mem_.dram_row_misses());
   const Interconnect& icnt = mem_.interconnect();
   std::uint64_t free_slots = 0;
   for (int p = 0; p < icnt.num_partitions(); ++p) {
     free_slots += icnt.request_free_slots(p);
   }
-  reg.record(now_, MetricScope::kGpu, 0, "icnt_request_free_slots",
-             static_cast<double>(free_slots));
+  gauge(kGpu, 0, "icnt_request_free_slots", static_cast<double>(free_slots));
   if (!progress_all.empty()) {
     const Percentiles pct(std::move(progress_all));
-    reg.record(now_, MetricScope::kGpu, 0, "progress_p10",
-               static_cast<double>(pct.percentile(10)));
-    reg.record(now_, MetricScope::kGpu, 0, "progress_p50",
-               static_cast<double>(pct.percentile(50)));
-    reg.record(now_, MetricScope::kGpu, 0, "progress_p90",
-               static_cast<double>(pct.percentile(90)));
+    gauge(kGpu, 0, "progress_p10", static_cast<double>(pct.percentile(10)));
+    gauge(kGpu, 0, "progress_p50", static_cast<double>(pct.percentile(50)));
+    gauge(kGpu, 0, "progress_p90", static_cast<double>(pct.percentile(90)));
   }
   m.mark_sampled(now_);
 }
 
-void Gpu::journal_finish(const Stream& st) {
-  journal_->record(now_, SimEventKind::kKernelFinish, st.launch.kernel_id);
+void Gpu::emit_finish(const Stream& st) {
+  emit({now_, SimEventKind::kKernelFinish, st.launch.kernel_id});
   if (st.launch.tenant.deadline_cycles == 0) return;
   const Cycle deadline = st.launch.arrival + st.launch.tenant.deadline_cycles;
-  journal_->record(now_,
-                   st.finish <= deadline ? SimEventKind::kSloMet
-                                         : SimEventKind::kSloMissed,
-                   st.launch.kernel_id, -1, -1, deadline);
+  emit({now_,
+        st.finish <= deadline ? SimEventKind::kSloMet
+                              : SimEventKind::kSloMissed,
+        st.launch.kernel_id, -1, -1, deadline});
 }
 
 GpuResult Gpu::run() {
@@ -784,9 +720,8 @@ GpuResult Gpu::run() {
   }
   if (trace_ != nullptr) {
     for (auto& sm : sms_) sm->trace_finalize(now_);
-    trace_->on_sim_end(now_);
   }
-  if (journal_ != nullptr) journal_->record(now_, SimEventKind::kSimEnd);
+  emit({now_, SimEventKind::kSimEnd});
   return collect();
 }
 
@@ -864,27 +799,27 @@ GpuResult Gpu::collect() {
   return result;
 }
 
+void ObservabilitySession::attach(Gpu& gpu) {
+  gpu.set_trace_sink(attribution_.get());
+  gpu.set_trace_sink(warp_lanes_.get());
+  gpu.set_trace_sink(windows_.get());
+  gpu.set_metrics(metrics_.get());
+  gpu.set_event_journal(journal_.get());
+}
+
 GpuResult simulate(const GpuConfig& config, const Program& program,
-                   GlobalMemory& memory, TraceSink* trace,
-                   MetricsCollector* metrics, EventJournal* journal) {
+                   GlobalMemory& memory, ObservabilitySession* obs) {
   Gpu gpu(config, program, memory);
-  if (trace != nullptr) gpu.set_trace_sink(trace);
-  if (metrics != nullptr) gpu.set_metrics(metrics);
-  if (journal != nullptr) gpu.set_event_journal(journal);
+  if (obs != nullptr) obs->attach(gpu);
   return gpu.run();
 }
 
 Expected<GpuResult> simulate_checked(const GpuConfig& config,
                                      const Program& program,
-                                     GlobalMemory& memory, TraceSink* trace,
-                                     MetricsCollector* metrics,
-                                     EventJournal* journal) {
+                                     GlobalMemory& memory,
+                                     ObservabilitySession* obs) {
   try {
-    Gpu gpu(config, program, memory);
-    if (trace != nullptr) gpu.set_trace_sink(trace);
-    if (metrics != nullptr) gpu.set_metrics(metrics);
-    if (journal != nullptr) gpu.set_event_journal(journal);
-    return gpu.run();
+    return simulate(config, program, memory, obs);
   } catch (SimException& e) {
     return e.take_error();
   }

@@ -43,7 +43,7 @@ namespace prosim {
 
 class MetricsCollector;
 class EventJournal;
-class TraceTee;
+class ObservabilitySession;
 
 /// One kernel of a concurrent (multi-stream) run. `memory` must outlive
 /// the Gpu; each kernel mutates its own GlobalMemory, so co-resident
@@ -75,8 +75,9 @@ class Gpu {
   Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
       const std::string& admission);
 
-  /// Out-of-line: the header only forward-declares TraceTee.
-  ~Gpu();
+  /// The SMs hold callbacks into this object and pointers to its fan-out.
+  Gpu(const Gpu&) = delete;
+  Gpu& operator=(const Gpu&) = delete;
 
   /// Runs the kernel to completion and returns the collected results.
   /// Throws SimException when the simulated program misbehaves (deadlock,
@@ -110,25 +111,28 @@ class Gpu {
   /// Catches every sleeping SM up, then gathers the results.
   GpuResult collect();
 
-  /// Attaches an observability sink to every SM and policy (see trace/;
-  /// nullptr detaches). Strictly observational — results are bit-identical
-  /// with tracing on or off. Attach before the first step()/run().
-  void set_trace_sink(TraceSink* trace);
+  /// Adds an observability sink (see trace/; nullptr is ignored) to the
+  /// Gpu's one fan-out. Every sink receives the lifecycle events
+  /// (on_sim_event), starting with the kernel arrivals and SM bindings
+  /// that precede the attach; sinks that want SM events also see every
+  /// SM and policy. Strictly observational — results are bit-identical
+  /// with sinks on or off. Attach before the first step()/run().
+  void set_trace_sink(TraceSink* sink);
 
-  /// Attaches a time-series metrics collector (metrics/; nullptr
-  /// detaches). The Gpu samples per-SM/per-kernel/GPU series at every
-  /// interval boundary (the clock never jumps past a boundary, which is
-  /// provably bit-identical) plus one final partial sample at run end.
-  /// Strictly observational, same contract as set_trace_sink; attach
-  /// before the first step()/run().
+  /// Attaches a time-series metrics collector (metrics/; nullptr is
+  /// ignored) and its stall-attribution sink. The Gpu samples per-SM/
+  /// per-kernel/GPU series at every interval boundary (the clock never
+  /// jumps past a boundary, which is provably bit-identical) plus one
+  /// final partial sample at run end. Same contract as set_trace_sink.
   void set_metrics(MetricsCollector* metrics);
 
-  /// Attaches a serving-lifecycle event journal (metrics/; nullptr
-  /// detaches). Construction-time state (kernel arrivals at cycle 0 and
-  /// the initial SM bindings) is retro-emitted at attach time so the
-  /// journal always starts from a complete picture. Strictly
-  /// observational; attach before the first step()/run().
+  /// Attaches a serving-lifecycle event journal (metrics/): a sink that
+  /// consumes only the lifecycle events. Same contract as set_trace_sink.
   void set_event_journal(EventJournal* journal);
+
+  /// The sink the SMs dispatch to: null when no attached sink wants SM
+  /// events, the one such sink, or the fan-out over several.
+  const TraceSink* sm_trace_sink() const { return trace_; }
 
   /// The attached fault injector, or nullptr when faults are disabled.
   const FaultInjector* fault_injector() const { return faults_.get(); }
@@ -154,8 +158,6 @@ class Gpu {
     std::uint64_t resumptions = 0;  ///< parked TBs re-launched
     /// Cycles the stream had runnable work but zero SMs bound to it.
     std::uint64_t preempted_cycles = 0;
-    /// The event journal logged this stream's kernel_arrival row.
-    bool arrival_logged = false;
 
     explicit Stream(KernelLaunch l)
         : launch(std::move(l)), tbs(launch.program.info.grid_dim) {}
@@ -230,17 +232,15 @@ class Gpu {
   /// Unassigned TBs across arrived, unfinished streams (watchdog context).
   int waiting_tbs() const;
 
-  // -- metrics + event journal (metrics/; strictly observational) ----------
-  /// Recomputes the effective sink from the user trace sink and the
-  /// metrics collector's stall-attribution sink (teed when both are
-  /// present) and propagates it to every SM.
-  void refresh_trace_sink();
+  // -- observers (trace/ and metrics/; strictly observational) -------------
+  /// Sends one lifecycle event to every attached sink.
+  void emit(const SimEvent& event) {
+    for (TraceSink* sink : observers_.all) sink->on_sim_event(event);
+  }
   /// Records one row of every configured series at cycle now_.
   void sample_metrics();
-  /// Emits kernel_arrival rows for streams whose arrival cycle has come.
-  void journal_arrivals();
   /// Emits stream `st`'s finish-time rows (kernel_finish + SLO verdict).
-  void journal_finish(const Stream& st);
+  void emit_finish(const Stream& st);
   GpuConfig config_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::unique_ptr<AdmissionPolicy> admission_;  // null in single-kernel mode
@@ -289,13 +289,43 @@ class Gpu {
   /// Streams not yet finished.
   int unfinished_ = 0;
 
-  /// Effective sink the SMs see: user_trace_, the metrics stall sink, or
-  /// a tee of both (refresh_trace_sink).
+  /// The one observer fan-out: lifecycle events go to every attached
+  /// sink, SM events to those that want them.
+  class Fanout final : public TraceSink {
+   public:
+    std::vector<TraceSink*> all;
+    std::vector<TraceSink*> sm;
+
+    bool wants_warp_states() const override {
+      for (const TraceSink* s : sm) {
+        if (s->wants_warp_states()) return true;
+      }
+      return false;
+    }
+    void on_sched_cycles(int sm_id, int sched, StallCause cause,
+                         Cycle count) override {
+      for (TraceSink* s : sm) s->on_sched_cycles(sm_id, sched, cause, count);
+    }
+    void on_warp_state(int sm_id, int warp, WarpState prev, Cycle since,
+                       WarpState next, Cycle now) override {
+      for (TraceSink* s : sm) {
+        s->on_warp_state(sm_id, warp, prev, since, next, now);
+      }
+    }
+    void on_tb_launch(int sm_id, int ctaid, Cycle now) override {
+      for (TraceSink* s : sm) s->on_tb_launch(sm_id, ctaid, now);
+    }
+    void on_tb_retire(int sm_id, int ctaid, Cycle start, Cycle end) override {
+      for (TraceSink* s : sm) s->on_tb_retire(sm_id, ctaid, start, end);
+    }
+    void on_pro_sort(int sm_id, Cycle now) override {
+      for (TraceSink* s : sm) s->on_pro_sort(sm_id, now);
+    }
+  };
+  Fanout observers_;
+  /// What the SMs dispatch to: null, the single SM sink, or &observers_.
   TraceSink* trace_ = nullptr;
-  TraceSink* user_trace_ = nullptr;
-  std::unique_ptr<TraceTee> obs_tee_;
   MetricsCollector* metrics_ = nullptr;
-  EventJournal* journal_ = nullptr;
 
   // -- self-profiling (SimProfile) -------------------------------------------
   std::uint64_t ff_spans_ = 0;
@@ -310,21 +340,17 @@ class Gpu {
 };
 
 /// One-shot convenience wrapper (throws SimException on stuck programs).
-/// Optional observers (trace sink, metrics collector, event journal) watch
-/// the run; none of them ever changes results.
+/// An optional observability session watches the run; it never changes
+/// results.
 GpuResult simulate(const GpuConfig& config, const Program& program,
-                   GlobalMemory& memory, TraceSink* trace = nullptr,
-                   MetricsCollector* metrics = nullptr,
-                   EventJournal* journal = nullptr);
+                   GlobalMemory& memory, ObservabilitySession* obs = nullptr);
 
 /// One-shot non-throwing wrapper: construction and run errors come back as
 /// a structured SimError instead of an exception.
 Expected<GpuResult> simulate_checked(const GpuConfig& config,
                                      const Program& program,
                                      GlobalMemory& memory,
-                                     TraceSink* trace = nullptr,
-                                     MetricsCollector* metrics = nullptr,
-                                     EventJournal* journal = nullptr);
+                                     ObservabilitySession* obs = nullptr);
 
 /// Creates a scheduler policy instance from a spec (one per SM).
 std::unique_ptr<SchedulerPolicy> make_policy(const SchedulerSpec& spec);

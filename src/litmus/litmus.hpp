@@ -106,6 +106,8 @@ struct LitmusCell {
   /// Deterministic across --jobs and fast-forward on/off.
   Cycle detect_cycle = 0;
   std::string detail;  ///< checker diagnosis or SimError message
+  /// The failing path when an observability product could not be written.
+  std::string write_error;
 
   /// "pass" cells and expected hangs (fair_suffices == false) certify
   /// correct behavior; anything else is a fairness or simulator defect.

@@ -8,7 +8,6 @@
 // allowed to change *cycles*, never *verdict classes*, except by honestly
 // promoting cells whose grid now fits the doubled residency.
 #include <atomic>
-#include <memory>
 #include <thread>
 
 #include "common/check.hpp"
@@ -67,9 +66,15 @@ Program background_tenant_program(int grid) {
   return b.build();
 }
 
-LitmusReport run_litmus_bg(const LitmusOptions& options) {
-  const std::string admission =
-      options.admission.empty() ? "tb_interleaved" : options.admission;
+namespace {
+
+/// The concurrent-kernel matrix both harnesses share: every scheduler ×
+/// litmus × regime cell runs the litmus kernel as stream 0 of the
+/// multi-stream Gpu under `admission` — with the background tenant as
+/// stream 1 on the two-SM config when `tenant` is set, alone on the base
+/// config otherwise — observed per cell.
+LitmusReport run_concurrent(const LitmusOptions& options,
+                            const std::string& admission, bool tenant) {
   std::vector<SchedulerKind> kinds = options.schedulers;
   if (kinds.empty()) {
     for (const SchedulerInfo& info : scheduler_registry()) {
@@ -86,6 +91,9 @@ LitmusReport run_litmus_bg(const LitmusOptions& options) {
       tests.push_back(t);
     }
   }
+  auto config_of = [tenant](SchedulerKind kind) {
+    return tenant ? litmus_bg_config(kind) : litmus_config(kind);
+  };
 
   struct CellMeta {
     SchedulerKind kind;
@@ -96,18 +104,20 @@ LitmusReport run_litmus_bg(const LitmusOptions& options) {
   };
   std::vector<CellMeta> metas;
   for (SchedulerKind kind : kinds) {
-    const GpuConfig cfg = litmus_bg_config(kind);
+    const GpuConfig cfg = config_of(kind);
     for (const LitmusTest* t : tests) {
       // Same per-SM residency as the base harness (grids line up 1:1).
       const int residency =
           SmCore::compute_residency(cfg.sm, t->build(1).info);
       for (Regime regime : kRegimes) {
         const int grid = t->grid_for(regime, residency);
-        // With two SMs the whole grid may become resident at once; then
-        // every cross-TB wait is resolvable by fairness alone, so the
-        // cell is honestly promoted to fair_suffices.
-        const bool fair =
-            grid <= cfg.num_sms * residency || t->resident_fair_suffices(regime);
+        // Preemption can rotate any queued TB in, so termination never
+        // depends on residency: every hang is a defect. With a tenant on
+        // two SMs the whole grid may become resident at once; then every
+        // cross-TB wait is resolvable by fairness alone, so the cell is
+        // honestly promoted to fair_suffices.
+        const bool fair = !tenant || grid <= cfg.num_sms * residency ||
+                          t->resident_fair_suffices(regime);
         metas.push_back({kind, t, regime, grid, fair});
       }
     }
@@ -140,33 +150,21 @@ LitmusReport run_litmus_bg(const LitmusOptions& options) {
       GlobalMemory litmus_memory;
       GlobalMemory background_memory;
       std::vector<KernelLaunch> launches;
-      KernelLaunch foreground;
-      foreground.kernel_id = 0;
-      foreground.name = meta.test->name;
-      foreground.program = meta.test->build(meta.grid);
-      foreground.memory = &litmus_memory;
-      launches.push_back(std::move(foreground));
-      KernelLaunch background;
-      background.kernel_id = 1;
-      background.name = "background_tenant";
-      background.program = background_tenant_program(kBackgroundGrid);
-      background.memory = &background_memory;
-      launches.push_back(std::move(background));
-
-      std::unique_ptr<ObservabilitySession> obs;
-      if (options.obs.any()) {
-        obs = std::make_unique<ObservabilitySession>(options.obs.for_cell(
-            cell_key(meta.kind, meta.test->name, meta.regime)));
+      launches.push_back({0, meta.test->name, meta.test->build(meta.grid),
+                          &litmus_memory, 0, {}});
+      if (tenant) {
+        launches.push_back({1, "background_tenant",
+                            background_tenant_program(kBackgroundGrid),
+                            &background_memory, 0, {}});
       }
+      std::vector<std::string> names;
+      for (const KernelLaunch& l : launches) names.push_back(l.name);
+
+      ObservabilitySession obs(options.obs.for_cell(
+          cell_key(meta.kind, meta.test->name, meta.regime)));
       try {
-        Gpu gpu(litmus_bg_config(meta.kind), std::move(launches),
-                admission);
-        if (obs != nullptr) {
-          if (obs->metrics() != nullptr) gpu.set_metrics(obs->metrics());
-          if (obs->journal() != nullptr) {
-            gpu.set_event_journal(obs->journal());
-          }
-        }
+        Gpu gpu(config_of(meta.kind), std::move(launches), admission);
+        obs.attach(gpu);
         Expected<GpuResult> result = gpu.run_checked();
         if (result.has_value()) {
           // The checkers read the litmus kernel's registers; splice the
@@ -188,10 +186,7 @@ LitmusReport run_litmus_bg(const LitmusOptions& options) {
         cell.detail = e.error().message;
         cell.verdict = classify_sim_error(e.error());
       }
-      if (obs != nullptr) {
-        std::string obs_error;
-        obs->write({meta.test->name, "background_tenant"}, obs_error);
-      }
+      obs.write(names, cell.write_error);
       report.cells[static_cast<std::size_t>(i)] = std::move(cell);
     }
   };
@@ -210,129 +205,18 @@ LitmusReport run_litmus_bg(const LitmusOptions& options) {
   return report;
 }
 
+}  // namespace
+
+LitmusReport run_litmus_bg(const LitmusOptions& options) {
+  return run_concurrent(
+      options, options.admission.empty() ? "tb_interleaved" : options.admission,
+      /*tenant=*/true);
+}
+
 LitmusReport run_litmus_preemptive(const LitmusOptions& options) {
-  const std::string admission =
-      options.admission.empty() ? "preemptive_slo" : options.admission;
-  std::vector<SchedulerKind> kinds = options.schedulers;
-  if (kinds.empty()) {
-    for (const SchedulerInfo& info : scheduler_registry()) {
-      kinds.push_back(info.kind);
-    }
-  }
-  std::vector<const LitmusTest*> tests;
-  if (options.tests.empty()) {
-    for (const LitmusTest& t : litmus_suite()) tests.push_back(&t);
-  } else {
-    for (const std::string& name : options.tests) {
-      const LitmusTest* t = find_litmus(name);
-      PROSIM_CHECK_MSG(t != nullptr, "unknown litmus test");
-      tests.push_back(t);
-    }
-  }
-
-  struct CellMeta {
-    SchedulerKind kind;
-    const LitmusTest* test;
-    Regime regime;
-    int grid;
-  };
-  std::vector<CellMeta> metas;
-  for (SchedulerKind kind : kinds) {
-    const GpuConfig cfg = litmus_config(kind);
-    for (const LitmusTest* t : tests) {
-      const int residency =
-          SmCore::compute_residency(cfg.sm, t->build(1).info);
-      for (Regime regime : kRegimes) {
-        metas.push_back({kind, t, regime, t->grid_for(regime, residency)});
-      }
-    }
-  }
-
-  LitmusReport report;
-  report.cells.resize(metas.size());
-
-  const int total = static_cast<int>(metas.size());
-  int jobs = options.jobs;
-  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  if (jobs > total) jobs = total;
-
-  // Deterministic pool, same shape as the background matrix.
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1);
-      if (i >= total) return;
-      const CellMeta& meta = metas[static_cast<std::size_t>(i)];
-      LitmusCell cell;
-      cell.scheduler = meta.kind;
-      cell.litmus = meta.test->name;
-      cell.regime = meta.regime;
-      cell.grid = meta.grid;
-      // Preemption can rotate any queued TB in, so termination never
-      // depends on residency: every hang is a defect.
-      cell.fair_suffices = true;
-
-      GlobalMemory memory;
-      std::vector<KernelLaunch> launches;
-      KernelLaunch foreground;
-      foreground.kernel_id = 0;
-      foreground.name = meta.test->name;
-      foreground.program = meta.test->build(meta.grid);
-      foreground.memory = &memory;
-      launches.push_back(std::move(foreground));
-
-      std::unique_ptr<ObservabilitySession> obs;
-      if (options.obs.any()) {
-        obs = std::make_unique<ObservabilitySession>(options.obs.for_cell(
-            cell_key(meta.kind, meta.test->name, meta.regime)));
-      }
-      try {
-        Gpu gpu(litmus_config(meta.kind), std::move(launches), admission);
-        if (obs != nullptr) {
-          if (obs->metrics() != nullptr) gpu.set_metrics(obs->metrics());
-          if (obs->journal() != nullptr) {
-            gpu.set_event_journal(obs->journal());
-          }
-        }
-        Expected<GpuResult> result = gpu.run_checked();
-        if (result.has_value()) {
-          GpuResult view = std::move(result.value());
-          view.registers = gpu.stream_registers(0);
-          cell.detect_cycle = view.cycles;
-          cell.detail = meta.test->check(view, meta.grid);
-          cell.verdict =
-              cell.detail.empty() ? Verdict::kPass : Verdict::kWrongResult;
-        } else {
-          cell.detect_cycle = result.error().cycle;
-          cell.detail = result.error().message;
-          cell.verdict = classify_sim_error(result.error());
-        }
-      } catch (const SimException& e) {
-        cell.detect_cycle = e.error().cycle;
-        cell.detail = e.error().message;
-        cell.verdict = classify_sim_error(e.error());
-      }
-      if (obs != nullptr) {
-        std::string obs_error;
-        obs->write({meta.test->name}, obs_error);
-      }
-      report.cells[static_cast<std::size_t>(i)] = std::move(cell);
-    }
-  };
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (SchedulerKind kind : kinds) {
-    report.schedulers.push_back(summarize_scheduler(kind, report.cells));
-  }
-  return report;
+  return run_concurrent(
+      options, options.admission.empty() ? "preemptive_slo" : options.admission,
+      /*tenant=*/false);
 }
 
 }  // namespace prosim::litmus

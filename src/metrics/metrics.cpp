@@ -1,11 +1,14 @@
 #include "metrics/metrics.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <set>
 #include <utility>
 
+#include "common/argparse.hpp"
 #include "common/check.hpp"
 #include "common/json.hpp"
 
@@ -87,36 +90,6 @@ std::uint64_t MetricsCollector::delta(MetricScope scope, int id,
   const std::uint64_t d = cumulative - last;
   last = cumulative;
   return d;
-}
-
-const char* sim_event_kind_name(SimEventKind kind) {
-  switch (kind) {
-    case SimEventKind::kKernelArrival:
-      return "kernel_arrival";
-    case SimEventKind::kAdmissionGrant:
-      return "admission_grant";
-    case SimEventKind::kSmBind:
-      return "sm_bind";
-    case SimEventKind::kTbLaunch:
-      return "tb_launch";
-    case SimEventKind::kTbResume:
-      return "tb_resume";
-    case SimEventKind::kYieldRequest:
-      return "yield_request";
-    case SimEventKind::kTbCheckpoint:
-      return "tb_checkpoint";
-    case SimEventKind::kDemotion:
-      return "demotion";
-    case SimEventKind::kKernelFinish:
-      return "kernel_finish";
-    case SimEventKind::kSloMet:
-      return "slo_met";
-    case SimEventKind::kSloMissed:
-      return "slo_missed";
-    case SimEventKind::kSimEnd:
-      return "sim_end";
-  }
-  return "unknown";
 }
 
 std::size_t EventJournal::count(SimEventKind kind) const {
@@ -254,24 +227,52 @@ std::string suffixed_path(const std::string& path, const std::string& key) {
 ObservabilityOptions ObservabilityOptions::for_cell(
     const std::string& key) const {
   ObservabilityOptions cell = *this;
-  if (!cell.metrics_csv.empty()) {
-    cell.metrics_csv = suffixed_path(cell.metrics_csv, key);
-  }
-  if (!cell.metrics_json.empty()) {
-    cell.metrics_json = suffixed_path(cell.metrics_json, key);
-  }
-  if (!cell.events_jsonl.empty()) {
-    cell.events_jsonl = suffixed_path(cell.events_jsonl, key);
-  }
-  if (!cell.kernel_timeline.empty()) {
-    cell.kernel_timeline = suffixed_path(cell.kernel_timeline, key);
+  for (std::string* path : {&cell.metrics_csv, &cell.metrics_json,
+                            &cell.events_jsonl, &cell.kernel_timeline}) {
+    if (!path->empty()) *path = suffixed_path(*path, key);
   }
   return cell;
+}
+
+void add_observability_flags(ArgParser& parser, ObservabilityOptions& options,
+                             std::int64_t& interval) {
+  parser.add_i64("--metrics-interval", &interval, "N",
+                 "sample time-series metrics every N cycles (default off)");
+  parser.add_string("--metrics", &options.metrics_csv, "FILE",
+                    "write sampled metrics as long-format CSV");
+  parser.add_string("--metrics-json", &options.metrics_json, "FILE",
+                    "write sampled metrics as prosim-metrics-v1 JSON");
+  parser.add_string("--events", &options.events_jsonl, "FILE",
+                    "write the lifecycle event journal as JSONL");
+  parser.add_string("--kernel-timeline", &options.kernel_timeline, "FILE",
+                    "write a Perfetto kernel timeline (pid=kernel, tid=SM)");
+}
+
+bool check_observability_flags(const ArgParser& parser, std::int64_t interval,
+                               ObservabilityOptions& options) {
+  if (parser.seen("--metrics-interval") && interval < 1) {
+    std::cerr << "--metrics-interval must be >= 1\n";
+    return false;
+  }
+  if ((parser.seen("--metrics") || parser.seen("--metrics-json")) &&
+      interval == 0) {
+    std::cerr << "--metrics/--metrics-json need --metrics-interval N\n";
+    return false;
+  }
+  options.metrics_interval = static_cast<Cycle>(interval);
+  return true;
 }
 
 ObservabilitySession::ObservabilitySession(
     const ObservabilityOptions& options)
     : options_(options) {
+  if (options_.stall_attribution) {
+    attribution_ = std::make_unique<StallAttributionSink>();
+  }
+  if (options_.warp_lanes) {
+    warp_lanes_ = std::make_unique<WarpLaneTraceSink>();
+  }
+  if (options_.windows) windows_ = std::make_unique<WindowCsvSink>();
   if (options_.metrics_enabled()) {
     metrics_ = std::make_unique<MetricsCollector>(options_.metrics_interval);
   }
@@ -280,51 +281,51 @@ ObservabilitySession::ObservabilitySession(
   }
 }
 
-bool ObservabilitySession::write(
-    const std::vector<std::string>& kernel_names, std::string& error) const {
-  auto write_file = [&error](const std::string& path, auto&& emit) {
-    std::ofstream os(path);
+bool ObservabilitySession::write(const std::vector<std::string>& kernel_names,
+                                 std::string& error, const TraceFiles& trace,
+                                 const std::string& dir) const {
+  // The one place product paths are resolved: std::filesystem::path's
+  // operator/ keeps an absolute `path` as it is.
+  auto write_file = [&](bool collected, const std::string& path,
+                        auto&& emit) {
+    if (!collected || path.empty()) return true;
+    const std::string full = (std::filesystem::path(dir) / path).string();
+    std::ofstream os(full);
     if (!os) {
-      error = "cannot open " + path;
+      error = "cannot open " + full;
       return false;
     }
     emit(os);
     if (!os) {
-      error = "write failed: " + path;
+      error = "write failed: " + full;
       return false;
     }
     return true;
   };
-  if (metrics_ != nullptr) {
-    if (!options_.metrics_csv.empty() &&
-        !write_file(options_.metrics_csv, [this](std::ostream& os) {
-          metrics_->registry().write_csv(os);
-        })) {
-      return false;
-    }
-    if (!options_.metrics_json.empty() &&
-        !write_file(options_.metrics_json, [this](std::ostream& os) {
-          metrics_->registry().write_json(os, metrics_->interval());
-        })) {
-      return false;
-    }
-  }
-  if (journal_ != nullptr) {
-    if (!options_.events_jsonl.empty() &&
-        !write_file(options_.events_jsonl, [this](std::ostream& os) {
-          journal_->write_jsonl(os);
-        })) {
-      return false;
-    }
-    if (!options_.kernel_timeline.empty() &&
-        !write_file(options_.kernel_timeline,
-                    [this, &kernel_names](std::ostream& os) {
-                      journal_->write_kernel_timeline(os, kernel_names);
-                    })) {
-      return false;
-    }
-  }
-  return true;
+  const MetricsCollector* m = metrics_.get();
+  const EventJournal* j = journal_.get();
+  const WarpLaneTraceSink* lanes = warp_lanes_.get();
+  const WindowCsvSink* windows = windows_.get();
+  return write_file(m != nullptr, options_.metrics_csv,
+                    [m](std::ostream& os) { m->registry().write_csv(os); }) &&
+         write_file(m != nullptr, options_.metrics_json,
+                    [m](std::ostream& os) {
+                      m->registry().write_json(os, m->interval());
+                    }) &&
+         write_file(j != nullptr, options_.events_jsonl,
+                    [j](std::ostream& os) { j->write_jsonl(os); }) &&
+         write_file(j != nullptr, options_.kernel_timeline,
+                    [&](std::ostream& os) {
+                      j->write_kernel_timeline(os, kernel_names);
+                    }) &&
+         write_file(lanes != nullptr, trace.warp_lanes,
+                    [lanes](std::ostream& os) { lanes->write(os); }) &&
+         write_file(windows != nullptr, trace.windows,
+                    [windows](std::ostream& os) { windows->write_csv(os); }) &&
+         write_file(windows != nullptr, trace.windows_hist,
+                    [windows](std::ostream& os) {
+                      windows->write_histograms_csv(os);
+                    });
 }
 
 }  // namespace prosim

@@ -1,9 +1,9 @@
-// Time-series metrics registry + serving event journal
-// (docs/OBSERVABILITY.md, "Metrics & event journal").
+// The observability plane's products and its one session
+// (docs/OBSERVABILITY.md).
 //
-// Three pay-for-use observers over one simulation, all strictly
-// observational (the PR 4 null-sink discipline: results, cache bytes and
-// fingerprints are bit-identical with them on or off):
+// Pay-for-use observers over one simulation, all strictly observational
+// (results, cache bytes and fingerprints are bit-identical with them on
+// or off):
 //
 //   * MetricsCollector — samples per-SM / per-kernel / GPU-wide series
 //     (IPC, occupancy, runnable warps, stall-cause shares, MSHR/DRAM/
@@ -14,12 +14,16 @@
 //     so summing any series over all intervals reproduces the legacy
 //     totals bit-exactly.
 //
-//   * EventJournal — the serving lifecycle as structured JSONL (kernel
-//     arrival, admission grant, SM rebind, TB launch/resume, yield
-//     request, checkpoint, demotion, kernel finish, SLO met/missed), plus
-//     a kernel-level Perfetto track view (pid = kernel, tid = SM) derived
-//     from the sm_bind spans — the serving-side complement of the PR 4
-//     warp-lane view.
+//   * EventJournal — a TraceSink recording the serving lifecycle
+//     (SimEvent: kernel arrival, admission grant, SM rebind, TB
+//     launch/resume, yield request, checkpoint, demotion, kernel finish,
+//     SLO met/missed) as structured JSONL, plus a kernel-level Perfetto
+//     track view (pid = kernel, tid = SM) derived from the sm_bind spans.
+//
+//   * ObservabilitySession — owns these and the trace/ sinks (stall
+//     attribution, warp lanes, wait windows) selected by one
+//     ObservabilityOptions, attaches them to a Gpu and writes every
+//     product.
 //
 //   * SimProfile (gpu_result.hpp) — simulator self-profiling; filled by
 //     the Gpu, never serialized into canonical results.
@@ -34,9 +38,14 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/csv_sink.hpp"
 #include "trace/stall_attribution.hpp"
+#include "trace/warp_lane_trace.hpp"
 
 namespace prosim {
+
+class ArgParser;
+class Gpu;
 
 /// Which entity a sample describes. Serialized as "gpu" / "sm" / "kernel".
 enum class MetricScope : std::uint8_t { kGpu = 0, kSm, kKernel };
@@ -118,48 +127,20 @@ class MetricsCollector {
   std::map<std::tuple<int, int, std::string>, std::uint64_t> last_values_;
 };
 
-/// Serving lifecycle event kinds, in rough lifecycle order.
-enum class SimEventKind : std::uint8_t {
-  kKernelArrival = 0,  ///< launch entered the GPU-level queue
-  kAdmissionGrant,     ///< first TB of the kernel launched
-  kSmBind,             ///< SM (re)bound to the kernel
-  kTbLaunch,           ///< fresh TB launched (tb = ctaid)
-  kTbResume,           ///< parked TB re-launched from a checkpoint
-  kYieldRequest,       ///< preemptive yield requested (tb = ctaid)
-  kTbCheckpoint,       ///< quiescent TB checkpointed + parked (a demotion)
-  kDemotion,           ///< SM rebound away from a kernel with work left
-  kKernelFinish,       ///< all of the kernel's TBs drained
-  kSloMet,             ///< finished within the tenant deadline (aux = it)
-  kSloMissed,          ///< finished past the tenant deadline (aux = it)
-  kSimEnd,             ///< simulation completed
-};
-inline constexpr int kNumSimEventKinds = 12;
-
-const char* sim_event_kind_name(SimEventKind kind);
-
-/// One journal row. Fields not meaningful for a kind stay -1 / 0 and are
-/// omitted from the serialized JSONL object.
-struct SimEvent {
-  Cycle cycle = 0;
-  SimEventKind kind = SimEventKind::kSimEnd;
-  int kernel = -1;
-  int sm = -1;
-  int tb = -1;              ///< ctaid where meaningful
-  std::uint64_t aux = 0;    ///< kind-specific payload (e.g. SLO deadline)
-};
-
-/// Append-only journal of SimEvents, attached via Gpu::set_event_journal.
-class EventJournal {
+/// Append-only journal of the Gpu's lifecycle events: a TraceSink that
+/// consumes only on_sim_event, so the SMs never dispatch to it.
+class EventJournal final : public TraceSink {
  public:
-  void record(Cycle cycle, SimEventKind kind, int kernel = -1, int sm = -1,
-              int tb = -1, std::uint64_t aux = 0) {
-    events_.push_back({cycle, kind, kernel, sm, tb, aux});
+  bool wants_sm_events() const override { return false; }
+  bool wants_warp_states() const override { return false; }
+  void on_sim_event(const SimEvent& event) override {
+    events_.push_back(event);
   }
 
   const std::vector<SimEvent>& events() const { return events_; }
   std::size_t count(SimEventKind kind) const;
 
-  /// One JSON object per line:
+  /// One JSON object per line, fields at -1 / 0 omitted:
   /// {"cycle":N,"event":"tb_launch","kernel":0,"sm":1,"tb":5}.
   void write_jsonl(std::ostream& os) const;
 
@@ -176,10 +157,12 @@ class EventJournal {
   std::vector<SimEvent> events_;
 };
 
-/// CLI-facing bundle of the observability flags shared by all four CLIs
-/// (--metrics-interval / --metrics / --metrics-json / --events /
-/// --kernel-timeline).
+/// Which observability products one run collects. Everything is off by
+/// default; the CLIs fill the file paths from add_observability_flags.
 struct ObservabilityOptions {
+  bool stall_attribution = false;  ///< per-cause/per-SM StallBreakdown
+  bool warp_lanes = false;         ///< Chrome-trace warp timeline
+  bool windows = false;            ///< barrier/finish wait-window CSV
   Cycle metrics_interval = 0;   ///< 0 = sampling off
   std::string metrics_csv;      ///< --metrics FILE
   std::string metrics_json;     ///< --metrics-json FILE
@@ -190,7 +173,6 @@ struct ObservabilityOptions {
   bool journal_enabled() const {
     return !events_jsonl.empty() || !kernel_timeline.empty();
   }
-  bool any() const { return metrics_enabled() || journal_enabled(); }
 
   /// Copy with every output path suffixed for one cell of a multi-cell
   /// run: "dir/serve.jsonl" + "gto.preemptive_slo" →
@@ -203,25 +185,74 @@ struct ObservabilityOptions {
 /// ObservabilityOptions::for_cell).
 std::string suffixed_path(const std::string& path, const std::string& key);
 
-/// Owns the collector/journal selected by ObservabilityOptions and writes
-/// the configured output files — the TraceSession idiom for the metrics
-/// layer. Accessors return nullptr for products that were not requested,
-/// so callers can pass them through unconditionally (pay-for-use).
+/// The CLIs' shared observability flags: --metrics-interval (into
+/// `interval`, validated by check_observability_flags), --metrics,
+/// --metrics-json, --events and --kernel-timeline (into `options`).
+void add_observability_flags(ArgParser& parser, ObservabilityOptions& options,
+                             std::int64_t& interval);
+
+/// Validates the flags of add_observability_flags and stores the interval
+/// in `options`. On misuse prints the reason on stderr and returns false
+/// (the CLIs exit 2).
+bool check_observability_flags(const ArgParser& parser, std::int64_t interval,
+                               ObservabilityOptions& options);
+
+/// Prints the `write_error` of every cell (sweep, serving or litmus) that
+/// has one on `os`; true when any does (the multi-cell CLIs exit 1).
+template <typename Cells>
+bool print_write_errors(std::ostream& os, const Cells& cells) {
+  bool failed = false;
+  for (const auto& cell : cells) {
+    if (cell.write_error.empty()) continue;
+    os << cell.write_error << '\n';
+    failed = true;
+  }
+  return failed;
+}
+
+/// Where ObservabilitySession::write puts the trace products; an empty
+/// path skips that file.
+struct TraceFiles {
+  std::string warp_lanes;    ///< Chrome-trace warp-lane JSON
+  std::string windows;       ///< wait-window CSV
+  std::string windows_hist;  ///< wait-window histogram CSV
+};
+
+/// Owns the observers selected by ObservabilityOptions, attaches them to
+/// a Gpu and writes their products. Accessors return nullptr for products
+/// that were not requested (pay-for-use: a session with nothing requested
+/// attaches nothing, and an attribution-only or metrics + journal session
+/// keeps the SMs off the per-warp state pass).
 class ObservabilitySession {
  public:
   explicit ObservabilitySession(const ObservabilityOptions& options);
 
+  /// Attaches every requested observer to `gpu`; call before its first
+  /// step(). Defined in gpu.cpp, next to simulate(): the Gpu library
+  /// links this one.
+  void attach(Gpu& gpu);
+
   MetricsCollector* metrics() { return metrics_.get(); }
   EventJournal* journal() { return journal_.get(); }
+  const StallAttributionSink* attribution() const {
+    return attribution_.get();
+  }
+  const WarpLaneTraceSink* warp_lanes() const { return warp_lanes_.get(); }
+  const WindowCsvSink* windows() const { return windows_.get(); }
 
-  /// Writes every configured file (`kernel_names` labels the timeline's
-  /// process tracks). Returns false and fills `error` on the first
-  /// failure.
-  bool write(const std::vector<std::string>& kernel_names,
-             std::string& error) const;
+  /// Writes every requested product that has a path: the metrics and
+  /// journal files of the options (`kernel_names` labels the timeline's
+  /// process tracks) and the trace files of `trace`. Relative paths
+  /// resolve against `dir`, absolute ones stay as they are. Returns false
+  /// and fills `error` with the failing path on the first failure.
+  bool write(const std::vector<std::string>& kernel_names, std::string& error,
+             const TraceFiles& trace = {}, const std::string& dir = {}) const;
 
  private:
   ObservabilityOptions options_;
+  std::unique_ptr<StallAttributionSink> attribution_;
+  std::unique_ptr<WarpLaneTraceSink> warp_lanes_;
+  std::unique_ptr<WindowCsvSink> windows_;
   std::unique_ptr<MetricsCollector> metrics_;
   std::unique_ptr<EventJournal> journal_;
 };

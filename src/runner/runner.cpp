@@ -53,47 +53,15 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
   }
 
   // One session per cell: sinks are single-threaded by design; each
-  // worker traces only its own cell.
-  TraceSession session(options.trace);
-
-  // Per-cell observability products, suffixed by cache key so concurrent
-  // cells never collide; relative paths land in trace_dir when set.
-  std::unique_ptr<ObservabilitySession> obs;
-  if (options.obs.any()) {
-    ObservabilityOptions oopts = options.obs;
-    if (!options.trace_dir.empty()) {
-      const std::string dir = options.trace_dir + "/";
-      if (!oopts.metrics_csv.empty())
-        oopts.metrics_csv = dir + oopts.metrics_csv;
-      if (!oopts.metrics_json.empty())
-        oopts.metrics_json = dir + oopts.metrics_json;
-      if (!oopts.events_jsonl.empty())
-        oopts.events_jsonl = dir + oopts.events_jsonl;
-      if (!oopts.kernel_timeline.empty())
-        oopts.kernel_timeline = dir + oopts.kernel_timeline;
-    }
-    obs = std::make_unique<ObservabilitySession>(
-        oopts.for_cell(cell.cache_key));
-  }
+  // worker observes only its own cell. Product paths get the cache key so
+  // concurrent cells never collide.
+  ObservabilitySession obs(options.obs.for_cell(cell.cache_key));
 
   GlobalMemory mem;
   if (job.workload.init) job.workload.init(mem);
   const auto wall_start = std::chrono::steady_clock::now();
-  Expected<GpuResult> outcome = [&]() -> Expected<GpuResult> {
-    try {
-      Gpu gpu(job.config, job.workload.program, mem);
-      if (session.sink() != nullptr) gpu.set_trace_sink(session.sink());
-      if (obs != nullptr && obs->metrics() != nullptr) {
-        gpu.set_metrics(obs->metrics());
-      }
-      if (obs != nullptr && obs->journal() != nullptr) {
-        gpu.set_event_journal(obs->journal());
-      }
-      return gpu.run();
-    } catch (SimException& e) {
-      return e.take_error();
-    }
-  }();
+  Expected<GpuResult> outcome =
+      simulate_checked(job.config, job.workload.program, mem, &obs);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -106,23 +74,16 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
     // bytes stay run-stable and tracing-independent.
     cell.result->throughput = SimThroughput::measure(
         wall_seconds, cell.result->cycles, cell.result->totals.warp_insts);
-    if (session.attribution() != nullptr) {
-      cell.result->stall_breakdown = session.attribution()->breakdown();
+    if (obs.attribution() != nullptr) {
+      cell.result->stall_breakdown = obs.attribution()->breakdown();
     }
+    TraceFiles trace;
     if (!options.trace_dir.empty()) {
-      const std::string stem = options.trace_dir + "/" + cell.cache_key;
-      if (session.warp_lanes() != nullptr) {
-        session.write_warp_lanes_file(stem + ".trace.json");
-      }
-      if (session.windows() != nullptr) {
-        session.write_windows_csv_file(stem + ".windows.csv");
-        session.write_window_histograms_file(stem + ".windows.hist.csv");
-      }
+      trace = {cell.cache_key + ".trace.json", cell.cache_key + ".windows.csv",
+               cell.cache_key + ".windows.hist.csv"};
     }
-    if (obs != nullptr) {
-      std::string obs_error;
-      obs->write({job.workload.kernel}, obs_error);  // best-effort per cell
-    }
+    obs.write({job.workload.kernel}, cell.write_error, trace,
+              options.trace_dir);
     if (cache != nullptr) cache->store(cell.cache_key, *cell.result);
   } else {
     cell.error = std::move(outcome.error());

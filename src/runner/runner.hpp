@@ -28,7 +28,6 @@
 #include "gpu/gpu_result.hpp"
 #include "kernels/registry.hpp"
 #include "metrics/metrics.hpp"
-#include "trace/trace_session.hpp"
 
 namespace prosim::runner {
 
@@ -54,6 +53,8 @@ struct SweepCell {
   bool from_cache = false;
   std::optional<GpuResult> result;
   std::optional<SimError> error;  ///< set iff the cell failed
+  /// The failing path when an observability product could not be written.
+  std::string write_error;
 
   bool ok() const { return result.has_value(); }
 };
@@ -72,21 +73,17 @@ struct SweepOptions {
   /// Invoked after every cell completes, serialized under an internal
   /// mutex (safe to print from).
   std::function<void(const SweepProgress&)> progress;
-  /// Observability products collected for every cell that actually
-  /// simulates (cache hits return the stored result untraced — run with
-  /// cache_dir empty to trace every cell). A stall breakdown is stamped
-  /// onto the cell's GpuResult; warp-lane and wait-window artifacts
-  /// additionally need trace_dir.
-  TraceOptions trace;
-  /// Directory for per-cell trace artifacts, created if missing:
+  /// Directory for per-cell observability products, created if missing:
   /// <cache_key>.trace.json (warp lanes), <cache_key>.windows.csv and
-  /// <cache_key>.windows.hist.csv (wait windows). Empty keeps tracing
+  /// <cache_key>.windows.hist.csv (wait windows), and the relative
+  /// metrics/journal paths of `obs`. Empty keeps the trace products
   /// in-memory only.
   std::string trace_dir;
-  /// Metrics/journal products per simulated cell (cache hits skip them,
-  /// like `trace`). Output paths are suffixed with the cell's cache key
-  /// (ObservabilityOptions::for_cell); relative paths land in trace_dir
-  /// when one is configured.
+  /// Observability products collected for every cell that actually
+  /// simulates (cache hits return the stored result unobserved — run
+  /// with cache_dir empty to observe every cell). A stall breakdown is
+  /// stamped onto the cell's GpuResult; metrics/journal output paths are
+  /// suffixed with the cell's cache key (ObservabilityOptions::for_cell).
   ObservabilityOptions obs;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -57,10 +56,7 @@ Expected<GpuResult> run_requests(const std::vector<Request>& reqs,
     launches.push_back(std::move(launch));
   }
   Gpu gpu(config, std::move(launches), admission);
-  if (obs != nullptr) {
-    if (obs->metrics() != nullptr) gpu.set_metrics(obs->metrics());
-    if (obs->journal() != nullptr) gpu.set_event_journal(obs->journal());
-  }
+  if (obs != nullptr) obs->attach(gpu);
   return gpu.run_checked();
 }
 
@@ -158,29 +154,21 @@ ServingCell simulate_cell(const std::vector<Request>& trace,
 
   // Observability attaches only to the final serving simulation, never
   // the closed-loop prefix sims above.
-  std::unique_ptr<ObservabilitySession> obs;
-  if (options.obs.any()) {
-    const bool multi_cell =
-        options.schedulers.size() * options.admissions.size() > 1;
-    obs = std::make_unique<ObservabilitySession>(
-        multi_cell
-            ? options.obs.for_cell(cell.scheduler + "." + cell.admission)
-            : options.obs);
-  }
+  const bool multi_cell =
+      options.schedulers.size() * options.admissions.size() > 1;
+  ObservabilitySession obs(
+      multi_cell ? options.obs.for_cell(cell.scheduler + "." + cell.admission)
+                 : options.obs);
 
   Expected<GpuResult> result =
-      run_requests(reqs, config, admission, deadlines, obs.get());
+      run_requests(reqs, config, admission, deadlines, &obs);
   if (!result.has_value()) {
     cell.error = std::move(result.error());
     return cell;
   }
-  if (obs != nullptr) {
-    std::vector<std::string> kernel_names;
-    kernel_names.reserve(reqs.size());
-    for (const Request& req : reqs) kernel_names.push_back(req.kernel);
-    std::string obs_error;
-    obs->write(kernel_names, obs_error);  // best-effort per cell
-  }
+  std::vector<std::string> kernel_names;
+  for (const Request& req : reqs) kernel_names.push_back(req.kernel);
+  obs.write(kernel_names, cell.write_error);
   const GpuResult& r = result.value();
   cell.makespan = r.cycles;
   PROSIM_CHECK(r.kernel_slices.size() == reqs.size());

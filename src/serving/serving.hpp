@@ -64,6 +64,8 @@ struct ServingCell {
   std::string scheduler;
   std::string admission = "fifo_exclusive";  ///< admission-registry name
   std::optional<SimError> error;  ///< set iff the cell failed
+  /// The failing path when an observability product could not be written.
+  std::string write_error;
   Cycle makespan = 0;
   /// Jain's index over tenant slowdowns: 1 = perfectly fair, 1/n = one
   /// tenant got everything.

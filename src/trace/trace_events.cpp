@@ -34,4 +34,22 @@ const char* warp_state_name(WarpState state) {
   return "?";
 }
 
+const char* sim_event_kind_name(SimEventKind kind) {
+  switch (kind) {
+    case SimEventKind::kKernelArrival: return "kernel_arrival";
+    case SimEventKind::kAdmissionGrant: return "admission_grant";
+    case SimEventKind::kSmBind: return "sm_bind";
+    case SimEventKind::kTbLaunch: return "tb_launch";
+    case SimEventKind::kTbResume: return "tb_resume";
+    case SimEventKind::kYieldRequest: return "yield_request";
+    case SimEventKind::kTbCheckpoint: return "tb_checkpoint";
+    case SimEventKind::kDemotion: return "demotion";
+    case SimEventKind::kKernelFinish: return "kernel_finish";
+    case SimEventKind::kSloMet: return "slo_met";
+    case SimEventKind::kSloMissed: return "slo_missed";
+    case SimEventKind::kSimEnd: return "sim_end";
+  }
+  return "unknown";
+}
+
 }  // namespace prosim

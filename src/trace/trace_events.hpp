@@ -4,7 +4,9 @@
 // could or could not issue (StallCause — an exact refinement of the legacy
 // SmStats idle/scoreboard/pipeline taxonomy), and tracks every warp slot's
 // scheduling state (WarpState). A TraceSink attached to the Gpu receives
-// each classification and state transition; with no sink attached the
+// each classification and state transition, and the Gpu's serving
+// lifecycle (SimEvent: arrivals, bindings, launches, yields, finishes —
+// the event journal's rows); with no sink attached the
 // instrumentation is a single pointer test per cycle phase, and the
 // event-driven fast-forward stays valid: quiet spans are bulk-applied as
 // one on_sched_cycles(count) call, and warp states are provably constant
@@ -90,13 +92,47 @@ inline constexpr int kNumWarpStates = 10;
 
 const char* warp_state_name(WarpState state);
 
-/// Receiver of warp-level observability events. All hooks default to
-/// no-ops so sinks implement only what they consume. One sink instance
-/// observes the whole GPU (events carry the SM id); sinks are invoked from
-/// the single simulation thread only.
+/// Serving lifecycle event kinds, in rough lifecycle order.
+enum class SimEventKind : std::uint8_t {
+  kKernelArrival = 0,  ///< launch entered the GPU-level queue
+  kAdmissionGrant,     ///< first TB of the kernel launched
+  kSmBind,             ///< SM (re)bound to the kernel
+  kTbLaunch,           ///< fresh TB launched (tb = ctaid)
+  kTbResume,           ///< parked TB re-launched from a checkpoint
+  kYieldRequest,       ///< preemptive yield requested (tb = ctaid)
+  kTbCheckpoint,       ///< quiescent TB checkpointed + parked (a demotion)
+  kDemotion,           ///< SM rebound away from a kernel with work left
+  kKernelFinish,       ///< all of the kernel's TBs drained
+  kSloMet,             ///< finished within the tenant deadline (aux = it)
+  kSloMissed,          ///< finished past the tenant deadline (aux = it)
+  kSimEnd,             ///< simulation completed
+};
+inline constexpr int kNumSimEventKinds = 12;
+
+const char* sim_event_kind_name(SimEventKind kind);
+
+/// One Gpu-level lifecycle event. Fields not meaningful for a kind stay
+/// -1 / 0.
+struct SimEvent {
+  Cycle cycle = 0;
+  SimEventKind kind = SimEventKind::kSimEnd;
+  int kernel = -1;
+  int sm = -1;
+  int tb = -1;            ///< ctaid where meaningful
+  std::uint64_t aux = 0;  ///< kind-specific payload (e.g. SLO deadline)
+};
+
+/// Receiver of observability events. All hooks default to no-ops so sinks
+/// implement only what they consume. One sink instance observes the whole
+/// GPU (events carry the SM id); sinks are invoked from the single
+/// simulation thread only.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
+
+  /// Sinks that return false here receive only on_sim_event: the SMs
+  /// never see them, so they add no per-cycle work.
+  virtual bool wants_sm_events() const { return true; }
 
   /// Sinks that return false here let the SM skip the per-warp state pass
   /// entirely (the stall-attribution accumulator only needs the
@@ -122,8 +158,10 @@ class TraceSink {
   /// A PRO (or adaptive-PRO) THRESHOLD re-sort took effect on SM `sm`.
   virtual void on_pro_sort(int /*sm*/, Cycle /*now*/) {}
 
-  /// The simulation completed at cycle `end`.
-  virtual void on_sim_end(Cycle /*end*/) {}
+  /// A Gpu-level lifecycle event, kSimEnd last. A sink attached after
+  /// construction first receives the kernel arrivals and SM bindings that
+  /// preceded it.
+  virtual void on_sim_event(const SimEvent& /*event*/) {}
 };
 
 }  // namespace prosim

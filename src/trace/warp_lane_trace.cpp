@@ -53,8 +53,10 @@ void WarpLaneTraceSink::on_pro_sort(int sm, Cycle now) {
   sorts_.push_back({sm, -1, now, false});
 }
 
-void WarpLaneTraceSink::on_sim_end(Cycle end) {
-  sim_end_ = std::max(sim_end_, end);
+void WarpLaneTraceSink::on_sim_event(const SimEvent& event) {
+  if (event.kind == SimEventKind::kSimEnd) {
+    sim_end_ = std::max(sim_end_, event.cycle);
+  }
 }
 
 void WarpLaneTraceSink::write(std::ostream& os) const {

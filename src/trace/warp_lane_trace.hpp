@@ -32,7 +32,7 @@ class WarpLaneTraceSink final : public TraceSink {
   void on_tb_launch(int sm, int ctaid, Cycle now) override;
   void on_tb_retire(int sm, int ctaid, Cycle start, Cycle end) override;
   void on_pro_sort(int sm, Cycle now) override;
-  void on_sim_end(Cycle end) override;
+  void on_sim_event(const SimEvent& event) override;
 
   void write(std::ostream& os) const;
 

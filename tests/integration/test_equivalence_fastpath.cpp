@@ -27,58 +27,60 @@
 #include "gpu/gpu.hpp"
 #include "gpu/result_io.hpp"
 #include "kernels/registry.hpp"
-#include "trace/trace_session.hpp"
 
 namespace prosim {
 namespace {
 
 std::uint64_t result_fingerprint(const Workload& w, const GpuConfig& cfg,
-                                 TraceSink* trace = nullptr) {
+                                 ObservabilitySession* obs = nullptr) {
   GlobalMemory mem;
   if (w.init) w.init(mem);
-  const GpuResult r = simulate(cfg, w.program, mem, trace);
+  const GpuResult r = simulate(cfg, w.program, mem, obs);
   const std::string json = gpu_result_to_json(r);
   Fingerprint fp;
   fp.add_bytes(json.data(), json.size());
   return fp.hash();
 }
 
+// gtest prints a Cell as its raw bytes in the listed test name, so the
+// scheduler kind leads: a leading pointer would make the visible part of
+// the name depend on where the linker placed the kernel-name string.
 struct Cell {
-  const char* kernel;
   SchedulerKind kind;
+  const char* kernel;
   std::uint64_t expected;
 };
 
 // Recorded from the seed implementation (default GpuConfig — the fig4
 // sweep configuration) before the hot-path rework.
 constexpr Cell kCells[] = {
-    {"scalarProdGPU", SchedulerKind::kLrr, 0x856755624a190199ull},
-    {"scalarProdGPU", SchedulerKind::kGto, 0x1e4d8508ead8013full},
-    {"scalarProdGPU", SchedulerKind::kTl, 0xf2a02ebebb02e32full},
-    {"scalarProdGPU", SchedulerKind::kPro, 0xf0604c1acd235617ull},
-    {"histogram64Kernel", SchedulerKind::kLrr, 0xa5566c0fdeb4c1a3ull},
-    {"histogram64Kernel", SchedulerKind::kGto, 0x90bb7fff3249a079ull},
-    {"histogram64Kernel", SchedulerKind::kTl, 0xdc8f192da1a4c3eaull},
-    {"histogram64Kernel", SchedulerKind::kPro, 0xac4d3d4229760890ull},
-    {"GPU_laplace3d", SchedulerKind::kLrr, 0x7cb9bc88114d6244ull},
-    {"GPU_laplace3d", SchedulerKind::kGto, 0x66bf1be41e2e3d1eull},
-    {"GPU_laplace3d", SchedulerKind::kTl, 0x9989434a0c6a9e7aull},
-    {"GPU_laplace3d", SchedulerKind::kPro, 0x38970701efbcb9abull},
-    {"bfs_kernel", SchedulerKind::kLrr, 0x9238752322f27cb4ull},
-    {"bfs_kernel", SchedulerKind::kGto, 0x9df19b97a5dad72aull},
-    {"bfs_kernel", SchedulerKind::kTl, 0x2a1b77df2e26072full},
-    {"bfs_kernel", SchedulerKind::kPro, 0xa57699a9d2a9be82ull},
-    {"calculate_temp", SchedulerKind::kLrr, 0xaad8152929a24ef7ull},
-    {"calculate_temp", SchedulerKind::kGto, 0xf73d34b299219e61ull},
-    {"calculate_temp", SchedulerKind::kTl, 0xb30cc56f2f0dce1aull},
-    {"calculate_temp", SchedulerKind::kPro, 0x04656f32dcc626f9ull},
-    {"MonteCarloOneBlockPerOption", SchedulerKind::kLrr,
+    {SchedulerKind::kLrr, "scalarProdGPU", 0x856755624a190199ull},
+    {SchedulerKind::kGto, "scalarProdGPU", 0x1e4d8508ead8013full},
+    {SchedulerKind::kTl, "scalarProdGPU", 0xf2a02ebebb02e32full},
+    {SchedulerKind::kPro, "scalarProdGPU", 0xf0604c1acd235617ull},
+    {SchedulerKind::kLrr, "histogram64Kernel", 0xa5566c0fdeb4c1a3ull},
+    {SchedulerKind::kGto, "histogram64Kernel", 0x90bb7fff3249a079ull},
+    {SchedulerKind::kTl, "histogram64Kernel", 0xdc8f192da1a4c3eaull},
+    {SchedulerKind::kPro, "histogram64Kernel", 0xac4d3d4229760890ull},
+    {SchedulerKind::kLrr, "GPU_laplace3d", 0x7cb9bc88114d6244ull},
+    {SchedulerKind::kGto, "GPU_laplace3d", 0x66bf1be41e2e3d1eull},
+    {SchedulerKind::kTl, "GPU_laplace3d", 0x9989434a0c6a9e7aull},
+    {SchedulerKind::kPro, "GPU_laplace3d", 0x38970701efbcb9abull},
+    {SchedulerKind::kLrr, "bfs_kernel", 0x9238752322f27cb4ull},
+    {SchedulerKind::kGto, "bfs_kernel", 0x9df19b97a5dad72aull},
+    {SchedulerKind::kTl, "bfs_kernel", 0x2a1b77df2e26072full},
+    {SchedulerKind::kPro, "bfs_kernel", 0xa57699a9d2a9be82ull},
+    {SchedulerKind::kLrr, "calculate_temp", 0xaad8152929a24ef7ull},
+    {SchedulerKind::kGto, "calculate_temp", 0xf73d34b299219e61ull},
+    {SchedulerKind::kTl, "calculate_temp", 0xb30cc56f2f0dce1aull},
+    {SchedulerKind::kPro, "calculate_temp", 0x04656f32dcc626f9ull},
+    {SchedulerKind::kLrr, "MonteCarloOneBlockPerOption",
      0x4feffd44f1db26eeull},
-    {"MonteCarloOneBlockPerOption", SchedulerKind::kGto,
+    {SchedulerKind::kGto, "MonteCarloOneBlockPerOption",
      0x7b0edbb23cca1e2dull},
-    {"MonteCarloOneBlockPerOption", SchedulerKind::kTl,
+    {SchedulerKind::kTl, "MonteCarloOneBlockPerOption",
      0x1b3cc5cd8525af8bull},
-    {"MonteCarloOneBlockPerOption", SchedulerKind::kPro,
+    {SchedulerKind::kPro, "MonteCarloOneBlockPerOption",
      0x14e6a647818a95dbull},
 };
 
@@ -112,22 +114,22 @@ INSTANTIATE_TEST_SUITE_P(SeedCells, EquivalenceFastpath,
 // decision, an extra tick — fails against the same fingerprints above.
 TEST(EquivalenceFastpath, TracingIsBitIdentical) {
   constexpr Cell kTracedCells[] = {
-      {"scalarProdGPU", SchedulerKind::kLrr, 0x856755624a190199ull},
-      {"scalarProdGPU", SchedulerKind::kPro, 0xf0604c1acd235617ull},
-      {"GPU_laplace3d", SchedulerKind::kPro, 0x38970701efbcb9abull},
-      {"bfs_kernel", SchedulerKind::kTl, 0x2a1b77df2e26072full},
-      {"calculate_temp", SchedulerKind::kGto, 0xf73d34b299219e61ull},
+      {SchedulerKind::kLrr, "scalarProdGPU", 0x856755624a190199ull},
+      {SchedulerKind::kPro, "scalarProdGPU", 0xf0604c1acd235617ull},
+      {SchedulerKind::kPro, "GPU_laplace3d", 0x38970701efbcb9abull},
+      {SchedulerKind::kTl, "bfs_kernel", 0x2a1b77df2e26072full},
+      {SchedulerKind::kGto, "calculate_temp", 0xf73d34b299219e61ull},
   };
   for (const Cell& cell : kTracedCells) {
     GpuConfig cfg;
     cfg.scheduler.kind = cell.kind;
-    TraceOptions opts;
+    ObservabilityOptions opts;
     opts.stall_attribution = true;
     opts.warp_lanes = true;
     opts.windows = true;
-    TraceSession session(opts);
-    const std::uint64_t actual = result_fingerprint(
-        find_workload(cell.kernel), cfg, session.sink());
+    ObservabilitySession session(opts);
+    const std::uint64_t actual =
+        result_fingerprint(find_workload(cell.kernel), cfg, &session);
     EXPECT_EQ(actual, cell.expected)
         << cell.kernel << "/" << scheduler_name(cell.kind)
         << ": result changed when tracing was attached (actual "
@@ -140,11 +142,11 @@ TEST(EquivalenceFastpath, TracingIsBitIdentical) {
 TEST(EquivalenceFastpath, AttributionOnlyIsBitIdentical) {
   GpuConfig cfg;
   cfg.scheduler.kind = SchedulerKind::kPro;
-  TraceOptions opts;
+  ObservabilityOptions opts;
   opts.stall_attribution = true;
-  TraceSession session(opts);
-  const std::uint64_t actual = result_fingerprint(
-      find_workload("scalarProdGPU"), cfg, session.sink());
+  ObservabilitySession session(opts);
+  const std::uint64_t actual =
+      result_fingerprint(find_workload("scalarProdGPU"), cfg, &session);
   EXPECT_EQ(actual, 0xf0604c1acd235617ull)
       << "attribution-only tracing changed the result (actual "
       << "fingerprint 0x" << std::hex << actual << ")";
@@ -158,7 +160,7 @@ TEST(EquivalenceFastpath, AttributionOnlyIsBitIdentical) {
 // canonical bytes (kernel_slices are serialized, appended after block_dim,
 // so the prefix is the untouched single-kernel document).
 TEST(EquivalenceFastpath, SingleKernelViaMultiCtorMatchesSeed) {
-  constexpr Cell kCell = {"scalarProdGPU", SchedulerKind::kPro,
+  constexpr Cell kCell = {SchedulerKind::kPro, "scalarProdGPU",
                           0xf0604c1acd235617ull};
   const Workload& w = find_workload(kCell.kernel);
   for (const AdmissionInfo& info : admission_registry()) {
@@ -221,10 +223,10 @@ TEST(EquivalenceFastpath, FaultInjectedCellMatchesSeed) {
 // The pinned constants are the untouched seed values.
 TEST(EquivalenceFastpath, MetricsAndJournalAreBitIdentical) {
   constexpr Cell kObservedCells[] = {
-      {"scalarProdGPU", SchedulerKind::kPro, 0xf0604c1acd235617ull},
-      {"GPU_laplace3d", SchedulerKind::kLrr, 0x7cb9bc88114d6244ull},
-      {"bfs_kernel", SchedulerKind::kTl, 0x2a1b77df2e26072full},
-      {"calculate_temp", SchedulerKind::kGto, 0xf73d34b299219e61ull},
+      {SchedulerKind::kPro, "scalarProdGPU", 0xf0604c1acd235617ull},
+      {SchedulerKind::kLrr, "GPU_laplace3d", 0x7cb9bc88114d6244ull},
+      {SchedulerKind::kTl, "bfs_kernel", 0x2a1b77df2e26072full},
+      {SchedulerKind::kGto, "calculate_temp", 0xf73d34b299219e61ull},
   };
   for (const Cell& cell : kObservedCells) {
     GpuConfig cfg;
@@ -232,11 +234,14 @@ TEST(EquivalenceFastpath, MetricsAndJournalAreBitIdentical) {
     const Workload& w = find_workload(cell.kernel);
     GlobalMemory mem;
     if (w.init) w.init(mem);
-    MetricsCollector metrics(777);  // deliberately an odd interval
-    EventJournal journal;
-    const GpuResult r = simulate(cfg, w.program, mem, nullptr, &metrics,
-                                 &journal);
-    EXPECT_FALSE(metrics.registry().samples().empty()) << cell.kernel;
+    ObservabilityOptions opts;
+    opts.metrics_interval = 777;  // deliberately an odd interval
+    opts.events_jsonl = "unused.jsonl";
+    ObservabilitySession session(opts);
+    const GpuResult r = simulate(cfg, w.program, mem, &session);
+    EXPECT_FALSE(session.metrics()->registry().samples().empty())
+        << cell.kernel;
+    const EventJournal& journal = *session.journal();
     EXPECT_GE(journal.count(SimEventKind::kTbLaunch), 1u) << cell.kernel;
     EXPECT_EQ(journal.count(SimEventKind::kSimEnd), 1u) << cell.kernel;
     const std::string json = gpu_result_to_json(r);
@@ -255,7 +260,7 @@ TEST(EquivalenceFastpath, MetricsAndJournalAreBitIdentical) {
 // plain ticking (PROSIM_NO_FASTFORWARD=1) reproduces the pinned seed
 // fingerprint.
 TEST(EquivalenceFastpath, ObserversBitIdenticalAcrossExecutionModes) {
-  constexpr Cell kCell = {"scalarProdGPU", SchedulerKind::kPro,
+  constexpr Cell kCell = {SchedulerKind::kPro, "scalarProdGPU",
                           0xf0604c1acd235617ull};
   const Workload& w = find_workload(kCell.kernel);
   ::setenv("PROSIM_NO_FASTFORWARD", "1", 1);
@@ -263,12 +268,11 @@ TEST(EquivalenceFastpath, ObserversBitIdenticalAcrossExecutionModes) {
   cfg.scheduler.kind = kCell.kind;
   GlobalMemory mem;
   if (w.init) w.init(mem);
-  MetricsCollector metrics(500);
-  EventJournal journal;
-  Gpu gpu(cfg, w.program, mem);
-  gpu.set_metrics(&metrics);
-  gpu.set_event_journal(&journal);
-  const GpuResult r = gpu.run();
+  ObservabilityOptions opts;
+  opts.metrics_interval = 500;
+  opts.events_jsonl = "unused.jsonl";
+  ObservabilitySession session(opts);
+  const GpuResult r = simulate(cfg, w.program, mem, &session);
   ::unsetenv("PROSIM_NO_FASTFORWARD");
   const std::string json = gpu_result_to_json(r);
   Fingerprint fp;

@@ -118,9 +118,11 @@ Outcome run_mode(bool reference, Body&& body) {
 Outcome run_single(const Workload& w, const GpuConfig& cfg) {
   GlobalMemory mem;
   if (w.init) w.init(mem);
-  StallAttributionSink stalls;
-  const GpuResult r = simulate(cfg, w.program, mem, &stalls);
-  expect_reconciles(stalls.breakdown(), r);
+  ObservabilityOptions opts;
+  opts.stall_attribution = true;
+  ObservabilitySession session(opts);
+  const GpuResult r = simulate(cfg, w.program, mem, &session);
+  expect_reconciles(session.attribution()->breakdown(), r);
   return {gpu_result_to_json(r), "", ""};
 }
 

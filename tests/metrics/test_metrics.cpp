@@ -22,7 +22,6 @@
 #include "kernels/registry.hpp"
 #include "litmus/litmus.hpp"
 #include "metrics/metrics.hpp"
-#include "trace/trace_session.hpp"
 
 namespace prosim {
 namespace {
@@ -121,22 +120,23 @@ TEST(MetricsReconciliation, StallDeltasSumToAttributionTotals) {
 
   GlobalMemory mem;
   if (w.init) w.init(mem);
-  MetricsCollector metrics(500);
-  const GpuResult observed = simulate(cfg, w.program, mem, nullptr,
-                                      &metrics, nullptr);
+  ObservabilityOptions sampled;
+  sampled.metrics_interval = 500;
+  ObservabilitySession metrics(sampled);
+  const GpuResult observed = simulate(cfg, w.program, mem, &metrics);
 
   GlobalMemory mem2;
   if (w.init) w.init(mem2);
-  TraceOptions topts;
-  topts.stall_attribution = true;
-  TraceSession session(topts);
-  const GpuResult traced = simulate(cfg, w.program, mem2, session.sink());
+  ObservabilityOptions attributed;
+  attributed.stall_attribution = true;
+  ObservabilitySession session(attributed);
+  const GpuResult traced = simulate(cfg, w.program, mem2, &session);
   EXPECT_EQ(gpu_result_to_json(observed), gpu_result_to_json(traced));
 
   const StallBreakdown& want = session.attribution()->breakdown();
   // Sum each stall series over all samples.
   std::map<std::pair<int, std::string>, double> sums;
-  for (const MetricSample& s : metrics.registry().samples()) {
+  for (const MetricSample& s : metrics.metrics()->registry().samples()) {
     if (s.scope == MetricScope::kSm && s.metric.rfind("stall.", 0) == 0) {
       sums[{s.id, s.metric}] += s.value;
     }
@@ -164,9 +164,14 @@ TEST(MetricsReconciliation, StallDeltasSumToAttributionTotals) {
 // the pinned counters, and attaching both observers must leave the
 // canonical result bytes untouched.
 
+/// `trace_first` attaches `trace` before the other observers (the order
+/// of a sink attached by hand ahead of a session), else after them (the
+/// order of a replay that adds a counting sink last).
 GpuResult run_slo_scenario(const GpuConfig& config,
                            MetricsCollector* metrics,
-                           EventJournal* journal) {
+                           EventJournal* journal,
+                           TraceSink* trace = nullptr,
+                           bool trace_first = false) {
   const litmus::LitmusTest* barrier = find_litmus("tb_tree_barrier");
   EXPECT_NE(barrier, nullptr);
   const int residency =
@@ -192,8 +197,10 @@ GpuResult run_slo_scenario(const GpuConfig& config,
   launches.push_back(std::move(tenant));
 
   Gpu gpu(config, std::move(launches), "preemptive_slo");
-  if (metrics != nullptr) gpu.set_metrics(metrics);
-  if (journal != nullptr) gpu.set_event_journal(journal);
+  if (trace_first) gpu.set_trace_sink(trace);
+  gpu.set_metrics(metrics);
+  gpu.set_event_journal(journal);
+  if (!trace_first) gpu.set_trace_sink(trace);
   return gpu.run();
 }
 
@@ -235,6 +242,29 @@ TEST(EventJournal, PreemptiveScenarioAccountingMatchesPinnedCounters) {
       EXPECT_EQ(e.kernel, 0);
     }
   }
+}
+
+// The journal's rows do not depend on when it was attached relative to
+// the other sinks: each attach retro-emits the arrivals and bindings that
+// preceded it to that sink only.
+TEST(EventJournal, AttachOrderKeepsRows) {
+  const GpuConfig cfg = litmus::litmus_config(SchedulerKind::kLrr);
+  auto rows = [&](bool trace_first) {
+    MetricsCollector metrics(250);
+    EventJournal journal;
+    StallAttributionSink stalls;
+    run_slo_scenario(cfg, &metrics, &journal, &stalls, trace_first);
+    std::ostringstream jsonl;
+    journal.write_jsonl(jsonl);
+    return jsonl.str();
+  };
+  EventJournal alone;
+  run_slo_scenario(cfg, nullptr, &alone);
+  std::ostringstream want;
+  alone.write_jsonl(want);
+  EXPECT_EQ(rows(false), want.str());
+  EXPECT_EQ(rows(true), want.str());
+  EXPECT_EQ(alone.count(SimEventKind::kKernelArrival), 2u);
 }
 
 TEST(EventJournal, JsonlAndTimelineSerializeValidly) {

@@ -18,7 +18,7 @@ namespace {
 
 TEST(StallReconciliation, EveryFig4CellReconcilesExactly) {
   runner::SweepOptions opts;
-  opts.trace.stall_attribution = true;  // no cache: every cell simulates
+  opts.obs.stall_attribution = true;  // no cache: every cell simulates
   const runner::SweepReport report =
       runner::run_sweep(runner::fig4_matrix(), opts);
 

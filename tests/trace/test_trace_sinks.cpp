@@ -5,6 +5,7 @@
 // counters — on a kernel small enough to reason about by hand.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,7 +13,7 @@
 #include "common/json.hpp"
 #include "gpu/gpu.hpp"
 #include "isa/builder.hpp"
-#include "trace/trace_session.hpp"
+#include "metrics/metrics.hpp"
 
 namespace prosim {
 namespace {
@@ -46,18 +47,18 @@ class TraceSinks : public ::testing::TestWithParam<SchedulerKind> {
     opts_.stall_attribution = true;
     opts_.warp_lanes = true;
     opts_.windows = true;
-    session_ = std::make_unique<TraceSession>(opts_);
+    session_ = std::make_unique<ObservabilitySession>(opts_);
     GpuConfig cfg = GpuConfig::test_config();
     cfg.scheduler.kind = GetParam();
     GlobalMemory mem;
     for (int i = 0; i < 2 * 64; ++i) {
       mem.store(static_cast<Addr>(i) * 8, i + 1);
     }
-    result_ = simulate(cfg, tiny_two_tb_kernel(), mem, session_->sink());
+    result_ = simulate(cfg, tiny_two_tb_kernel(), mem, session_.get());
   }
 
-  TraceOptions opts_;
-  std::unique_ptr<TraceSession> session_;
+  ObservabilityOptions opts_;
+  std::unique_ptr<ObservabilitySession> session_;
   GpuResult result_;
 };
 
@@ -232,29 +233,55 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, TraceSinks,
                            return std::string(scheduler_name(info.param));
                          });
 
+/// Whether the SMs of a fresh Gpu run the per-warp state pass once
+/// `session` attached; nullopt when they dispatch to no sink at all (the
+/// simulator core keeps its untraced fast path).
+std::optional<bool> warp_states_after_attach(ObservabilitySession& session) {
+  GlobalMemory mem;
+  Gpu gpu(GpuConfig::test_config(), tiny_two_tb_kernel(), mem);
+  session.attach(gpu);
+  if (gpu.sm_trace_sink() == nullptr) return std::nullopt;
+  return gpu.sm_trace_sink()->wants_warp_states();
+}
+
+// TraceSession: which SM trace sink an ObservabilitySession attaches.
 TEST(TraceSession, NoModesYieldsNullSink) {
-  TraceSession session(TraceOptions{});
-  EXPECT_EQ(session.sink(), nullptr);
+  ObservabilitySession session(ObservabilityOptions{});
+  EXPECT_EQ(warp_states_after_attach(session), std::nullopt);
   EXPECT_EQ(session.attribution(), nullptr);
   EXPECT_EQ(session.warp_lanes(), nullptr);
   EXPECT_EQ(session.windows(), nullptr);
 }
 
+// Pay-for-use: neither stall attribution nor the metrics sampler nor the
+// journal needs per-warp states, and the journal alone adds no SM sink.
 TEST(TraceSession, AttributionOnlySkipsWarpStates) {
-  TraceOptions opts;
+  ObservabilityOptions opts;
   opts.stall_attribution = true;
-  TraceSession session(opts);
-  ASSERT_NE(session.sink(), nullptr);
-  EXPECT_FALSE(session.sink()->wants_warp_states());
+  ObservabilitySession session(opts);
+  EXPECT_EQ(warp_states_after_attach(session), false);
+
+  ObservabilityOptions journal_only;
+  journal_only.events_jsonl = "unused.jsonl";
+  ObservabilitySession journal(journal_only);
+  EXPECT_EQ(warp_states_after_attach(journal), std::nullopt);
+
+  ObservabilityOptions observed = journal_only;
+  observed.metrics_interval = 100;
+  ObservabilitySession metrics_and_journal(observed);
+  EXPECT_EQ(warp_states_after_attach(metrics_and_journal), false);
+
+  observed.stall_attribution = true;
+  ObservabilitySession all_three(observed);
+  EXPECT_EQ(warp_states_after_attach(all_three), false);
 }
 
 TEST(TraceSession, WarpLanesWantWarpStates) {
-  TraceOptions opts;
+  ObservabilityOptions opts;
   opts.stall_attribution = true;
   opts.warp_lanes = true;
-  TraceSession session(opts);
-  ASSERT_NE(session.sink(), nullptr);
-  EXPECT_TRUE(session.sink()->wants_warp_states());
+  ObservabilitySession session(opts);
+  EXPECT_EQ(warp_states_after_attach(session), true);
 }
 
 }  // namespace
