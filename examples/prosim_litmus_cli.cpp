@@ -23,7 +23,6 @@
 #include "gpu/admission.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "litmus/litmus.hpp"
-#include "runner/runner.hpp"
 
 using namespace prosim;
 using namespace prosim::litmus;
@@ -132,10 +131,9 @@ int main(int argc, char** argv) {
     }
     opt.tests.push_back(name);
   }
-  if (!quiet && !background && !preemptive) {
-    opt.progress = [](const runner::SweepProgress& p) {
-      std::cerr << "[" << p.completed << "/" << p.total << "] "
-                << p.cell->label << "\n";
+  if (!quiet) {
+    opt.progress = [](int completed, int total, const std::string& label) {
+      std::cerr << "[" << completed << "/" << total << "] " << label << "\n";
     };
   }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate prosim observability artifacts (stdlib only; CI trace-smoke).
+"""Validate prosim observability artifacts (stdlib only; CI smoke job).
 
 Checks any subset of the products an observability session writes
 (docs/OBSERVABILITY.md):

@@ -6,15 +6,6 @@
 
 namespace prosim {
 
-std::uint64_t CounterBag::get(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void CounterBag::merge(const CounterBag& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-}
-
 double geomean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   double log_sum = 0.0;

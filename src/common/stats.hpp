@@ -1,69 +1,11 @@
-// Lightweight statistics helpers: named counters, ratio summaries, and the
+// Lightweight statistics helpers: ratio summaries, histograms, and the
 // geometric means used throughout the paper's evaluation section.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
 #include <vector>
 
 namespace prosim {
-
-/// A bag of named 64-bit counters. Components register counters lazily;
-/// lookup cost is irrelevant because hot-path counters are plain members —
-/// this bag is for end-of-run reporting only.
-class CounterBag {
- public:
-  void add(const std::string& name, std::uint64_t delta) {
-    counters_[name] += delta;
-  }
-  void set(const std::string& name, std::uint64_t value) {
-    counters_[name] = value;
-  }
-  std::uint64_t get(const std::string& name) const;
-  bool has(const std::string& name) const {
-    return counters_.count(name) != 0;
-  }
-  const std::map<std::string, std::uint64_t>& all() const { return counters_; }
-  void merge(const CounterBag& other);
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-};
-
-/// A CounterBag shared between threads: every operation takes an internal
-/// mutex. The sweep runner's workers account cache hits / simulations /
-/// failures through one of these; contention is irrelevant because updates
-/// happen once per job, not per cycle.
-class ConcurrentCounterBag {
- public:
-  void add(const std::string& name, std::uint64_t delta) {
-    std::lock_guard<std::mutex> lock(mu_);
-    bag_.add(name, delta);
-  }
-  void set(const std::string& name, std::uint64_t value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    bag_.set(name, value);
-  }
-  std::uint64_t get(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bag_.get(name);
-  }
-  void merge(const CounterBag& other) {
-    std::lock_guard<std::mutex> lock(mu_);
-    bag_.merge(other);
-  }
-  /// Consistent copy of the whole bag (for end-of-sweep reporting).
-  CounterBag snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bag_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  CounterBag bag_;
-};
 
 /// Geometric mean of a vector of positive ratios. Returns 0 for an empty
 /// input. Values <= 0 are rejected (PROSIM_CHECK).

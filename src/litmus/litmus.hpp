@@ -37,10 +37,6 @@
 #include "isa/program.hpp"
 #include "metrics/metrics.hpp"
 
-namespace prosim::runner {
-struct SweepProgress;
-}  // namespace prosim::runner
-
 namespace prosim::litmus {
 
 /// Occupancy regime a litmus cell runs under.
@@ -143,8 +139,11 @@ struct LitmusOptions {
   /// matrix, "preemptive_slo" for the preemptive matrix). Ignored by the
   /// base single-kernel harness.
   std::string admission;
-  /// Per-cell progress callback (forwarded to the sweep runner).
-  std::function<void(const runner::SweepProgress&)> progress;
+  /// Invoked after every cell of any harness completes, serialized by the
+  /// cell pool (safe to print from): `completed` reads 1, 2, ..., total in
+  /// delivery order; `label` is litmus_cell_label() of the cell.
+  std::function<void(int completed, int total, const std::string& label)>
+      progress;
   /// Metrics/journal products for the concurrent-kernel harnesses
   /// (run_litmus_bg / run_litmus_preemptive); each cell's output paths
   /// get a "<scheduler>.<litmus>.<regime>" suffix. Ignored by the base
@@ -159,6 +158,18 @@ GpuConfig litmus_config(SchedulerKind kind);
 
 /// Runs the certification matrix through the sweep runner.
 LitmusReport run_litmus(const LitmusOptions& options = {});
+
+/// The options' schedulers (empty = the whole registry) and litmus tests
+/// (empty = the whole suite; an unknown name aborts), shared by every
+/// harness.
+std::vector<SchedulerKind> litmus_schedulers(const LitmusOptions& options);
+std::vector<const LitmusTest*> litmus_tests(const LitmusOptions& options);
+
+/// "<SCHED>/<litmus>/<regime>", the progress label of a cell in every
+/// harness; with sep '.' it is the concurrent harnesses' per-cell suffix
+/// for observability output paths.
+std::string litmus_cell_label(SchedulerKind kind, const std::string& litmus,
+                              Regime regime, char sep = '/');
 
 /// SimError → verdict mapping shared by the base and background-tenant
 /// harnesses (starvation → kStarvation; livelock/barrier/MSHR → kHang).
@@ -185,8 +196,8 @@ GpuConfig litmus_bg_config(SchedulerKind kind);
 /// memory traffic, no synchronization, guaranteed termination.
 Program background_tenant_program(int grid);
 
-/// Runs the background-tenant matrix (options.progress is unused here:
-/// cells run on a simple deterministic pool, not the sweep runner).
+/// Runs the background-tenant matrix on the runner's cell pool
+/// (runner::run_cells); verdicts are bit-identical whatever `jobs` is.
 LitmusReport run_litmus_bg(const LitmusOptions& options = {});
 
 /// Preemptive-admission certification: re-runs the suite with the litmus

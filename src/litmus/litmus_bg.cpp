@@ -7,14 +7,10 @@
 // still be caught by the per-warp starvation watchdog — co-residency is
 // allowed to change *cycles*, never *verdict classes*, except by honestly
 // promoting cells whose grid now fits the doubled residency.
-#include <atomic>
-#include <thread>
-
-#include "common/check.hpp"
 #include "gpu/gpu.hpp"
-#include "gpu/scheduler_registry.hpp"
 #include "isa/builder.hpp"
 #include "litmus/litmus.hpp"
+#include "runner/runner.hpp"
 #include "sm/sm_core.hpp"
 
 namespace prosim::litmus {
@@ -23,13 +19,6 @@ namespace {
 
 constexpr Regime kRegimes[] = {Regime::kResident, Regime::kOversubscribed};
 constexpr int kBackgroundGrid = 6;
-
-/// Per-cell suffix for observability output paths.
-std::string cell_key(SchedulerKind kind, const std::string& test,
-                     Regime regime) {
-  return std::string(scheduler_name(kind)) + "." + test + "." +
-         regime_name(regime);
-}
 
 }  // namespace
 
@@ -75,22 +64,8 @@ namespace {
 /// config otherwise — observed per cell.
 LitmusReport run_concurrent(const LitmusOptions& options,
                             const std::string& admission, bool tenant) {
-  std::vector<SchedulerKind> kinds = options.schedulers;
-  if (kinds.empty()) {
-    for (const SchedulerInfo& info : scheduler_registry()) {
-      kinds.push_back(info.kind);
-    }
-  }
-  std::vector<const LitmusTest*> tests;
-  if (options.tests.empty()) {
-    for (const LitmusTest& t : litmus_suite()) tests.push_back(&t);
-  } else {
-    for (const std::string& name : options.tests) {
-      const LitmusTest* t = find_litmus(name);
-      PROSIM_CHECK_MSG(t != nullptr, "unknown litmus test");
-      tests.push_back(t);
-    }
-  }
+  const std::vector<SchedulerKind> kinds = litmus_schedulers(options);
+  const std::vector<const LitmusTest*> tests = litmus_tests(options);
   auto config_of = [tenant](SchedulerKind kind) {
     return tenant ? litmus_bg_config(kind) : litmus_config(kind);
   };
@@ -126,78 +101,66 @@ LitmusReport run_concurrent(const LitmusOptions& options,
   LitmusReport report;
   report.cells.resize(metas.size());
 
+  // Each cell simulates single-threaded into its pre-sized slot, so the
+  // report is bit-identical whatever `jobs` is.
   const int total = static_cast<int>(metas.size());
-  int jobs = options.jobs;
-  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  if (jobs > total) jobs = total;
+  const auto run_one = [&](int i) {
+    const CellMeta& meta = metas[static_cast<std::size_t>(i)];
+    LitmusCell& cell = report.cells[static_cast<std::size_t>(i)];
+    cell.scheduler = meta.kind;
+    cell.litmus = meta.test->name;
+    cell.regime = meta.regime;
+    cell.grid = meta.grid;
+    cell.fair_suffices = meta.fair_suffices;
 
-  // Deterministic pool: each cell simulates single-threaded into its
-  // pre-sized slot, so the report is bit-identical whatever `jobs` is.
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1);
-      if (i >= total) return;
-      const CellMeta& meta = metas[static_cast<std::size_t>(i)];
-      LitmusCell cell;
-      cell.scheduler = meta.kind;
-      cell.litmus = meta.test->name;
-      cell.regime = meta.regime;
-      cell.grid = meta.grid;
-      cell.fair_suffices = meta.fair_suffices;
-
-      GlobalMemory litmus_memory;
-      GlobalMemory background_memory;
-      std::vector<KernelLaunch> launches;
-      launches.push_back({0, meta.test->name, meta.test->build(meta.grid),
-                          &litmus_memory, 0, {}});
-      if (tenant) {
-        launches.push_back({1, "background_tenant",
-                            background_tenant_program(kBackgroundGrid),
-                            &background_memory, 0, {}});
-      }
-      std::vector<std::string> names;
-      for (const KernelLaunch& l : launches) names.push_back(l.name);
-
-      ObservabilitySession obs(options.obs.for_cell(
-          cell_key(meta.kind, meta.test->name, meta.regime)));
-      try {
-        Gpu gpu(config_of(meta.kind), std::move(launches), admission);
-        obs.attach(gpu);
-        Expected<GpuResult> result = gpu.run_checked();
-        if (result.has_value()) {
-          // The checkers read the litmus kernel's registers; splice the
-          // foreground stream's image into the result view (regs/block
-          // geometry already comes from stream 0).
-          GpuResult view = std::move(result.value());
-          view.registers = gpu.stream_registers(0);
-          cell.detect_cycle = view.cycles;
-          cell.detail = meta.test->check(view, meta.grid);
-          cell.verdict =
-              cell.detail.empty() ? Verdict::kPass : Verdict::kWrongResult;
-        } else {
-          cell.detect_cycle = result.error().cycle;
-          cell.detail = result.error().message;
-          cell.verdict = classify_sim_error(result.error());
-        }
-      } catch (const SimException& e) {
-        cell.detect_cycle = e.error().cycle;
-        cell.detail = e.error().message;
-        cell.verdict = classify_sim_error(e.error());
-      }
-      obs.write(names, cell.write_error);
-      report.cells[static_cast<std::size_t>(i)] = std::move(cell);
+    GlobalMemory litmus_memory;
+    GlobalMemory background_memory;
+    std::vector<KernelLaunch> launches;
+    launches.push_back({0, meta.test->name, meta.test->build(meta.grid),
+                        &litmus_memory, 0, {}});
+    if (tenant) {
+      launches.push_back({1, "background_tenant",
+                          background_tenant_program(kBackgroundGrid),
+                          &background_memory, 0, {}});
     }
+    std::vector<std::string> names;
+    for (const KernelLaunch& l : launches) names.push_back(l.name);
+
+    ObservabilitySession obs(options.obs.for_cell(
+        litmus_cell_label(meta.kind, meta.test->name, meta.regime, '.')));
+    try {
+      Gpu gpu(config_of(meta.kind), std::move(launches), admission);
+      obs.attach(gpu);
+      Expected<GpuResult> result = gpu.run_checked();
+      if (result.has_value()) {
+        // The checkers read the litmus kernel's registers; splice the
+        // foreground stream's image into the result view (regs/block
+        // geometry already comes from stream 0).
+        GpuResult view = std::move(result.value());
+        view.registers = gpu.stream_registers(0);
+        cell.detect_cycle = view.cycles;
+        cell.detail = meta.test->check(view, meta.grid);
+        cell.verdict =
+            cell.detail.empty() ? Verdict::kPass : Verdict::kWrongResult;
+      } else {
+        cell.detect_cycle = result.error().cycle;
+        cell.detail = result.error().message;
+        cell.verdict = classify_sim_error(result.error());
+      }
+    } catch (const SimException& e) {
+      cell.detect_cycle = e.error().cycle;
+      cell.detail = e.error().message;
+      cell.verdict = classify_sim_error(e.error());
+    }
+    obs.write(names, cell.write_error);
   };
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  const auto on_done = [&](int i, int completed) {
+    if (!options.progress) return;
+    const CellMeta& m = metas[static_cast<std::size_t>(i)];
+    options.progress(completed, total,
+                     litmus_cell_label(m.kind, m.test->name, m.regime));
+  };
+  runner::run_cells(total, options.jobs, run_one, on_done);
 
   for (SchedulerKind kind : kinds) {
     report.schedulers.push_back(summarize_scheduler(kind, report.cells));

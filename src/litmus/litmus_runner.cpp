@@ -77,13 +77,17 @@ GpuConfig litmus_config(SchedulerKind kind) {
   return cfg;
 }
 
-LitmusReport run_litmus(const LitmusOptions& options) {
+std::vector<SchedulerKind> litmus_schedulers(const LitmusOptions& options) {
   std::vector<SchedulerKind> kinds = options.schedulers;
   if (kinds.empty()) {
     for (const SchedulerInfo& info : scheduler_registry()) {
       kinds.push_back(info.kind);
     }
   }
+  return kinds;
+}
+
+std::vector<const LitmusTest*> litmus_tests(const LitmusOptions& options) {
   std::vector<const LitmusTest*> tests;
   if (options.tests.empty()) {
     for (const LitmusTest& t : litmus_suite()) tests.push_back(&t);
@@ -94,6 +98,18 @@ LitmusReport run_litmus(const LitmusOptions& options) {
       tests.push_back(t);
     }
   }
+  return tests;
+}
+
+std::string litmus_cell_label(SchedulerKind kind, const std::string& litmus,
+                              Regime regime, char sep) {
+  return std::string(scheduler_name(kind)) + sep + litmus + sep +
+         regime_name(regime);
+}
+
+LitmusReport run_litmus(const LitmusOptions& options) {
+  const std::vector<SchedulerKind> kinds = litmus_schedulers(options);
+  const std::vector<const LitmusTest*> tests = litmus_tests(options);
 
   struct CellMeta {
     SchedulerKind kind;
@@ -124,8 +140,7 @@ LitmusReport run_litmus(const LitmusOptions& options) {
         w.schedule_invariant_inst_count = false;
         w.fits_residency = regime == Regime::kResident;
         runner::SweepJob job = runner::SweepJob::make(std::move(w), cfg);
-        job.label = std::string(scheduler_name(kind)) + "/" + t->name + "/" +
-                    regime_name(regime);
+        job.label = litmus_cell_label(kind, t->name, regime);
         jobs.push_back(std::move(job));
         metas.push_back({kind, t, regime, grid});
       }
@@ -134,7 +149,11 @@ LitmusReport run_litmus(const LitmusOptions& options) {
 
   runner::SweepOptions sweep_options;
   sweep_options.jobs = options.jobs;
-  sweep_options.progress = options.progress;
+  if (options.progress) {
+    sweep_options.progress = [&options](const runner::SweepProgress& p) {
+      options.progress(p.completed, p.total, p.cell->label);
+    };
+  }
   const runner::SweepReport sweep = runner::run_sweep(jobs, sweep_options);
 
   LitmusReport report;

@@ -1,5 +1,6 @@
 #include "runner/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -34,7 +35,6 @@ namespace {
 /// Runs one cell start to finish. All SimErrors (including config/program
 /// validation at Gpu construction) surface as the cell's error artifact.
 SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
-                   ConcurrentCounterBag& counters,
                    const SweepOptions& options) {
   SweepCell cell;
   cell.label = job.label;
@@ -47,7 +47,6 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
     if (std::optional<GpuResult> hit = cache->load(cell.cache_key)) {
       cell.result = std::move(hit);
       cell.from_cache = true;
-      counters.add("cache_hits", 1);
       return cell;
     }
   }
@@ -66,7 +65,6 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  counters.add("simulated", 1);
   if (outcome.has_value()) {
     cell.result = std::move(outcome.value());
     // Stamped after the deterministic core finished; stored results omit
@@ -87,7 +85,6 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
     if (cache != nullptr) cache->store(cell.cache_key, *cell.result);
   } else {
     cell.error = std::move(outcome.error());
-    counters.add("failures", 1);
   }
   return cell;
 }
@@ -107,52 +104,48 @@ SweepReport run_sweep(const std::vector<SweepJob>& jobs,
     std::filesystem::create_directories(options.trace_dir, ec);
   }
 
-  int workers = options.jobs;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) workers = 1;
+  const int total = static_cast<int>(jobs.size());
+  const auto run_one = [&](int i) {
+    const auto slot = static_cast<std::size_t>(i);
+    report.cells[slot] = run_cell(jobs[slot], cache.get(), options);
+  };
+  const auto on_done = [&](int i, int completed) {
+    const SweepCell* cell = &report.cells[static_cast<std::size_t>(i)];
+    if (options.progress) options.progress({completed, total, cell});
+  };
+  run_cells(total, options.jobs, run_one, on_done);
+
+  for (const SweepCell& cell : report.cells) {
+    ++(cell.from_cache ? report.cache_hits : report.simulated);
+    if (!cell.ok()) ++report.failures;
   }
-  if (workers > static_cast<int>(jobs.size()))
-    workers = static_cast<int>(jobs.size() > 0 ? jobs.size() : 1);
+  return report;
+}
 
-  ConcurrentCounterBag counters;
-  std::atomic<std::size_t> next{0};
-  std::atomic<int> completed{0};
-  std::mutex progress_mu;
+void run_cells(int count, int jobs, const std::function<void(int)>& run_one,
+               const std::function<void(int, int)>& on_done) {
+  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
+  jobs = std::clamp(jobs, 1, std::max(count, 1));
 
+  std::atomic<int> next{0};
+  std::mutex done_mu;
+  int completed = 0;
   auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) return;
-      // Each cell writes only its own pre-sized slot, so the report order
-      // (and content) is independent of scheduling.
-      report.cells[i] = run_cell(jobs[i], cache.get(), counters, options);
-      const int done = completed.fetch_add(1) + 1;
-      if (options.progress) {
-        std::lock_guard<std::mutex> lock(progress_mu);
-        SweepProgress p;
-        p.completed = done;
-        p.total = static_cast<int>(jobs.size());
-        p.cell = &report.cells[i];
-        options.progress(p);
-      }
+    for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      run_one(i);
+      std::lock_guard<std::mutex> lock(done_mu);
+      ++completed;
+      if (on_done) on_done(i, completed);
     }
   };
-
-  if (workers <= 1) {
+  if (jobs == 1) {
     worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    return;
   }
-
-  report.counters = counters.snapshot();
-  report.simulated = report.counters.get("simulated");
-  report.cache_hits = report.counters.get("cache_hits");
-  report.failures = report.counters.get("failures");
-  return report;
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(jobs));
+  for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
+  for (std::thread& t : pool) t.join();
 }
 
 const GpuResult& memoized_run(const Workload& workload,

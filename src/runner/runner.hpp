@@ -2,7 +2,8 @@
 //
 // A sweep is a flat list of (workload, GpuConfig) cells — typically the
 // cross product of an experiment matrix (see runner/matrix.hpp) — executed
-// across a pool of worker threads. Guarantees:
+// on the cell pool (run_cells below), which run_serving and the concurrent
+// litmus harnesses share. Guarantees:
 //
 //  - Determinism: each cell simulates on its own fresh GlobalMemory in a
 //    single thread; the simulator holds no mutable global state, so the
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common/sim_error.hpp"
-#include "common/stats.hpp"
 #include "gpu/gpu_config.hpp"
 #include "gpu/gpu_result.hpp"
 #include "kernels/registry.hpp"
@@ -66,12 +66,12 @@ struct SweepProgress {
 };
 
 struct SweepOptions {
-  /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
+  /// Worker threads; <= 0 picks the hardware concurrency (run_cells).
   int jobs = 1;
   /// Directory for the persistent result cache; empty disables it.
   std::string cache_dir;
-  /// Invoked after every cell completes, serialized under an internal
-  /// mutex (safe to print from).
+  /// Invoked after every cell completes, serialized by run_cells (safe to
+  /// print from); `completed` reads 1, 2, ..., total in delivery order.
   std::function<void(const SweepProgress&)> progress;
   /// Directory for per-cell observability products, created if missing:
   /// <cache_key>.trace.json (warp lanes), <cache_key>.windows.csv and
@@ -87,19 +87,25 @@ struct SweepOptions {
   ObservabilityOptions obs;
 };
 
+/// Counts are taken from the finished cells (from_cache, ok()).
 struct SweepReport {
   std::vector<SweepCell> cells;  ///< 1:1 with the input jobs, same order
   std::uint64_t simulated = 0;   ///< cells actually run
   std::uint64_t cache_hits = 0;  ///< cells loaded from disk
   std::uint64_t failures = 0;    ///< cells that ended in a SimError
-
-  /// The same counters as a bag (fed through ConcurrentCounterBag during
-  /// the run; exposed for callers that aggregate several sweeps).
-  CounterBag counters;
 };
 
 SweepReport run_sweep(const std::vector<SweepJob>& jobs,
                       const SweepOptions& options = {});
+
+/// The one cell pool. Runs run_one(i) for every i in [0, count) on `jobs`
+/// worker threads (<= 0 picks the hardware concurrency; clamped to
+/// [1, count]) that claim cells through one atomic index. run_one(i) must
+/// write only cell i's pre-sized slot, so results never depend on `jobs`.
+/// on_done(i, completed), if set, follows each cell under one mutex that
+/// also counts it: `completed` reads 1, 2, ..., count in delivery order.
+void run_cells(int count, int jobs, const std::function<void(int)>& run_one,
+               const std::function<void(int, int)>& on_done = {});
 
 /// Thread-safe process-wide memoized simulation: the bench harness's
 /// replacement for its former per-file static maps. Keyed by the same

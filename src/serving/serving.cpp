@@ -1,11 +1,8 @@
 #include "serving/serving.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/build_info.hpp"
@@ -276,39 +273,16 @@ ServingReport run_serving(const ServingOptions& options) {
   report.cells.resize(specs.size());
 
   const int total = static_cast<int>(specs.size());
-  int jobs = options.jobs;
-  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  if (jobs > total) jobs = total;
-
-  std::atomic<int> next{0};
-  std::mutex mutex;  // serializes the progress callback
-  int completed = 0;
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1);
-      if (i >= total) return;
-      report.cells[static_cast<std::size_t>(i)] = simulate_cell(
-          report.trace, specs[static_cast<std::size_t>(i)].scheduler,
-          specs[static_cast<std::size_t>(i)].admission, options);
-      if (options.progress) {
-        std::lock_guard<std::mutex> lock(mutex);
-        ServingProgress p;
-        p.completed = ++completed;
-        p.total = total;
-        p.cell = &report.cells[static_cast<std::size_t>(i)];
-        options.progress(p);
-      }
-    }
+  const auto run_one = [&](int i) {
+    const CellSpec& spec = specs[static_cast<std::size_t>(i)];
+    report.cells[static_cast<std::size_t>(i)] = simulate_cell(
+        report.trace, spec.scheduler, spec.admission, options);
   };
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  const auto on_done = [&](int i, int completed) {
+    const ServingCell* cell = &report.cells[static_cast<std::size_t>(i)];
+    if (options.progress) options.progress({completed, total, cell});
+  };
+  runner::run_cells(total, options.jobs, run_one, on_done);
 
   for (const ServingCell& cell : report.cells) {
     if (!cell.ok()) ++report.failures;

@@ -4,9 +4,10 @@
 // (gpu/gpu.hpp multi-stream constructor) and reports per-tenant tail
 // latency, slowdown versus isolated execution, and Jain's fairness index.
 //
-// Determinism contract: each cell simulates single-threaded on its own
-// fresh GlobalMemory images, so the full report is bit-identical whatever
-// `jobs` is — the same guarantee runner::run_sweep gives experiment sweeps.
+// Determinism contract: cells run on the runner's cell pool
+// (runner::run_cells, shared with run_sweep); each simulates
+// single-threaded on its own fresh GlobalMemory images into its own slot,
+// so the full report is bit-identical whatever `jobs` is.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +103,10 @@ struct ServingOptions {
   /// both the preemptive_slo policy's EDF order and the reported
   /// SLO-attainment column.
   double slo_factor = 4.0;
-  /// Worker threads over cells; <= 0 picks hardware_concurrency().
+  /// Worker threads over cells; <= 0 picks the hardware concurrency.
   int jobs = 1;
-  /// Invoked after every cell completes, serialized under a mutex.
+  /// Invoked after every cell completes, serialized by runner::run_cells;
+  /// `completed` reads 1, 2, ..., total in delivery order.
   std::function<void(const ServingProgress&)> progress;
   /// Metrics/journal products per cell, attached only to the cell's final
   /// serving simulation (closed-loop prefix simulations stay unobserved).

@@ -119,7 +119,8 @@ int SmCore::compute_residency(const SmConfig& config, const KernelInfo& info) {
 
 bool SmCore::can_accept_tb() const { return resident_tbs_ < max_resident_tbs_; }
 
-void SmCore::launch_tb(int ctaid, Cycle now) {
+template <typename Fill>
+void SmCore::claim_tb_slot(int ctaid, Cycle now, Fill&& fill) {
   PROSIM_CHECK(can_accept_tb());
   int slot = -1;
   for (int t = 0; t < max_resident_tbs_; ++t) {
@@ -134,48 +135,63 @@ void SmCore::launch_tb(int ctaid, Cycle now) {
   tb.active = true;
   tb.ctaid = ctaid;
   tb.launch_seq = next_launch_seq_++;
-  tb.warps_live = warps_per_tb_;
   tb.warps_at_barrier = 0;
   tb.start_cycle = now;
-  tb.smem.assign(static_cast<std::size_t>(program_.info.smem_bytes + 7) / 8,
-                 0);
-
-  tb_progress_[slot] = 0;
   tb_ctaid_[slot] = ctaid;
   tb_launch_seq_[slot] = tb.launch_seq;
-
-  for (int i = 0; i < warps_per_tb_; ++i) {
-    const int w = slot * warps_per_tb_ + i;
-    WarpCtx& wc = warps_[w];
-    const int threads =
-        std::min(kWarpSize, program_.info.block_dim - i * kWarpSize);
-    PROSIM_CHECK(threads > 0);
-    const ActiveMask mask =
-        threads == kWarpSize ? kFullMask : ((1u << threads) - 1);
-    wc.stack.reset(mask);
-    wc.allocated = true;
-    wc.finished = false;
-    wc.at_barrier = false;
-    wc.issued_since_launch = false;
-    wc.tb_slot = slot;
-    wc.ibuffer_ready = now + 1;
-    live_mask_ |= 1ull << w;
-    scoreboard_.reset(w);
-    warp_progress_[w] = 0;
-    last_issue_[static_cast<std::size_t>(w)] = now;
-    std::memset(&reg(w, 0, 0), 0,
-                static_cast<std::size_t>(kWarpSize) * regs_per_thread_ *
-                    sizeof(RegValue));
-  }
+  fill(slot, tb);
   ++resident_tbs_;
   ++scan_gen_;
   policy_->on_tb_launch(slot);
   if (trace_ != nullptr) trace_->on_tb_launch(sm_id_, ctaid, now);
 }
 
-void SmCore::retire_tb(int tb_slot, Cycle now) {
+void SmCore::launch_tb(int ctaid, Cycle now) {
+  claim_tb_slot(ctaid, now, [&](int slot, TbCtx& tb) {
+    tb.warps_live = warps_per_tb_;
+    tb.smem.assign(static_cast<std::size_t>(program_.info.smem_bytes + 7) / 8,
+                   0);
+    tb_progress_[slot] = 0;
+
+    for (int i = 0; i < warps_per_tb_; ++i) {
+      const int w = slot * warps_per_tb_ + i;
+      WarpCtx& wc = warps_[w];
+      const int threads =
+          std::min(kWarpSize, program_.info.block_dim - i * kWarpSize);
+      PROSIM_CHECK(threads > 0);
+      const ActiveMask mask =
+          threads == kWarpSize ? kFullMask : ((1u << threads) - 1);
+      wc.stack.reset(mask);
+      wc.allocated = true;
+      wc.finished = false;
+      wc.at_barrier = false;
+      wc.issued_since_launch = false;
+      wc.tb_slot = slot;
+      wc.ibuffer_ready = now + 1;
+      live_mask_ |= 1ull << w;
+      scoreboard_.reset(w);
+      warp_progress_[w] = 0;
+      last_issue_[static_cast<std::size_t>(w)] = now;
+      std::memset(&reg(w, 0, 0), 0,
+                  static_cast<std::size_t>(kWarpSize) * regs_per_thread_ *
+                      sizeof(RegValue));
+    }
+  });
+}
+
+void SmCore::release_tb_slot(int tb_slot, Cycle now) {
   TbCtx& tb = tbs_[tb_slot];
   timeline_.push_back({tb.ctaid, tb.start_cycle, now});
+  policy_->on_tb_finish(tb_slot);
+  if (trace_ != nullptr)
+    trace_->on_tb_retire(sm_id_, tb.ctaid, tb.start_cycle, now);
+  tb.active = false;
+  tb_ctaid_[tb_slot] = -1;
+  --resident_tbs_;
+}
+
+void SmCore::retire_tb(int tb_slot, Cycle now) {
+  const TbCtx& tb = tbs_[tb_slot];
   ++stats_.tbs_executed;
 
   // Warp-level divergence: spread of sibling-warp completion times.
@@ -202,13 +218,7 @@ void SmCore::retire_tb(int tb_slot, Cycle now) {
                       sizeof(RegValue));
     }
   }
-
-  policy_->on_tb_finish(tb_slot);
-  if (trace_ != nullptr)
-    trace_->on_tb_retire(sm_id_, tb.ctaid, tb.start_cycle, now);
-  tb.active = false;
-  tb_ctaid_[tb_slot] = -1;
-  --resident_tbs_;
+  release_tb_slot(tb_slot, now);
 }
 
 bool SmCore::drained() const {
@@ -308,13 +318,7 @@ TbCheckpoint SmCore::take_yield_checkpoint(Cycle now) {
 
   // Close the residency span for the timeline, but the TB is not executed:
   // tbs_executed and the finish-disparity stat count only true retirements.
-  timeline_.push_back({tb.ctaid, tb.start_cycle, now});
-  policy_->on_tb_finish(slot);
-  if (trace_ != nullptr)
-    trace_->on_tb_retire(sm_id_, tb.ctaid, tb.start_cycle, now);
-  tb.active = false;
-  tb_ctaid_[slot] = -1;
-  --resident_tbs_;
+  release_tb_slot(slot, now);
   yield_mask_ = 0;
   pending_yield_slot_ = -1;
   ++scan_gen_;
@@ -322,63 +326,43 @@ TbCheckpoint SmCore::take_yield_checkpoint(Cycle now) {
 }
 
 void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
-  PROSIM_CHECK(can_accept_tb());
-  int slot = -1;
-  for (int t = 0; t < max_resident_tbs_; ++t) {
-    if (!tbs_[t].active) {
-      slot = t;
-      break;
-    }
-  }
-  PROSIM_CHECK(slot >= 0);
+  claim_tb_slot(ckpt.ctaid, now, [&](int slot, TbCtx& tb) {
+    tb.warps_live = 0;
+    tb.smem = ckpt.smem;
+    tb_progress_[slot] = ckpt.tb_progress;
 
-  TbCtx& tb = tbs_[slot];
-  tb.active = true;
-  tb.ctaid = ckpt.ctaid;
-  tb.launch_seq = next_launch_seq_++;
-  tb.warps_live = 0;
-  tb.warps_at_barrier = 0;
-  tb.start_cycle = now;
-  tb.smem = ckpt.smem;
-
-  tb_progress_[slot] = ckpt.tb_progress;
-  tb_ctaid_[slot] = ckpt.ctaid;
-  tb_launch_seq_[slot] = tb.launch_seq;
-
-  for (int i = 0; i < warps_per_tb_; ++i) {
-    const int w = slot * warps_per_tb_ + i;
-    const TbCheckpoint::WarpCkpt& in = ckpt.warps[static_cast<std::size_t>(i)];
-    WarpCtx& wc = warps_[w];
-    wc.stack = in.stack;
-    wc.allocated = true;
-    wc.finished = in.finished;
-    wc.at_barrier = in.at_barrier;
-    wc.issued_since_launch = false;
-    wc.barrier_arrive = in.barrier_arrive;
-    wc.finish_cycle = in.finish_cycle;
-    wc.tb_slot = slot;
-    wc.ibuffer_ready = now + 1;
-    scoreboard_.reset(w);
-    warp_progress_[w] = in.progress;
-    last_issue_[static_cast<std::size_t>(w)] = now;
-    if (!in.finished) {
-      ++tb.warps_live;
-      if (in.at_barrier) {
-        ++tb.warps_at_barrier;
-      } else {
-        live_mask_ |= 1ull << w;
+    for (int i = 0; i < warps_per_tb_; ++i) {
+      const int w = slot * warps_per_tb_ + i;
+      const TbCheckpoint::WarpCkpt& in =
+          ckpt.warps[static_cast<std::size_t>(i)];
+      WarpCtx& wc = warps_[w];
+      wc.stack = in.stack;
+      wc.allocated = true;
+      wc.finished = in.finished;
+      wc.at_barrier = in.at_barrier;
+      wc.issued_since_launch = false;
+      wc.barrier_arrive = in.barrier_arrive;
+      wc.finish_cycle = in.finish_cycle;
+      wc.tb_slot = slot;
+      wc.ibuffer_ready = now + 1;
+      scoreboard_.reset(w);
+      warp_progress_[w] = in.progress;
+      last_issue_[static_cast<std::size_t>(w)] = now;
+      if (!in.finished) {
+        ++tb.warps_live;
+        if (in.at_barrier) {
+          ++tb.warps_at_barrier;
+        } else {
+          live_mask_ |= 1ull << w;
+        }
       }
     }
-  }
-  // A checkpointable TB always had a non-barrier live warp (the spinner),
-  // so the restored barrier can never be complete-but-unreleased.
-  PROSIM_CHECK(tb.warps_live > tb.warps_at_barrier);
-  std::memcpy(&reg(slot * warps_per_tb_, 0, 0), ckpt.regs.data(),
-              ckpt.regs.size() * sizeof(RegValue));
-  ++resident_tbs_;
-  ++scan_gen_;
-  policy_->on_tb_launch(slot);
-  if (trace_ != nullptr) trace_->on_tb_launch(sm_id_, ckpt.ctaid, now);
+    // A checkpointable TB always had a non-barrier live warp (the spinner),
+    // so the restored barrier can never be complete-but-unreleased.
+    PROSIM_CHECK(tb.warps_live > tb.warps_at_barrier);
+    std::memcpy(&reg(slot * warps_per_tb_, 0, 0), ckpt.regs.data(),
+                ckpt.regs.size() * sizeof(RegValue));
+  });
 }
 
 // ---------------------------------------------------------------------------

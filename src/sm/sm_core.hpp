@@ -355,6 +355,14 @@ class SmCore {
   void release_barrier(int tb_slot, Cycle now);
   void finish_warp(int warp, Cycle now);
   void retire_tb(int tb_slot, Cycle now);
+  /// The half launch_tb and resume_tb share: claims the first free slot and
+  /// opens its TbCtx, lets `fill(slot, tb)` set up the TB and its warps,
+  /// then counts it resident and announces it to the policy and trace sink.
+  template <typename Fill>
+  void claim_tb_slot(int ctaid, Cycle now, Fill&& fill);
+  /// The half retire_tb and take_yield_checkpoint share: closes the slot's
+  /// timeline span, announces it to the policy and trace sink, frees it.
+  void release_tb_slot(int tb_slot, Cycle now);
 
   // -- tracing helpers (called only with a sink attached) -------------------
   /// Refines a scoreboard-classified scheduler cycle into mem vs alu

@@ -3,43 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
-#include <vector>
 
 namespace prosim {
 namespace {
-
-TEST(CounterBag, GetOfUnknownIsZero) {
-  CounterBag bag;
-  EXPECT_EQ(bag.get("nope"), 0u);
-  EXPECT_FALSE(bag.has("nope"));
-}
-
-TEST(CounterBag, AddAccumulates) {
-  CounterBag bag;
-  bag.add("x", 3);
-  bag.add("x", 4);
-  EXPECT_EQ(bag.get("x"), 7u);
-  EXPECT_TRUE(bag.has("x"));
-}
-
-TEST(CounterBag, SetOverwrites) {
-  CounterBag bag;
-  bag.add("x", 3);
-  bag.set("x", 1);
-  EXPECT_EQ(bag.get("x"), 1u);
-}
-
-TEST(CounterBag, MergeSumsAllKeys) {
-  CounterBag a;
-  CounterBag b;
-  a.add("x", 1);
-  b.add("x", 2);
-  b.add("y", 5);
-  a.merge(b);
-  EXPECT_EQ(a.get("x"), 3u);
-  EXPECT_EQ(a.get("y"), 5u);
-}
 
 TEST(Geomean, EmptyIsZero) { EXPECT_EQ(geomean({}), 0.0); }
 
@@ -73,23 +39,6 @@ TEST(Histogram, BinsValuesCorrectly) {
   EXPECT_EQ(h.underflow(), 1u);
   EXPECT_EQ(h.overflow(), 1u);
   EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(ConcurrentCounterBag, CountsSurviveContention) {
-  ConcurrentCounterBag bag;
-  std::vector<std::thread> threads;
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 1000;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&bag] {
-      for (int i = 0; i < kAddsPerThread; ++i) bag.add("shared", 1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(bag.get("shared"),
-            static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-  EXPECT_EQ(bag.snapshot().get("shared"), bag.get("shared"));
 }
 
 TEST(Histogram, BinEdges) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "gpu/gpu_config.hpp"
@@ -98,8 +99,20 @@ TEST(LitmusBg, MatrixIdenticalAcrossJobs) {
   opt.jobs = 1;
   const std::string serial = litmus_report_to_json(run_litmus_bg(opt));
   opt.jobs = 4;
-  const std::string parallel = litmus_report_to_json(run_litmus_bg(opt));
-  EXPECT_EQ(serial, parallel);
+  std::map<std::string, int> reported;
+  int last_completed = 0;
+  opt.progress = [&](int completed, int total, const std::string& label) {
+    ++reported[label];
+    EXPECT_EQ(completed, ++last_completed);  // serialized, in order
+    EXPECT_EQ(total, 20);
+  };
+  const LitmusReport parallel = run_litmus_bg(opt);
+  EXPECT_EQ(serial, litmus_report_to_json(parallel));
+  // Every cell is reported exactly once.
+  ASSERT_EQ(reported.size(), parallel.cells.size());
+  for (const LitmusCell& c : parallel.cells) {
+    EXPECT_EQ(reported[litmus_cell_label(c.scheduler, c.litmus, c.regime)], 1);
+  }
 }
 
 TEST(LitmusBg, MatrixIdenticalWithoutFastForward) {

@@ -4,9 +4,11 @@
 //   2. Failure isolation — one failing cell becomes a structured-error
 //      artifact; the rest of the sweep completes normally.
 //   3. Warm cache — rerunning an unchanged matrix simulates nothing.
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -167,6 +169,7 @@ TEST(Sweep, ConfigChangeMissesTheCache) {
 TEST(Sweep, ProgressCallbackSeesEveryCell) {
   const std::vector<SweepJob> jobs = determinism_matrix();
   std::set<std::string> labels_seen;
+  std::vector<int> completed_seen;
   int last_total = 0;
   SweepOptions opts;
   opts.jobs = 8;
@@ -174,11 +177,36 @@ TEST(Sweep, ProgressCallbackSeesEveryCell) {
     // Serialized by the runner, so no locking needed here.
     ASSERT_NE(p.cell, nullptr);
     labels_seen.insert(p.cell->label);
+    completed_seen.push_back(p.completed);
     last_total = p.total;
   };
   run_sweep(jobs, opts);
   EXPECT_EQ(labels_seen.size(), jobs.size());
   EXPECT_EQ(last_total, static_cast<int>(jobs.size()));
+  // Counts arrive in delivery order: 1, 2, ..., n.
+  ASSERT_EQ(completed_seen.size(), jobs.size());
+  for (std::size_t i = 0; i < completed_seen.size(); ++i) {
+    EXPECT_EQ(completed_seen[i], static_cast<int>(i) + 1);
+  }
+}
+
+TEST(CellPool, RunsEveryCellOnceWhateverJobs) {
+  for (const int jobs : {0, 1, 3, 64}) {
+    std::vector<int> runs(10, 0);
+    std::vector<int> completed_seen;
+    const auto run_one = [&](int i) { ++runs[static_cast<std::size_t>(i)]; };
+    const auto on_done = [&](int, int completed) {
+      // Holding the pool's lock a while queues the other workers on it,
+      // so a count taken outside the lock would arrive out of order.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      completed_seen.push_back(completed);
+    };
+    run_cells(10, jobs, run_one, on_done);
+    EXPECT_EQ(runs, std::vector<int>(10, 1)) << "jobs " << jobs;
+    ASSERT_EQ(completed_seen.size(), 10u) << "jobs " << jobs;
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(completed_seen[i], i + 1);
+  }
+  run_cells(0, 4, [](int) { FAIL() << "no cell to run"; });
 }
 
 TEST(Sweep, MemoizedRunReturnsStableReference) {
