@@ -59,8 +59,7 @@ bool parse_trace_arg(const std::string& value, TraceMode& mode,
   return !path.empty();
 }
 
-void print_stall_report(std::ostream& os, const StallBreakdown& b,
-                        bool csv) {
+void print_stall_report(std::ostream& os, const SmStats& totals, bool csv) {
   Table t({"cause", "legacy_class", "sched_cycles"});
   for (int c = 0; c < kNumStallCauses; ++c) {
     const auto cause = static_cast<StallCause>(c);
@@ -71,8 +70,8 @@ void print_stall_report(std::ostream& os, const StallBreakdown& b,
       case LegacyStallClass::kScoreboard: cls = "scoreboard"; break;
       case LegacyStallClass::kPipeline: cls = "pipeline"; break;
     }
-    t.add_row({stall_cause_name(cause), cls,
-               Table::fmt(b.cause_total(cause))});
+    t.add_row(
+        {stall_cause_name(cause), cls, Table::fmt(totals.cause_cycles[c])});
   }
   if (csv) {
     t.print_csv(os);
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
                     "(chrome warp lanes), windows:F (wait-window CSV); "
                     "bare FILE means tb:FILE");
   parser.add_flag("--stall-report", &stall_report,
-                  "collect and print the per-cause stall attribution");
+                  "print the per-cause stall attribution");
   add_observability_flags(parser, oopts, metrics_interval);
   parser.add_flag("--csv", &csv, "emit the result row as CSV");
   parser.add_flag("--json", &json, "emit the full result as JSON");
@@ -240,7 +239,6 @@ int main(int argc, char** argv) {
   if (max_cycles > 0) cfg.max_cycles = static_cast<Cycle>(max_cycles);
   cfg.watchdog.enabled = !no_watchdog;
 
-  oopts.stall_attribution = stall_report;
   oopts.warp_lanes = trace_mode == TraceMode::kWarps;
   oopts.windows = trace_mode == TraceMode::kWindows;
   ObservabilitySession obs(oopts);
@@ -266,9 +264,6 @@ int main(int argc, char** argv) {
   GpuResult r = std::move(checked.value());
   r.throughput =
       SimThroughput::measure(wall_seconds, r.cycles, r.totals.warp_insts);
-  if (obs.attribution() != nullptr) {
-    r.stall_breakdown = obs.attribution()->breakdown();
-  }
 
   Table t({"kernel", "scheduler", "cycles", "ipc", "issued", "idle",
            "scoreboard", "pipeline", "l1_hits", "l1_misses", "l2_misses",
@@ -286,15 +281,14 @@ int main(int argc, char** argv) {
     jopt.kernel = program.info.name;
     jopt.scheduler = sched_info->name;
     jopt.include_timelines = true;
+    jopt.stall_attribution = stall_report;
     write_json_report(std::cout, r, jopt);
   } else if (csv) {
     t.print_csv(std::cout);
   } else {
     t.print(std::cout);
   }
-  if (stall_report && !json && r.stall_breakdown.has_value()) {
-    print_stall_report(std::cout, *r.stall_breakdown, csv);
-  }
+  if (stall_report && !json) print_stall_report(std::cout, r.totals, csv);
 
   TraceFiles trace;
   if (trace_mode == TraceMode::kWarps) trace.warp_lanes = trace_path;

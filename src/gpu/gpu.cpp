@@ -29,6 +29,8 @@ void accumulate_stats(SmStats& into, const SmStats& s) {
   into.barrier_wait_cycles += s.barrier_wait_cycles;
   into.warp_finish_disparity_sum += s.warp_finish_disparity_sum;
   into.occupancy_tb_cycles += s.occupancy_tb_cycles;
+  for (int c = 0; c < kNumStallCauses; ++c)
+    into.cause_cycles[c] += s.cause_cycles[c];
 }
 
 /// Distinct physical address spaces per kernel: co-resident kernels must
@@ -584,7 +586,6 @@ void Gpu::set_trace_sink(TraceSink* sink) {
 void Gpu::set_metrics(MetricsCollector* metrics) {
   if (metrics == nullptr) return;
   metrics_ = metrics;
-  set_trace_sink(&metrics->stall_sink());
 }
 
 void Gpu::set_event_journal(EventJournal* journal) { set_trace_sink(journal); }
@@ -594,7 +595,6 @@ void Gpu::sample_metrics() {
   const Cycle span = now_ - m.last_sample_cycle();
   if (span == 0) return;
   MetricsRegistry& reg = m.registry();
-  const StallBreakdown& stalls = m.stall_sink().breakdown();
   // A gauge series records its value; a counter series the delta of its
   // cumulative value since the previous sample.
   auto gauge = [&](MetricScope scope, int id, std::string metric,
@@ -616,8 +616,9 @@ void Gpu::sample_metrics() {
     constexpr MetricScope kSm = MetricScope::kSm;
     // Counters are cumulative across rebind tear-downs (acc + live core),
     // so the per-interval deltas telescope to the run totals exactly.
+    const SmStats& acc = per_sm_acc_[s];
     const std::uint64_t d_issued =
-        counter(kSm, id, "issued", per_sm_acc_[s].issued + sm.stats().issued);
+        counter(kSm, id, "issued", acc.issued + sm.stats().issued);
     gauge(kSm, id, "ipc",
           static_cast<double>(d_issued) / static_cast<double>(span));
     gauge(kSm, id, "runnable_warps", sm.runnable_warps());
@@ -626,15 +627,11 @@ void Gpu::sample_metrics() {
           static_cast<double>(sm.resident_tbs()) /
               static_cast<double>(sm.max_resident_tbs()));
     gauge(kSm, id, "l1_mshr", sm.l1_mshr_occupancy());
-    // The attribution sink creates per-SM rows lazily, so the vector may
-    // still be shorter than num_sms early in the run.
-    if (s < stalls.per_sm.size()) {
-      for (int c = 0; c < kNumStallCauses; ++c) {
-        counter(kSm, id,
-                std::string("stall.") +
-                    stall_cause_name(static_cast<StallCause>(c)),
-                stalls.per_sm[s].cause_cycles[c]);
-      }
+    for (int c = 0; c < kNumStallCauses; ++c) {
+      counter(kSm, id,
+              std::string("stall.") +
+                  stall_cause_name(static_cast<StallCause>(c)),
+              acc.cause_cycles[c] + sm.stats().cause_cycles[c]);
     }
     progress_sm.clear();
     sm.sample_progress(progress_sm);
@@ -800,7 +797,6 @@ GpuResult Gpu::collect() {
 }
 
 void ObservabilitySession::attach(Gpu& gpu) {
-  gpu.set_trace_sink(attribution_.get());
   gpu.set_trace_sink(warp_lanes_.get());
   gpu.set_trace_sink(windows_.get());
   gpu.set_metrics(metrics_.get());

@@ -120,10 +120,10 @@ class Gpu {
   void set_trace_sink(TraceSink* sink);
 
   /// Attaches a time-series metrics collector (metrics/; nullptr is
-  /// ignored) and its stall-attribution sink. The Gpu samples per-SM/
-  /// per-kernel/GPU series at every interval boundary (the clock never
-  /// jumps past a boundary, which is provably bit-identical) plus one
-  /// final partial sample at run end. Same contract as set_trace_sink.
+  /// ignored). It adds no trace sink: the Gpu reads the SM counters into
+  /// per-SM/per-kernel/GPU series at every interval boundary (the clock
+  /// never jumps past a boundary, which is provably bit-identical) plus
+  /// one final partial sample at run end. Same contract as set_trace_sink.
   void set_metrics(MetricsCollector* metrics);
 
   /// Attaches a serving-lifecycle event journal (metrics/): a sink that

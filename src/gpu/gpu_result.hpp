@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "core/pro_scheduler.hpp"
 #include "gpu/admission.hpp"
 #include "sm/sm_core.hpp"
-#include "trace/stall_attribution.hpp"
 
 namespace prosim {
 
@@ -142,14 +140,6 @@ struct GpuResult {
   /// Simulator self-profiling (see SimProfile); filled by Gpu::run().
   /// NOT serialized by result_io and NOT part of any fingerprint.
   SimProfile profile;
-
-  /// Per-cause stall attribution; only present when the run was traced
-  /// with a StallAttributionSink (see trace/). Like `throughput` it is
-  /// measurement metadata: excluded from result_io's canonical document
-  /// and every fingerprint, exported by write_stall_breakdown_json().
-  /// When present, summing it per legacy class reproduces the totals.*
-  /// stall counters exactly.
-  std::optional<StallBreakdown> stall_breakdown;
 
   /// Per-kernel slices of a concurrent run (arrival/launch/finish cycles
   /// plus this kernel's share of the SM counters), ordered by kernel id.

@@ -67,15 +67,14 @@ void write_json_report(std::ostream& os, const GpuResult& r,
        << "\n";
     os << "  },\n";
   }
-  // Per-cause stall attribution, only present on traced runs (the block
-  // is omitted otherwise so untraced reports stay comparable).
-  if (r.stall_breakdown.has_value()) {
-    const StallBreakdown& b = *r.stall_breakdown;
+  // Per-cause stall attribution, only on request (the block is omitted
+  // otherwise so plain reports stay comparable).
+  if (options.stall_attribution) {
     os << "  \"stall_causes\": {";
     for (int c = 0; c < kNumStallCauses; ++c) {
       if (c != 0) os << ", ";
       os << "\"" << stall_cause_name(static_cast<StallCause>(c))
-         << "\": " << b.cause_total(static_cast<StallCause>(c));
+         << "\": " << r.totals.cause_cycles[c];
     }
     os << "},\n";
   }

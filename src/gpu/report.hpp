@@ -12,6 +12,8 @@ namespace prosim {
 
 struct JsonReportOptions {
   bool include_timelines = false;
+  /// Adds the `stall_causes` block: scheduler-cycles per StallCause.
+  bool stall_attribution = false;
   /// Free-form identification fields echoed into the object.
   std::string kernel;
   std::string scheduler;

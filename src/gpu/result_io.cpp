@@ -92,11 +92,10 @@ SmStats sm_stats_from_json(const JsonValue& obj) {
 
 // Deliberate exceptions to "every field": GpuResult::throughput is
 // wall-clock measurement metadata stamped by the driver, and
-// GpuResult::stall_breakdown only exists when the run was traced.
-// Serializing either would make cache files (and the determinism tests
-// that byte-compare them) vary run to run or with tracing on/off, so both
-// are skipped on write and left empty on read; the breakdown has its own
-// document (write_stall_breakdown_json).
+// SmStats::cause_cycles is measurement metadata refining counters the
+// document already carries. Both are skipped on write and left zero on
+// read, so cache files and every fingerprint derived from these bytes do
+// not depend on them.
 void write_gpu_result_json(std::ostream& os, const GpuResult& r) {
   os << "{\"schema\":\"" << kGpuResultSchema << "\",";
   os << "\"cycles\":" << r.cycles << ",";
@@ -188,58 +187,6 @@ void write_gpu_result_json(std::ostream& os, const GpuResult& r) {
 std::string gpu_result_to_json(const GpuResult& result) {
   std::ostringstream os;
   write_gpu_result_json(os, result);
-  return os.str();
-}
-
-namespace {
-
-void write_breakdown_row(std::ostream& os, const StallBreakdown::PerSm& row) {
-  os << "{\"cause_cycles\":{";
-  for (int c = 0; c < kNumStallCauses; ++c) {
-    if (c != 0) os << ",";
-    os << "\"" << stall_cause_name(static_cast<StallCause>(c))
-       << "\":" << row.cause_cycles[c];
-  }
-  os << "},\"warp_state_cycles\":{";
-  for (int s = 0; s < kNumWarpStates; ++s) {
-    if (s != 0) os << ",";
-    os << "\"" << warp_state_name(static_cast<WarpState>(s))
-       << "\":" << row.warp_state_cycles[s];
-  }
-  os << "}}";
-}
-
-}  // namespace
-
-void write_stall_breakdown_json(std::ostream& os, const StallBreakdown& b) {
-  os << "{\"schema\":\"" << kStallBreakdownSchema << "\",";
-  StallBreakdown::PerSm totals;
-  for (const StallBreakdown::PerSm& row : b.per_sm) {
-    for (int c = 0; c < kNumStallCauses; ++c)
-      totals.cause_cycles[c] += row.cause_cycles[c];
-    for (int s = 0; s < kNumWarpStates; ++s)
-      totals.warp_state_cycles[s] += row.warp_state_cycles[s];
-  }
-  os << "\"totals\":";
-  write_breakdown_row(os, totals);
-  os << ",\"legacy\":{\"issued\":"
-     << b.legacy_total(LegacyStallClass::kIssued)
-     << ",\"idle_stalls\":" << b.legacy_total(LegacyStallClass::kIdle)
-     << ",\"scoreboard_stalls\":"
-     << b.legacy_total(LegacyStallClass::kScoreboard)
-     << ",\"pipeline_stalls\":" << b.legacy_total(LegacyStallClass::kPipeline)
-     << ",\"total_stalls\":" << b.total_stalls() << "}";
-  os << ",\"per_sm\":[";
-  for (std::size_t i = 0; i < b.per_sm.size(); ++i) {
-    if (i != 0) os << ",";
-    write_breakdown_row(os, b.per_sm[i]);
-  }
-  os << "]}";
-}
-
-std::string stall_breakdown_to_json(const StallBreakdown& b) {
-  std::ostringstream os;
-  write_stall_breakdown_json(os, b);
   return os.str();
 }
 

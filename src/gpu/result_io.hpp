@@ -47,20 +47,4 @@ std::string gpu_result_to_json(const GpuResult& result);
 /// state that may be truncated or stale.
 Expected<GpuResult> gpu_result_from_json(std::string_view text);
 
-/// Schema tag of the stall-breakdown export below.
-inline constexpr const char* kStallBreakdownSchema =
-    "prosim-stall-breakdown-v2";  // v2: adds the spin_wait cause/state
-
-/// Exports a StallBreakdown (GpuResult::stall_breakdown) as its own
-/// schema-versioned document: per-SM and total scheduler-cycles keyed by
-/// StallCause name, warp-cycles keyed by WarpState name, and the legacy
-/// rollup (idle/scoreboard/pipeline) the fine causes reconcile with.
-/// Deliberately a separate document from write_gpu_result_json: the
-/// canonical result bytes — and every fingerprint derived from them —
-/// stay identical with tracing on or off.
-void write_stall_breakdown_json(std::ostream& os, const StallBreakdown& b);
-
-/// Convenience: the JSON document as a string.
-std::string stall_breakdown_to_json(const StallBreakdown& b);
-
 }  // namespace prosim

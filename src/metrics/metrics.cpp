@@ -266,9 +266,6 @@ bool check_observability_flags(const ArgParser& parser, std::int64_t interval,
 ObservabilitySession::ObservabilitySession(
     const ObservabilityOptions& options)
     : options_(options) {
-  if (options_.stall_attribution) {
-    attribution_ = std::make_unique<StallAttributionSink>();
-  }
   if (options_.warp_lanes) {
     warp_lanes_ = std::make_unique<WarpLaneTraceSink>();
   }

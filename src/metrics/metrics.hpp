@@ -10,9 +10,8 @@
 //     interconnect load, PRO progress spread) every `interval` cycles into
 //     a MetricsRegistry, exported as long-format CSV or a forward-
 //     compatible `prosim-metrics-v1` JSON document. Stall-cause shares are
-//     cumulative-counter deltas against an embedded StallAttributionSink,
-//     so summing any series over all intervals reproduces the legacy
-//     totals bit-exactly.
+//     deltas of the SMs' cumulative SmStats::cause_cycles, so summing any
+//     series over all intervals reproduces the run totals bit-exactly.
 //
 //   * EventJournal — a TraceSink recording the serving lifecycle
 //     (SimEvent: kernel arrival, admission grant, SM rebind, TB
@@ -20,10 +19,9 @@
 //     SLO met/missed) as structured JSONL, plus a kernel-level Perfetto
 //     track view (pid = kernel, tid = SM) derived from the sm_bind spans.
 //
-//   * ObservabilitySession — owns these and the trace/ sinks (stall
-//     attribution, warp lanes, wait windows) selected by one
-//     ObservabilityOptions, attaches them to a Gpu and writes every
-//     product.
+//   * ObservabilitySession — owns these and the trace/ sinks (warp lanes,
+//     wait windows) selected by one ObservabilityOptions, attaches them to
+//     a Gpu and writes every product.
 //
 //   * SimProfile (gpu_result.hpp) — simulator self-profiling; filled by
 //     the Gpu, never serialized into canonical results.
@@ -39,7 +37,6 @@
 
 #include "common/types.hpp"
 #include "trace/csv_sink.hpp"
-#include "trace/stall_attribution.hpp"
 #include "trace/warp_lane_trace.hpp"
 
 namespace prosim {
@@ -86,8 +83,7 @@ class MetricsRegistry {
 };
 
 /// Sampling driver owned by the caller and attached via Gpu::set_metrics.
-/// The Gpu reads the interval schedule, feeds the embedded stall-
-/// attribution sink through its trace path, and records samples at every
+/// The Gpu reads the interval schedule and records samples at every
 /// interval boundary (plus one final partial sample at simulation end, so
 /// counter deltas telescope exactly to the run totals).
 class MetricsCollector {
@@ -107,11 +103,6 @@ class MetricsCollector {
   MetricsRegistry& registry() { return registry_; }
   const MetricsRegistry& registry() const { return registry_; }
 
-  /// Stall-cause accumulator fed by the Gpu's trace fan-out while the
-  /// collector is attached.
-  StallAttributionSink& stall_sink() { return stall_sink_; }
-  const StallAttributionSink& stall_sink() const { return stall_sink_; }
-
   /// Delta of a cumulative counter since this series' previous sample
   /// (first call returns the cumulative value itself). Deltas telescope:
   /// their sum over all samples equals the final cumulative value.
@@ -123,7 +114,6 @@ class MetricsCollector {
   Cycle next_;
   Cycle last_ = 0;
   MetricsRegistry registry_;
-  StallAttributionSink stall_sink_;
   std::map<std::tuple<int, int, std::string>, std::uint64_t> last_values_;
 };
 
@@ -160,9 +150,8 @@ class EventJournal final : public TraceSink {
 /// Which observability products one run collects. Everything is off by
 /// default; the CLIs fill the file paths from add_observability_flags.
 struct ObservabilityOptions {
-  bool stall_attribution = false;  ///< per-cause/per-SM StallBreakdown
-  bool warp_lanes = false;         ///< Chrome-trace warp timeline
-  bool windows = false;            ///< barrier/finish wait-window CSV
+  bool warp_lanes = false;      ///< Chrome-trace warp timeline
+  bool windows = false;         ///< barrier/finish wait-window CSV
   Cycle metrics_interval = 0;   ///< 0 = sampling off
   std::string metrics_csv;      ///< --metrics FILE
   std::string metrics_json;     ///< --metrics-json FILE
@@ -221,8 +210,7 @@ struct TraceFiles {
 /// Owns the observers selected by ObservabilityOptions, attaches them to
 /// a Gpu and writes their products. Accessors return nullptr for products
 /// that were not requested (pay-for-use: a session with nothing requested
-/// attaches nothing, and an attribution-only or metrics + journal session
-/// keeps the SMs off the per-warp state pass).
+/// attaches nothing, and a metrics + journal session attaches no SM sink).
 class ObservabilitySession {
  public:
   explicit ObservabilitySession(const ObservabilityOptions& options);
@@ -234,9 +222,6 @@ class ObservabilitySession {
 
   MetricsCollector* metrics() { return metrics_.get(); }
   EventJournal* journal() { return journal_.get(); }
-  const StallAttributionSink* attribution() const {
-    return attribution_.get();
-  }
   const WarpLaneTraceSink* warp_lanes() const { return warp_lanes_.get(); }
   const WindowCsvSink* windows() const { return windows_.get(); }
 
@@ -250,7 +235,6 @@ class ObservabilitySession {
 
  private:
   ObservabilityOptions options_;
-  std::unique_ptr<StallAttributionSink> attribution_;
   std::unique_ptr<WarpLaneTraceSink> warp_lanes_;
   std::unique_ptr<WindowCsvSink> windows_;
   std::unique_ptr<MetricsCollector> metrics_;

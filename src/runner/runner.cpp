@@ -68,13 +68,9 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
   if (outcome.has_value()) {
     cell.result = std::move(outcome.value());
     // Stamped after the deterministic core finished; stored results omit
-    // them (result_io skips SimThroughput and the breakdown), so cache
-    // bytes stay run-stable and tracing-independent.
+    // it (result_io skips SimThroughput), so cache bytes stay run-stable.
     cell.result->throughput = SimThroughput::measure(
         wall_seconds, cell.result->cycles, cell.result->totals.warp_insts);
-    if (obs.attribution() != nullptr) {
-      cell.result->stall_breakdown = obs.attribution()->breakdown();
-    }
     TraceFiles trace;
     if (!options.trace_dir.empty()) {
       trace = {cell.cache_key + ".trace.json", cell.cache_key + ".windows.csv",

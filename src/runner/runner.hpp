@@ -81,9 +81,9 @@ struct SweepOptions {
   std::string trace_dir;
   /// Observability products collected for every cell that actually
   /// simulates (cache hits return the stored result unobserved — run
-  /// with cache_dir empty to observe every cell). A stall breakdown is
-  /// stamped onto the cell's GpuResult; metrics/journal output paths are
-  /// suffixed with the cell's cache key (ObservabilityOptions::for_cell).
+  /// with cache_dir empty to observe every cell). Metrics/journal output
+  /// paths are suffixed with the cell's cache key
+  /// (ObservabilityOptions::for_cell).
   ObservabilityOptions obs;
 };
 

@@ -49,8 +49,8 @@ SmCore::SmCore(int sm_id, const SmConfig& config, const Program& program,
     sched_mask_[static_cast<std::size_t>(w % config_.num_schedulers)] |=
         1ull << w;
   }
-  last_stall_.assign(static_cast<std::size_t>(config_.num_schedulers),
-                     StallKind::kIdle);
+  last_cause_.assign(static_cast<std::size_t>(config_.num_schedulers),
+                     StallCause::kNoWarp);
   memo_.assign(static_cast<std::size_t>(config_.num_schedulers), ScanMemo{});
 
   inst_meta_.resize(program_.code.size());
@@ -384,13 +384,10 @@ void SmCore::set_trace_sink(TraceSink* trace) {
   trace_ = trace;
   trace_warp_states_enabled_ = trace != nullptr && trace->wants_warp_states();
   if (trace_ != nullptr) {
-    last_cause_.assign(static_cast<std::size_t>(config_.num_schedulers),
-                       StallCause::kNoWarp);
     warp_trace_state_.assign(static_cast<std::size_t>(config_.max_warps),
                              WarpState::kUnallocated);
     warp_state_since_.assign(static_cast<std::size_t>(config_.max_warps), 0);
   }
-  ++scan_gen_;  // memoized verdicts carry no fine cause yet
   policy_->set_trace(trace, sm_id_);
 }
 
@@ -410,22 +407,15 @@ void SmCore::trace_finalize(Cycle end) {
 void SmCore::skip_cycles(Cycle count) {
   stats_.occupancy_tb_cycles +=
       count * static_cast<std::uint64_t>(resident_tbs_);
-  for (const StallKind kind : last_stall_) {
-    stats_.sched_cycles += count;
-    count_stall(kind, count);
-  }
   // A skip only follows a cycle in which every scheduler recorded a stall,
-  // and every input to the fine classification is constant across the span
+  // and every input to the classification is constant across the span
   // (next_event and external_wakeup cover them all), so the last cause
-  // repeats verbatim. Warp
-  // states are likewise constant: no per-warp events are needed, and slice
-  // durations span the skip via the transition cycle numbers.
-  if (trace_ != nullptr) {
-    for (int sched = 0; sched < config_.num_schedulers; ++sched) {
-      trace_->on_sched_cycles(sm_id_, sched,
-                              last_cause_[static_cast<std::size_t>(sched)],
-                              count);
-    }
+  // repeats verbatim. Warp states are likewise constant: no per-warp events
+  // are needed, and slice durations span the skip via the transition cycle
+  // numbers.
+  for (int sched = 0; sched < config_.num_schedulers; ++sched) {
+    stats_.sched_cycles += count;
+    count_cause(sched, last_cause_[static_cast<std::size_t>(sched)], count);
   }
 }
 
@@ -588,13 +578,13 @@ bool SmCore::issue_cycle(Cycle now) {
     if (scan_memo_ && candidates == memo.candidates &&
         scan_gen_ == memo.gen && now < memo.until) {
       // Nothing the last no-issue scan read has changed: same verdict.
-      count_stall(last_stall_[si], 1);
-      if (trace_ != nullptr)
-        trace_->on_sched_cycles(sm_id_, sched, last_cause_[si], 1);
+      count_cause(sched, last_cause_[si], 1);
       continue;
     }
     bool any_valid = false;
     bool any_fu_blocked = false;
+    bool all_spin = true;  // every register-blocked candidate spin-waits
+    bool mem = false;      // some blocked candidate waits on a load
     std::uint64_t ready = 0;
     Cycle until = kNoCycle;
     std::uint64_t scan = candidates;
@@ -610,11 +600,16 @@ bool SmCore::issue_cycle(Cycle now) {
           inst_meta_[static_cast<std::size_t>(wc.stack.pc())];
       const std::uint64_t pending = scoreboard_.pending_mask(w);
       any_valid = true;
-      if ((pending & meta.regs) != 0) continue;
       // A warp may only retire once all its in-flight writebacks and loads
       // have drained; otherwise the slot could be re-used by a new TB while
       // stale completions are still queued.
-      if (meta.is_exit && pending != 0) continue;
+      const std::uint64_t blocked =
+          meta.is_exit ? pending : pending & meta.regs;
+      if (blocked != 0) {
+        all_spin &= meta.in_spin;
+        mem |= (blocked & wc.mem_pending) != 0;
+        continue;
+      }
       const bool can_accept =
           meta.fu == FuType::kSfu
               ? sfu_ready_at_ <= now
@@ -640,94 +635,51 @@ bool SmCore::issue_cycle(Cycle now) {
       const Instruction& inst =
           program_.code[static_cast<std::size_t>(warps_[w].stack.pc())];
       issue_warp(w, inst, now);
-      ++stats_.issued;
       issued_any = true;
       issued_now_mask_ |= 1ull << w;
-      if (trace_ != nullptr)
-        trace_->on_sched_cycles(sm_id_, sched, StallCause::kIssued, 1);
+      count_cause(sched, StallCause::kIssued, 1);
       continue;
     }
-    StallKind kind = StallKind::kIdle;
-    StallCause cause = StallCause::kFuBusy;
+    // With no ready warp, any FU-blocked candidate makes it a pipeline
+    // stall, else any fetched one a scoreboard stall: every such candidate
+    // is register-blocked, and all of them spinning is a spin wait.
+    StallCause cause;
     if (any_fu_blocked) {
-      kind = StallKind::kPipeline;
+      cause = StallCause::kFuBusy;
     } else if (any_valid) {
-      kind = StallKind::kScoreboard;
-      if (trace_ != nullptr) cause = classify_scoreboard(sched, now);
-    } else if (trace_ != nullptr) {
-      cause = classify_idle(sched, now);
+      cause = all_spin ? StallCause::kSpinWait
+              : mem    ? StallCause::kScoreboardMem
+                       : StallCause::kScoreboardAlu;
+    } else {
+      cause = classify_idle(sched);
     }
-    last_stall_[si] = kind;
-    count_stall(kind, 1);
+    last_cause_[si] = cause;
+    count_cause(sched, cause, 1);
     memo = {candidates, scan_gen_, until};
-    if (trace_ != nullptr) {
-      last_cause_[si] = cause;
-      trace_->on_sched_cycles(sm_id_, sched, cause, 1);
-    }
   }
   return issued_any;
 }
 
-void SmCore::count_stall(StallKind kind, Cycle count) {
-  switch (kind) {
-    case StallKind::kPipeline:
-      stats_.pipeline_stalls += count;
+void SmCore::count_cause(int sched, StallCause cause, Cycle count) {
+  stats_.cause_cycles[static_cast<int>(cause)] += count;
+  switch (legacy_stall_class(cause)) {
+    case LegacyStallClass::kIssued:
+      stats_.issued += count;
       break;
-    case StallKind::kScoreboard:
-      stats_.scoreboard_stalls += count;
-      break;
-    case StallKind::kIdle:
+    case LegacyStallClass::kIdle:
       stats_.idle_stalls += count;
       break;
+    case LegacyStallClass::kScoreboard:
+      stats_.scoreboard_stalls += count;
+      break;
+    case LegacyStallClass::kPipeline:
+      stats_.pipeline_stalls += count;
+      break;
   }
+  if (trace_ != nullptr) trace_->on_sched_cycles(sm_id_, sched, cause, count);
 }
 
-// ---------------------------------------------------------------------------
-// Tracing (never reached without a sink attached; off the untraced path)
-// ---------------------------------------------------------------------------
-
-bool SmCore::regs_mem_pending(int warp, std::uint64_t regs) const {
-  for (const PendingLoad& pl : pending_loads_) {
-    if (pl.valid && pl.warp == warp && pl.dst < 64 &&
-        (regs & (1ull << pl.dst)) != 0)
-      return true;
-  }
-  return false;
-}
-
-StallCause SmCore::classify_scoreboard(int sched, Cycle now) const {
-  // Re-walk the candidates the issue scan just classified: in the
-  // scoreboard branch every fetch-ready candidate is register-blocked.
-  // When every blocked candidate sits inside a detected spin loop the
-  // scheduler is stalled purely by busy-waiting — attribute kSpinWait;
-  // otherwise refine into mem vs alu as before.
-  bool any_blocked = false;
-  bool all_spin = true;
-  bool mem = false;
-  std::uint64_t candidates =
-      live_mask_ & ~yield_mask_ &
-      sched_mask_[static_cast<std::size_t>(sched)] &
-      policy_->consider_mask(sched);
-  while (candidates != 0) {
-    const int w = std::countr_zero(candidates);
-    candidates &= candidates - 1;
-    const WarpCtx& wc = warps_[w];
-    if (wc.ibuffer_ready > now) continue;
-    const InstMeta& meta =
-        inst_meta_[static_cast<std::size_t>(wc.stack.pc())];
-    const std::uint64_t pending = scoreboard_.pending_mask(w);
-    std::uint64_t blocked = pending & meta.regs;
-    if (meta.is_exit) blocked |= pending;  // exit drains all writebacks
-    if (blocked == 0) continue;
-    any_blocked = true;
-    if (!meta.in_spin) all_spin = false;
-    if (regs_mem_pending(w, blocked)) mem = true;
-  }
-  if (any_blocked && all_spin) return StallCause::kSpinWait;
-  return mem ? StallCause::kScoreboardMem : StallCause::kScoreboardAlu;
-}
-
-StallCause SmCore::classify_idle(int sched, Cycle now) const {
+StallCause SmCore::classify_idle(int sched) const {
   const std::uint64_t smask = sched_mask_[static_cast<std::size_t>(sched)];
   // In the idle branch every considered live warp is refilling its
   // instruction buffer (otherwise the cycle would have been classified
@@ -756,6 +708,10 @@ StallCause SmCore::classify_idle(int sched, Cycle now) const {
   return StallCause::kNoWarp;
 }
 
+// ---------------------------------------------------------------------------
+// Tracing (never reached without a sink attached; off the untraced path)
+// ---------------------------------------------------------------------------
+
 WarpState SmCore::trace_state_of(int warp, Cycle now) const {
   const WarpCtx& wc = warps_[warp];
   if (!wc.allocated) return WarpState::kUnallocated;
@@ -770,11 +726,10 @@ WarpState SmCore::trace_state_of(int warp, Cycle now) const {
   if (wc.ibuffer_ready > now) return WarpState::kFetch;
   const InstMeta& meta = inst_meta_[static_cast<std::size_t>(wc.stack.pc())];
   const std::uint64_t pending = scoreboard_.pending_mask(warp);
-  std::uint64_t blocked = pending & meta.regs;
-  if (meta.is_exit) blocked |= pending;
+  const std::uint64_t blocked = meta.is_exit ? pending : pending & meta.regs;
   if (blocked != 0) {
     if (meta.in_spin) return WarpState::kSpinWait;
-    return regs_mem_pending(warp, blocked) ? WarpState::kMemPending
+    return (blocked & wc.mem_pending) != 0 ? WarpState::kMemPending
                                            : WarpState::kScoreboard;
   }
   const bool can_accept =
@@ -817,6 +772,7 @@ std::uint32_t SmCore::alloc_pending_load(int warp, std::uint8_t dst,
     pending_loads_.emplace_back();
   }
   pending_loads_[token] = {warp, dst, outstanding, true};
+  warps_[warp].mem_pending |= 1ull << dst;
   ++live_pending_loads_;
   return token;
 }
@@ -826,6 +782,7 @@ void SmCore::complete_load_transaction(std::uint32_t token, Cycle) {
   PROSIM_CHECK(pl.valid && pl.outstanding > 0);
   if (--pl.outstanding == 0) {
     scoreboard_.release(pl.warp, pl.dst);
+    warps_[pl.warp].mem_pending &= ~(1ull << pl.dst);
     ++scan_gen_;
     pl.valid = false;
     free_pending_loads_.push_back(token);

@@ -37,6 +37,8 @@ namespace prosim {
 
 /// GPGPU-Sim's stall taxonomy, counted per hardware scheduler per cycle.
 struct SmStats {
+  /// issued + idle/scoreboard/pipeline_stalls: the legacy classes, each the
+  /// sum of its causes in cause_cycles (legacy_stall_class()).
   std::uint64_t issued = 0;
   std::uint64_t idle_stalls = 0;
   std::uint64_t scoreboard_stalls = 0;
@@ -57,6 +59,12 @@ struct SmStats {
   /// Sum over cycles of resident TBs (mean occupancy = sum / cycles):
   /// the §II-C hardware-utilization signal.
   std::uint64_t occupancy_tb_cycles = 0;
+  /// Hardware-scheduler cycles per StallCause (indexed by the enum), the
+  /// paper's stall breakdown (Figs. 1/5, Table III). Like
+  /// GpuResult::throughput it is measurement metadata: result_io does not
+  /// serialize it, so it is only valid for a freshly simulated result. A
+  /// cache hit carries zeros here next to nonzero legacy counters.
+  std::uint64_t cause_cycles[kNumStallCauses] = {};
 
   /// SIMT lanes utilized per issued warp instruction, in [0, 1].
   double simt_efficiency() const {
@@ -149,8 +157,8 @@ class SmCore {
   bool cycle(Cycle now);
 
   /// Bulk-applies `count` quiet cycles' worth of per-cycle-constant stat
-  /// increments (occupancy, scheduler cycles, the stall classification
-  /// recorded by the last executed cycle). Legal for a span that follows a
+  /// increments (occupancy, scheduler cycles, the stall cause recorded by
+  /// the last executed cycle). Legal for a span that follows a
   /// cycle() that returned false, in which neither next_event() nor
   /// external_wakeup() fired and nothing else touched the SM.
   void skip_cycles(Cycle count);
@@ -261,6 +269,9 @@ class SmCore {
     Cycle barrier_arrive = 0;  // when at_barrier was set (stats)
     Cycle finish_cycle = 0;    // when the warp retired (stats)
     int tb_slot = -1;
+    /// Registers reserved by an in-flight load: set by alloc_pending_load,
+    /// cleared when the load completes (splits scoreboard mem vs alu).
+    std::uint64_t mem_pending = 0;
   };
 
   struct TbCtx {
@@ -317,12 +328,6 @@ class SmCore {
     bool in_spin = false;  // pc lies inside a detected spin-wait loop
   };
 
-  /// What a hardware scheduler did in the last executed cycle; multiplied
-  /// out by skip_cycles (a quiet span repeats the same classification —
-  /// every input to the classification is provably constant until the next
-  /// event).
-  enum class StallKind : std::uint8_t { kIdle, kScoreboard, kPipeline };
-
   /// The inputs a hardware scheduler's last no-issue scan depended on. The
   /// scan repeats its verdict while the candidate mask and the SM-wide
   /// generation are unchanged and the clock stays below `until`, the
@@ -338,8 +343,9 @@ class SmCore {
   bool drain_writebacks(Cycle now);
   bool ldst_cycle(Cycle now);
   bool issue_cycle(Cycle now);
-  /// Adds `count` cycles of stall class `kind` to the legacy counters.
-  void count_stall(StallKind kind, Cycle count);
+  /// Counts `count` cycles of scheduler `sched` as `cause`: cause_cycles,
+  /// its legacy counter, and the trace sink's on_sched_cycles.
+  void count_cause(int sched, StallCause cause, Cycle count);
 
   // -- issue helpers --------------------------------------------------------
   /// mem_.can_inject, recording the port that refused the line.
@@ -364,15 +370,11 @@ class SmCore {
   /// timeline span, announces it to the policy and trace sink, frees it.
   void release_tb_slot(int tb_slot, Cycle now);
 
+  /// Refines an idle scheduler cycle (fetch > barrier > finish > throttled
+  /// > no-warp precedence).
+  StallCause classify_idle(int sched) const;
+
   // -- tracing helpers (called only with a sink attached) -------------------
-  /// Refines a scoreboard-classified scheduler cycle into mem vs alu
-  /// (mem wins when any blocked candidate waits on an in-flight load).
-  StallCause classify_scoreboard(int sched, Cycle now) const;
-  /// Refines an idle-classified scheduler cycle (fetch > barrier > finish
-  /// > throttled > no-warp precedence).
-  StallCause classify_idle(int sched, Cycle now) const;
-  /// True when any register in `regs` is reserved by an in-flight load.
-  bool regs_mem_pending(int warp, std::uint64_t regs) const;
   /// Samples warp `warp`'s scheduling state at the end of cycle `now`.
   WarpState trace_state_of(int warp, Cycle now) const;
   /// Emits on_warp_state for every warp whose sampled state changed.
@@ -442,8 +444,9 @@ class SmCore {
   /// Bit w set when warp slot w belongs to hardware scheduler `sched`
   /// (w % num_schedulers == sched), w < used_warp_slots_.
   std::vector<std::uint64_t> sched_mask_;
-  /// Per-scheduler stall classification of the last executed cycle.
-  std::vector<StallKind> last_stall_;
+  /// Per-scheduler stall cause of the last executed no-issue scan; the
+  /// memo and skip_cycles repeat it (a quiet span's inputs are constant).
+  std::vector<StallCause> last_cause_;
   bool scan_memo_ = true;
   std::vector<ScanMemo> memo_;
   /// Bumped by every event that can change a scan's verdict: issue,
@@ -454,8 +457,6 @@ class SmCore {
   // -- tracing state (engaged only via set_trace_sink) ----------------------
   TraceSink* trace_ = nullptr;
   bool trace_warp_states_enabled_ = false;
-  /// Fine-grained mirror of last_stall_, bulk-applied by skip_cycles.
-  std::vector<StallCause> last_cause_;
   /// Last sampled state and its start cycle, per warp slot.
   std::vector<WarpState> warp_trace_state_;
   std::vector<Cycle> warp_state_since_;

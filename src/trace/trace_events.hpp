@@ -135,8 +135,7 @@ class TraceSink {
   virtual bool wants_sm_events() const { return true; }
 
   /// Sinks that return false here let the SM skip the per-warp state pass
-  /// entirely (the stall-attribution accumulator only needs the
-  /// per-scheduler classification).
+  /// entirely (a sink that needs only the per-scheduler causes).
   virtual bool wants_warp_states() const { return true; }
 
   /// One hardware-scheduler cycle classified as `cause` — or `count`

@@ -107,11 +107,11 @@ std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
 INSTANTIATE_TEST_SUITE_P(SeedCells, EquivalenceFastpath,
                          ::testing::ValuesIn(kCells), cell_name);
 
-// Tracing must be purely observational: attaching every sink (stall
-// attribution, warp lanes, wait windows) may not move a single bit of the
-// canonical result. The pinned constants are the untraced seed values, so
-// any perturbation — a classification side effect, a changed skip
-// decision, an extra tick — fails against the same fingerprints above.
+// Tracing must be purely observational: attaching every sink (warp lanes,
+// wait windows) may not move a single bit of the canonical result. The
+// pinned constants are the untraced seed values, so any perturbation — a
+// classification side effect, a changed skip decision, an extra tick —
+// fails against the same fingerprints above.
 TEST(EquivalenceFastpath, TracingIsBitIdentical) {
   constexpr Cell kTracedCells[] = {
       {SchedulerKind::kLrr, "scalarProdGPU", 0x856755624a190199ull},
@@ -124,7 +124,6 @@ TEST(EquivalenceFastpath, TracingIsBitIdentical) {
     GpuConfig cfg;
     cfg.scheduler.kind = cell.kind;
     ObservabilityOptions opts;
-    opts.stall_attribution = true;
     opts.warp_lanes = true;
     opts.windows = true;
     ObservabilitySession session(opts);
@@ -137,18 +136,26 @@ TEST(EquivalenceFastpath, TracingIsBitIdentical) {
   }
 }
 
-// Attribution-only sessions take the cheaper no-warp-states path; pin
-// that configuration separately from the everything-on case above.
+// A sink that takes only the per-scheduler stall causes keeps the SMs on
+// the cheaper no-warp-states path; pin that configuration separately from
+// the everything-on case above.
 TEST(EquivalenceFastpath, AttributionOnlyIsBitIdentical) {
+  struct CausesOnly final : TraceSink {
+    bool wants_warp_states() const override { return false; }
+  } sink;
   GpuConfig cfg;
   cfg.scheduler.kind = SchedulerKind::kPro;
-  ObservabilityOptions opts;
-  opts.stall_attribution = true;
-  ObservabilitySession session(opts);
+  const Workload& w = find_workload("scalarProdGPU");
+  GlobalMemory mem;
+  if (w.init) w.init(mem);
+  Gpu gpu(cfg, w.program, mem);
+  gpu.set_trace_sink(&sink);
+  ASSERT_EQ(gpu.sm_trace_sink(), &sink);
+  const std::string json = gpu_result_to_json(gpu.run());
   const std::uint64_t actual =
-      result_fingerprint(find_workload("scalarProdGPU"), cfg, &session);
+      Fingerprint().add_bytes(json.data(), json.size()).hash();
   EXPECT_EQ(actual, 0xf0604c1acd235617ull)
-      << "attribution-only tracing changed the result (actual "
+      << "causes-only tracing changed the result (actual "
       << "fingerprint 0x" << std::hex << actual << ")";
 }
 

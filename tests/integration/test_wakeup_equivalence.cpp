@@ -7,10 +7,12 @@
 // wakeups and the issue-scan memo, then again under PROSIM_NO_FASTFORWARD=1
 // (every SM and partition ticks and every SM's admission is evaluated every
 // cycle, no memo), and requires byte-identical result documents and
-// reconciling stall causes. Tiny MSHRs and queues keep LDST head lines and
-// partition request heads blocked, and long hit latencies back the L2-hit
-// path up: exactly what the port, response and partition wakeups must
-// catch. Multi-kernel cells run under all four admission policies with
+// identical per-SM stall causes (which the memo and skip_cycles replay),
+// each reconciling with its SM's legacy counters in both modes. Tiny MSHRs
+// and queues keep LDST head lines and partition request heads blocked, and
+// long hit latencies back the L2-hit path up: exactly what the port,
+// response and partition wakeups must catch. Multi-kernel cells run under
+// all four admission policies with
 // metrics + journal attached, whose output must match too, and one fixed
 // serving-shaped cell (14 SMs, 2 partitions, PRO, preemptive_slo, three
 // kernels) mirrors the serving benchmark. A failing trial names its seed.
@@ -27,7 +29,7 @@
 #include "gpu/result_io.hpp"
 #include "kernels/registry.hpp"
 #include "metrics/metrics.hpp"
-#include "trace/stall_attribution.hpp"
+#include "../trace/stall_checks.hpp"
 
 namespace prosim {
 namespace {
@@ -71,37 +73,23 @@ std::string describe(const GpuConfig& cfg) {
   return os.str();
 }
 
-/// The stall causes sum per legacy class to the counters, per SM.
-void expect_reconciles(const StallBreakdown& b, const GpuResult& r) {
-  ASSERT_LE(b.per_sm.size(), r.per_sm.size());
-  for (std::size_t sm = 0; sm < r.per_sm.size(); ++sm) {
-    std::uint64_t by_class[4] = {};
-    if (sm < b.per_sm.size()) {
-      for (int c = 0; c < kNumStallCauses; ++c) {
-        by_class[static_cast<int>(
-            legacy_stall_class(static_cast<StallCause>(c)))] +=
-            b.per_sm[sm].cause_cycles[c];
-      }
-    }
-    const SmStats& s = r.per_sm[sm];
-    EXPECT_EQ(by_class[static_cast<int>(LegacyStallClass::kIssued)],
-              s.issued)
-        << "sm " << sm;
-    EXPECT_EQ(by_class[static_cast<int>(LegacyStallClass::kIdle)],
-              s.idle_stalls)
-        << "sm " << sm;
-    EXPECT_EQ(by_class[static_cast<int>(LegacyStallClass::kScoreboard)],
-              s.scoreboard_stalls)
-        << "sm " << sm;
-    EXPECT_EQ(by_class[static_cast<int>(LegacyStallClass::kPipeline)],
-              s.pipeline_stalls)
-        << "sm " << sm;
+/// Every SM's cause_cycles, one line per SM (result_io does not carry
+/// them), after checking that each SM's causes reconcile with its legacy
+/// counters.
+std::string causes_of(const GpuResult& r) {
+  std::ostringstream os;
+  for (const SmStats& s : r.per_sm) {
+    expect_reconciles(s, "sm " + std::to_string(&s - r.per_sm.data()));
+    for (const std::uint64_t n : s.cause_cycles) os << n << ' ';
+    os << '\n';
   }
+  return os.str();
 }
 
 /// Everything one run produced that must not depend on the step loop.
 struct Outcome {
   std::string result;
+  std::string causes;
   std::string metrics;
   std::string journal;
 };
@@ -118,12 +106,8 @@ Outcome run_mode(bool reference, Body&& body) {
 Outcome run_single(const Workload& w, const GpuConfig& cfg) {
   GlobalMemory mem;
   if (w.init) w.init(mem);
-  ObservabilityOptions opts;
-  opts.stall_attribution = true;
-  ObservabilitySession session(opts);
-  const GpuResult r = simulate(cfg, w.program, mem, &session);
-  expect_reconciles(session.attribution()->breakdown(), r);
-  return {gpu_result_to_json(r), "", ""};
+  const GpuResult r = simulate(cfg, w.program, mem);
+  return {gpu_result_to_json(r), causes_of(r), "", ""};
 }
 
 class WakeupEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -138,6 +122,7 @@ TEST_P(WakeupEquivalence, SingleKernelMatchesTickingEveryCycle) {
   const Outcome fast = run_mode(false, [&] { return run_single(w, cfg); });
   const Outcome tick = run_mode(true, [&] { return run_single(w, cfg); });
   EXPECT_EQ(fast.result, tick.result);
+  EXPECT_EQ(fast.causes, tick.causes);
 }
 
 /// Runs `launches` under `admission` with metrics (sampled every
@@ -150,12 +135,11 @@ Outcome run_launches(const GpuConfig& cfg, std::vector<KernelLaunch> launches,
   gpu.set_metrics(&metrics);
   gpu.set_event_journal(&journal);
   const GpuResult r = gpu.run();
-  expect_reconciles(metrics.stall_sink().breakdown(), r);
   std::ostringstream samples;
   metrics.registry().write_csv(samples);
   std::ostringstream events;
   journal.write_jsonl(events);
-  return {gpu_result_to_json(r), samples.str(), events.str()};
+  return {gpu_result_to_json(r), causes_of(r), samples.str(), events.str()};
 }
 
 KernelLaunch make_launch(int k, const Workload& w, GlobalMemory& memory,
@@ -195,6 +179,7 @@ Outcome run_multi(std::uint64_t seed, const std::string& admission) {
 
 void expect_same(const Outcome& fast, const Outcome& tick) {
   EXPECT_EQ(fast.result, tick.result);
+  EXPECT_EQ(fast.causes, tick.causes);
   EXPECT_EQ(fast.metrics, tick.metrics);
   EXPECT_EQ(fast.journal, tick.journal);
 }

@@ -2,9 +2,9 @@
 // session (docs/OBSERVABILITY.md, "Metrics & event journal").
 //
 // The load-bearing checks are the reconciliation contracts: sampled
-// stall-class deltas must telescope bit-exactly to the legacy
-// StallAttributionSink totals, and the journal's demotion accounting must
-// reproduce the pinned preemptive counters from test_litmus_preemptive —
+// stall-cause deltas must telescope bit-exactly to the SMs' cause
+// counters, and the journal's demotion accounting must reproduce the
+// pinned preemptive counters from test_litmus_preemptive —
 // all while the canonical GpuResult bytes stay identical to an unobserved
 // run.
 #include <gtest/gtest.h>
@@ -108,10 +108,10 @@ TEST(ObservabilitySession, PayForUseProducts) {
 }
 
 // ---------------------------------------------------------------------
-// Stall reconciliation: per-interval stall-class deltas summed over the
-// whole run equal the StallAttributionSink totals of an independent
-// traced run, per SM and per cause, bit-exactly (the final partial
-// sample closes every series).
+// Stall reconciliation: per-interval stall-cause deltas summed over the
+// whole run equal the cause counters of an independent unobserved run,
+// per SM and per cause, bit-exactly (the final partial sample closes
+// every series).
 
 TEST(MetricsReconciliation, StallDeltasSumToAttributionTotals) {
   const Workload& w = find_workload("GPU_laplace3d");
@@ -127,13 +127,9 @@ TEST(MetricsReconciliation, StallDeltasSumToAttributionTotals) {
 
   GlobalMemory mem2;
   if (w.init) w.init(mem2);
-  ObservabilityOptions attributed;
-  attributed.stall_attribution = true;
-  ObservabilitySession session(attributed);
-  const GpuResult traced = simulate(cfg, w.program, mem2, &session);
-  EXPECT_EQ(gpu_result_to_json(observed), gpu_result_to_json(traced));
+  const GpuResult want = simulate(cfg, w.program, mem2);
+  EXPECT_EQ(gpu_result_to_json(observed), gpu_result_to_json(want));
 
-  const StallBreakdown& want = session.attribution()->breakdown();
   // Sum each stall series over all samples.
   std::map<std::pair<int, std::string>, double> sums;
   for (const MetricSample& s : metrics.metrics()->registry().samples()) {
@@ -152,8 +148,7 @@ TEST(MetricsReconciliation, StallDeltasSumToAttributionTotals) {
       EXPECT_EQ(static_cast<std::uint64_t>(got),
                 want.per_sm[sm].cause_cycles[c])
           << "sm " << sm << " " << metric
-          << ": sampled deltas do not reconcile with the attribution "
-          << "sink totals";
+          << ": sampled deltas do not reconcile with the cause counters";
     }
   }
 }
@@ -252,8 +247,8 @@ TEST(EventJournal, AttachOrderKeepsRows) {
   auto rows = [&](bool trace_first) {
     MetricsCollector metrics(250);
     EventJournal journal;
-    StallAttributionSink stalls;
-    run_slo_scenario(cfg, &metrics, &journal, &stalls, trace_first);
+    TraceSink sm_sink;  // no-op hooks; dispatched to by the SMs
+    run_slo_scenario(cfg, &metrics, &journal, &sm_sink, trace_first);
     std::ostringstream jsonl;
     journal.write_jsonl(jsonl);
     return jsonl.str();

@@ -72,7 +72,6 @@ runner::SweepReport sweep_cell(const fs::path& dir,
   runner::SweepOptions options;
   options.trace_dir = dir.string();
   options.obs = obs;
-  options.obs.stall_attribution = true;
   options.obs.warp_lanes = true;
   options.obs.windows = true;
   return runner::run_sweep(
@@ -108,7 +107,9 @@ TEST(ObservabilityProducts, SingleKernelCellMatchesRecordedDigests) {
   ASSERT_EQ(report.cells.size(), 1u);
   ASSERT_TRUE(report.cells[0].ok());
   EXPECT_EQ(report.cells[0].write_error, "");
-  EXPECT_TRUE(report.cells[0].result->stall_breakdown.has_value());
+  const SmStats& totals = report.cells[0].result->totals;
+  EXPECT_EQ(totals.cause_cycles[static_cast<int>(StallCause::kIssued)],
+            totals.issued);
   const std::string key = report.cells[0].cache_key;
   const std::pair<std::string, const char*> want[] = {
       {"m." + key + ".csv", "91c9e5f39e0c8eb5"},

@@ -1,7 +1,7 @@
 // Golden-structure tests for the src/trace sinks on a tiny two-TB kernel
 // under LRR and PRO: the warp-lane Chrome trace must be valid JSON with
 // consistent slices, the wait-window CSV must match the recorded windows,
-// and the stall attribution must reconcile exactly with the legacy
+// and the SM's stall causes must reconcile exactly with the legacy
 // counters — on a kernel small enough to reason about by hand.
 #include <gtest/gtest.h>
 
@@ -44,7 +44,6 @@ Program tiny_two_tb_kernel() {
 class TraceSinks : public ::testing::TestWithParam<SchedulerKind> {
  protected:
   void SetUp() override {
-    opts_.stall_attribution = true;
     opts_.warp_lanes = true;
     opts_.windows = true;
     session_ = std::make_unique<ObservabilitySession>(opts_);
@@ -63,27 +62,22 @@ class TraceSinks : public ::testing::TestWithParam<SchedulerKind> {
 };
 
 TEST_P(TraceSinks, AttributionReconcilesWithLegacyTotals) {
-  const StallBreakdown& b = session_->attribution()->breakdown();
-  EXPECT_EQ(b.legacy_total(LegacyStallClass::kIssued),
-            result_.totals.issued);
-  EXPECT_EQ(b.legacy_total(LegacyStallClass::kIdle),
-            result_.totals.idle_stalls);
-  EXPECT_EQ(b.legacy_total(LegacyStallClass::kScoreboard),
-            result_.totals.scoreboard_stalls);
-  EXPECT_EQ(b.legacy_total(LegacyStallClass::kPipeline),
-            result_.totals.pipeline_stalls);
-  EXPECT_EQ(b.total_stalls(), result_.total_stalls());
+  std::uint64_t stalls = 0;
+  for (int c = 0; c < kNumStallCauses; ++c) {
+    if (static_cast<StallCause>(c) != StallCause::kIssued)
+      stalls += result_.totals.cause_cycles[c];
+  }
+  EXPECT_EQ(stalls, result_.total_stalls());
 
   // Per-SM reconciliation, not just the rollup.
-  ASSERT_LE(b.per_sm.size(), result_.per_sm.size());
-  for (std::size_t sm = 0; sm < b.per_sm.size(); ++sm) {
+  for (std::size_t sm = 0; sm < result_.per_sm.size(); ++sm) {
+    const SmStats& s = result_.per_sm[sm];
     std::uint64_t by_class[4] = {};
     for (int c = 0; c < kNumStallCauses; ++c) {
       by_class[static_cast<int>(
           legacy_stall_class(static_cast<StallCause>(c)))] +=
-          b.per_sm[sm].cause_cycles[c];
+          s.cause_cycles[c];
     }
-    const SmStats& s = result_.per_sm[sm];
     EXPECT_EQ(by_class[static_cast<int>(LegacyStallClass::kIssued)],
               s.issued)
         << "sm " << sm;
@@ -100,13 +94,9 @@ TEST_P(TraceSinks, AttributionReconcilesWithLegacyTotals) {
 }
 
 TEST_P(TraceSinks, IssuedWarpCyclesMatchIssuedCounter) {
-  // trace_state_of gives kIssued precedence, so summed issued warp-cycles
-  // equal the legacy issued counter exactly — the invariant that ties the
-  // warp-state view to the scheduler-cycle view.
-  const StallBreakdown& b = session_->attribution()->breakdown();
-  EXPECT_EQ(b.warp_state_total(WarpState::kIssued), result_.totals.issued);
-
-  // The same holds for the warp-lane slices.
+  // trace_state_of gives kIssued precedence, so the issued warp-lane
+  // slices sum to the legacy issued counter exactly — the invariant that
+  // ties the warp-state view to the scheduler-cycle view.
   std::uint64_t issued_slice_cycles = 0;
   for (const WarpLaneTraceSink::Slice& s :
        session_->warp_lanes()->slices()) {
@@ -248,19 +238,13 @@ std::optional<bool> warp_states_after_attach(ObservabilitySession& session) {
 TEST(TraceSession, NoModesYieldsNullSink) {
   ObservabilitySession session(ObservabilityOptions{});
   EXPECT_EQ(warp_states_after_attach(session), std::nullopt);
-  EXPECT_EQ(session.attribution(), nullptr);
   EXPECT_EQ(session.warp_lanes(), nullptr);
   EXPECT_EQ(session.windows(), nullptr);
 }
 
-// Pay-for-use: neither stall attribution nor the metrics sampler nor the
-// journal needs per-warp states, and the journal alone adds no SM sink.
+// Pay-for-use: the SMs count stall causes themselves, so neither the
+// metrics sampler nor the journal attaches an SM sink.
 TEST(TraceSession, AttributionOnlySkipsWarpStates) {
-  ObservabilityOptions opts;
-  opts.stall_attribution = true;
-  ObservabilitySession session(opts);
-  EXPECT_EQ(warp_states_after_attach(session), false);
-
   ObservabilityOptions journal_only;
   journal_only.events_jsonl = "unused.jsonl";
   ObservabilitySession journal(journal_only);
@@ -269,16 +253,11 @@ TEST(TraceSession, AttributionOnlySkipsWarpStates) {
   ObservabilityOptions observed = journal_only;
   observed.metrics_interval = 100;
   ObservabilitySession metrics_and_journal(observed);
-  EXPECT_EQ(warp_states_after_attach(metrics_and_journal), false);
-
-  observed.stall_attribution = true;
-  ObservabilitySession all_three(observed);
-  EXPECT_EQ(warp_states_after_attach(all_three), false);
+  EXPECT_EQ(warp_states_after_attach(metrics_and_journal), std::nullopt);
 }
 
 TEST(TraceSession, WarpLanesWantWarpStates) {
   ObservabilityOptions opts;
-  opts.stall_attribution = true;
   opts.warp_lanes = true;
   ObservabilitySession session(opts);
   EXPECT_EQ(warp_states_after_attach(session), true);
