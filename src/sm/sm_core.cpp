@@ -9,6 +9,36 @@
 
 namespace prosim {
 
+namespace {
+
+/// Calls f(lane) for each active lane in ascending lane order, the order
+/// in which a warp's memory side effects become visible.
+template <typename F>
+void for_each_lane(ActiveMask active, F&& f) {
+  while (active != 0) {
+    f(std::countr_zero(active));
+    active &= active - 1;
+  }
+}
+
+/// Writes f(lane) into the active lanes of register row `dst`. Every lane
+/// is evaluated in one branch-free loop the compiler can vectorize; a full
+/// mask writes `dst` directly, any other mask blends the active lanes in
+/// from a scratch row. f(lane) reads only index `lane` of its source rows,
+/// so `dst` may alias one of them.
+template <typename F>
+void write_lanes(RegValue* dst, ActiveMask active, F&& f) {
+  if (active == kFullMask) {
+    for (int lane = 0; lane < kWarpSize; ++lane) dst[lane] = f(lane);
+    return;
+  }
+  RegValue out[kWarpSize];
+  for (int lane = 0; lane < kWarpSize; ++lane) out[lane] = f(lane);
+  for_each_lane(active, [&](int lane) { dst[lane] = out[lane]; });
+}
+
+}  // namespace
+
 SmCore::SmCore(int sm_id, const SmConfig& config, const Program& program,
                GlobalMemory& gmem, MemorySubsystem& mem,
                std::unique_ptr<SchedulerPolicy> policy,
@@ -34,6 +64,8 @@ SmCore::SmCore(int sm_id, const SmConfig& config, const Program& program,
   PROSIM_CHECK_MSG(config_.max_warps <= 64,
                    "ready masks are 64-bit: max_warps must be <= 64");
   warps_.resize(config_.max_warps);
+  warp_pc_.assign(static_cast<std::size_t>(config_.max_warps), 0);
+  ibuffer_ready_.assign(static_cast<std::size_t>(config_.max_warps), 0);
   tbs_.resize(max_resident_tbs_);
   regs_.assign(static_cast<std::size_t>(config_.max_warps) * kWarpSize *
                    regs_per_thread_,
@@ -162,18 +194,19 @@ void SmCore::launch_tb(int ctaid, Cycle now) {
       const ActiveMask mask =
           threads == kWarpSize ? kFullMask : ((1u << threads) - 1);
       wc.stack.reset(mask);
+      warp_pc_[w] = 0;
       wc.allocated = true;
       wc.finished = false;
       wc.at_barrier = false;
       wc.issued_since_launch = false;
       wc.tb_slot = slot;
-      wc.ibuffer_ready = now + 1;
+      ibuffer_ready_[w] = now + 1;
       live_mask_ |= 1ull << w;
       scoreboard_.reset(w);
       warp_progress_[w] = 0;
       last_issue_[static_cast<std::size_t>(w)] = now;
-      std::memset(&reg(w, 0, 0), 0,
-                  static_cast<std::size_t>(kWarpSize) * regs_per_thread_ *
+      std::memset(row(w, 0), 0,
+                  static_cast<std::size_t>(regs_per_thread_) * kWarpSize *
                       sizeof(RegValue));
     }
   });
@@ -205,6 +238,7 @@ void SmCore::retire_tb(int tb_slot, Cycle now) {
   stats_.warp_finish_disparity_sum += last - first;
 
   if (register_dump_ != nullptr) {
+    // The dump is [ctaid][tid][reg]: transpose each warp's lane rows.
     for (int tid = 0; tid < program_.info.block_dim; ++tid) {
       const int w = tb_slot * warps_per_tb_ + tid / kWarpSize;
       const int lane = tid % kWarpSize;
@@ -213,9 +247,7 @@ void SmCore::retire_tb(int tb_slot, Cycle now) {
           (static_cast<std::size_t>(tb.ctaid) * program_.info.block_dim +
            tid) *
               regs_per_thread_;
-      std::memcpy(out, &reg(w, lane, 0),
-                  static_cast<std::size_t>(regs_per_thread_) *
-                      sizeof(RegValue));
+      for (int r = 0; r < regs_per_thread_; ++r) out[r] = row(w, r)[lane];
     }
   }
   release_tb_slot(tb_slot, now);
@@ -235,7 +267,8 @@ bool SmCore::all_resident_spin_stuck() const {
   for (int t = 0; t < max_resident_tbs_; ++t) {
     if (!tbs_[t].active) continue;
     for (int i = 0; i < warps_per_tb_; ++i) {
-      const WarpCtx& wc = warps_[t * warps_per_tb_ + i];
+      const int w = t * warps_per_tb_ + i;
+      const WarpCtx& wc = warps_[w];
       if (wc.finished || wc.at_barrier) continue;
       // A warp that has not issued since its TB was (re)launched is not
       // evidence of a livelock — its spin-classified PC may fall straight
@@ -243,7 +276,7 @@ bool SmCore::all_resident_spin_stuck() const {
       // the TB was parked). Requiring one issue per residency span also
       // bounds the yield rotation: every round makes real progress.
       if (!wc.issued_since_launch) return false;
-      if (!inst_meta_[static_cast<std::size_t>(wc.stack.pc())].in_spin)
+      if (!inst_meta_[static_cast<std::size_t>(warp_pc_[w])].in_spin)
         return false;
     }
   }
@@ -308,13 +341,9 @@ TbCheckpoint SmCore::take_yield_checkpoint(Cycle now) {
     live_mask_ &= ~(1ull << w);
     wc.allocated = false;
   }
-  const std::size_t reg_base = static_cast<std::size_t>(slot) *
-                               warps_per_tb_ * kWarpSize * regs_per_thread_;
-  const std::size_t reg_count = static_cast<std::size_t>(warps_per_tb_) *
-                                kWarpSize * regs_per_thread_;
-  ckpt.regs.assign(regs_.begin() + static_cast<std::ptrdiff_t>(reg_base),
-                   regs_.begin() +
-                       static_cast<std::ptrdiff_t>(reg_base + reg_count));
+  const RegValue* block = row(slot * warps_per_tb_, 0);
+  ckpt.regs.assign(block, block + static_cast<std::size_t>(warps_per_tb_) *
+                                      regs_per_thread_ * kWarpSize);
 
   // Close the residency span for the timeline, but the TB is not executed:
   // tbs_executed and the finish-disparity stat count only true retirements.
@@ -337,6 +366,7 @@ void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
           ckpt.warps[static_cast<std::size_t>(i)];
       WarpCtx& wc = warps_[w];
       wc.stack = in.stack;
+      if (!in.finished) warp_pc_[w] = in.stack.pc();
       wc.allocated = true;
       wc.finished = in.finished;
       wc.at_barrier = in.at_barrier;
@@ -344,7 +374,7 @@ void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
       wc.barrier_arrive = in.barrier_arrive;
       wc.finish_cycle = in.finish_cycle;
       wc.tb_slot = slot;
-      wc.ibuffer_ready = now + 1;
+      ibuffer_ready_[w] = now + 1;
       scoreboard_.reset(w);
       warp_progress_[w] = in.progress;
       last_issue_[static_cast<std::size_t>(w)] = now;
@@ -360,7 +390,7 @@ void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
     // A checkpointable TB always had a non-barrier live warp (the spinner),
     // so the restored barrier can never be complete-but-unreleased.
     PROSIM_CHECK(tb.warps_live > tb.warps_at_barrier);
-    std::memcpy(&reg(slot * warps_per_tb_, 0, 0), ckpt.regs.data(),
+    std::memcpy(row(slot * warps_per_tb_, 0), ckpt.regs.data(),
                 ckpt.regs.size() * sizeof(RegValue));
   });
 }
@@ -430,7 +460,7 @@ Cycle SmCore::next_event(Cycle now) const {
   while (pending != 0) {
     const int w = std::countr_zero(pending);
     pending &= pending - 1;
-    const Cycle r = warps_[w].ibuffer_ready;
+    const Cycle r = ibuffer_ready_[w];
     if (r > now) t = std::min(t, r);
   }
   t = std::min(t, policy_->next_wakeup(now));
@@ -591,13 +621,12 @@ bool SmCore::issue_cycle(Cycle now) {
     while (scan != 0) {
       const int w = std::countr_zero(scan);
       scan &= scan - 1;
-      const WarpCtx& wc = warps_[w];
-      if (wc.ibuffer_ready > now) {
-        until = std::min(until, wc.ibuffer_ready);
+      if (ibuffer_ready_[w] > now) {
+        until = std::min(until, ibuffer_ready_[w]);
         continue;
       }
       const InstMeta& meta =
-          inst_meta_[static_cast<std::size_t>(wc.stack.pc())];
+          inst_meta_[static_cast<std::size_t>(warp_pc_[w])];
       const std::uint64_t pending = scoreboard_.pending_mask(w);
       any_valid = true;
       // A warp may only retire once all its in-flight writebacks and loads
@@ -607,7 +636,7 @@ bool SmCore::issue_cycle(Cycle now) {
           meta.is_exit ? pending : pending & meta.regs;
       if (blocked != 0) {
         all_spin &= meta.in_spin;
-        mem |= (blocked & wc.mem_pending) != 0;
+        mem |= (blocked & warps_[w].mem_pending) != 0;
         continue;
       }
       const bool can_accept =
@@ -633,7 +662,7 @@ bool SmCore::issue_cycle(Cycle now) {
                            (ready & (1ull << w)) != 0,
                        "policy picked a warp outside the ready mask");
       const Instruction& inst =
-          program_.code[static_cast<std::size_t>(warps_[w].stack.pc())];
+          program_.code[static_cast<std::size_t>(warp_pc_[w])];
       issue_warp(w, inst, now);
       issued_any = true;
       issued_now_mask_ |= 1ull << w;
@@ -723,8 +752,9 @@ WarpState SmCore::trace_state_of(int warp, Cycle now) const {
     return tbs_[wc.tb_slot].active ? WarpState::kFinishWait
                                    : WarpState::kUnallocated;
   if (wc.at_barrier) return WarpState::kBarrierWait;
-  if (wc.ibuffer_ready > now) return WarpState::kFetch;
-  const InstMeta& meta = inst_meta_[static_cast<std::size_t>(wc.stack.pc())];
+  if (ibuffer_ready_[warp] > now) return WarpState::kFetch;
+  const InstMeta& meta =
+      inst_meta_[static_cast<std::size_t>(warp_pc_[warp])];
   const std::uint64_t pending = scoreboard_.pending_mask(warp);
   const std::uint64_t blocked = meta.is_exit ? pending : pending & meta.regs;
   if (blocked != 0) {
@@ -808,7 +838,7 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
       inst.op == Opcode::kAtomGCas || inst.op == Opcode::kAtomGExch;
   policy_->on_warp_issue(warp, lanes, long_latency);
 
-  const std::int32_t prev_pc = wc.stack.pc();
+  const std::int32_t prev_pc = warp_pc_[warp];
 
   switch (inst.info().fu) {
     case FuType::kControl:
@@ -846,46 +876,55 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
     }
   }
 
-  if (wc.finished || wc.at_barrier) return;
-  PROSIM_CHECK(!wc.stack.empty());
+  if (wc.finished) return;
   const std::int32_t new_pc = wc.stack.pc();
+  warp_pc_[warp] = new_pc;
+  if (wc.at_barrier) return;
   const bool redirected = new_pc != prev_pc + 1;
-  wc.ibuffer_ready =
+  ibuffer_ready_[warp] =
       now + 1 + (redirected ? config_.branch_fetch_penalty : 0);
 }
 
 void SmCore::execute_alu(int warp, const Instruction& inst,
                          ActiveMask active) {
-  const int tb_slot = warps_[warp].tb_slot;
-  const int ctaid = tbs_[tb_slot].ctaid;
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if ((active & (1u << lane)) == 0) continue;
-    RegValue result;
-    switch (inst.op) {
-      case Opcode::kMov:
-        result = reg(warp, lane, inst.src0);
-        break;
-      case Opcode::kMovi:
-        result = inst.imm;
-        break;
-      case Opcode::kS2r: {
-        const ThreadGeom geom{tid_of(warp, lane), ctaid,
-                              program_.info.block_dim,
-                              program_.info.grid_dim};
-        result = eval_sreg(inst.sreg, geom);
-        break;
-      }
-      default: {
-        const RegValue a = reg_or_zero(warp, lane, inst.src0);
-        const RegValue b =
-            inst.src1_is_imm ? inst.imm : reg_or_zero(warp, lane, inst.src1);
-        const RegValue c = reg_or_zero(warp, lane, inst.src2);
-        result = eval_alu(inst, a, b, c);
-        break;
-      }
+  RegValue* const d = row(warp, inst.dst);
+  switch (inst.op) {
+    case Opcode::kMov: {
+      const RegValue* a = row(warp, inst.src0);
+      write_lanes(d, active, [&](int lane) { return a[lane]; });
+      return;
     }
-    reg(warp, lane, inst.dst) = result;
+    case Opcode::kMovi:
+      write_lanes(d, active, [&](int) { return inst.imm; });
+      return;
+    case Opcode::kS2r: {
+      const ThreadGeom warp_geom{tid_of(warp, 0),
+                                 tbs_[warps_[warp].tb_slot].ctaid,
+                                 program_.info.block_dim,
+                                 program_.info.grid_dim};
+      write_lanes(d, active, [&](int lane) {
+        ThreadGeom geom = warp_geom;
+        geom.tid += lane;
+        return eval_sreg(inst.sreg, geom);
+      });
+      return;
+    }
+    default:
+      break;
   }
+  RegValue imm_row[kWarpSize];
+  const RegValue* a = src_row(warp, inst.src0);
+  const RegValue* b = imm_row;
+  if (inst.src1_is_imm) {
+    std::fill_n(imm_row, kWarpSize, inst.imm);
+  } else {
+    b = src_row(warp, inst.src1);
+  }
+  const RegValue* c = src_row(warp, inst.src2);
+  with_alu_op(inst, [&](auto op) {
+    write_lanes(d, active,
+                [&](int lane) { return op.eval(a[lane], b[lane], c[lane]); });
+  });
 }
 
 void SmCore::execute_branch(int warp, const Instruction& inst,
@@ -895,13 +934,12 @@ void SmCore::execute_branch(int warp, const Instruction& inst,
     wc.stack.jump(inst.target);
     return;
   }
-  ActiveMask taken = 0;
+  const RegValue* p = row(warp, inst.pred);
+  ActiveMask nonzero = 0;
   for (int lane = 0; lane < kWarpSize; ++lane) {
-    if ((active & (1u << lane)) == 0) continue;
-    const bool p = reg(warp, lane, inst.pred) != 0;
-    if (inst.pred_invert ? !p : p) taken |= 1u << lane;
+    nonzero |= static_cast<ActiveMask>(p[lane] != 0) << lane;
   }
-  wc.stack.take_branch(inst, taken);
+  wc.stack.take_branch(inst, (inst.pred_invert ? ~nonzero : nonzero) & active);
 }
 
 void SmCore::salt_lines(int count) {
@@ -914,12 +952,17 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
   WarpCtx& wc = warps_[warp];
   TbCtx& tb = tbs_[wc.tb_slot];
 
+  // Every lane's address; the coalescer and bank model read active ones.
+  const RegValue* base = src_row(warp, inst.src0);
   for (int lane = 0; lane < kWarpSize; ++lane) {
-    if ((active & (1u << lane)) == 0) continue;
-    lane_addrs_[lane] = static_cast<Addr>(
-        static_cast<std::uint64_t>(reg_or_zero(warp, lane, inst.src0)) +
-        static_cast<std::uint64_t>(inst.imm));
+    lane_addrs_[lane] =
+        static_cast<Addr>(static_cast<std::uint64_t>(base[lane]) +
+                          static_cast<std::uint64_t>(inst.imm));
   }
+  // Value, compare and destination rows; side effects run in lane order.
+  const RegValue* v = src_row(warp, inst.src1);
+  const RegValue* n = src_row(warp, inst.src2);
+  RegValue* const d = inst.dst == kNoReg ? nullptr : row(warp, inst.dst);
 
   auto smem_word = [&](int lane) -> RegValue& {
     const Addr addr = lane_addrs_[lane];
@@ -939,10 +982,8 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
 
   switch (inst.op) {
     case Opcode::kLdg: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
-        reg(warp, lane, inst.dst) = gmem_.load(lane_addrs_[lane]);
-      }
+      for_each_lane(active,
+                    [&](int lane) { d[lane] = gmem_.load(lane_addrs_[lane]); });
       // fu_can_accept guarantees the LDST op slot is free at issue time, so
       // the coalescer writes its line list straight into it.
       const int count = coalesce_lines_into(
@@ -961,10 +1002,8 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kStg: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
-        gmem_.store(lane_addrs_[lane], reg(warp, lane, inst.src1));
-      }
+      for_each_lane(active,
+                    [&](int lane) { gmem_.store(lane_addrs_[lane], v[lane]); });
       const int count = coalesce_lines_into(
           lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
       salt_lines(count);
@@ -979,12 +1018,10 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kAtomGAdd: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
-        const RegValue old = gmem_.atomic_add(lane_addrs_[lane],
-                                              reg(warp, lane, inst.src1));
-        if (inst.dst != kNoReg) reg(warp, lane, inst.dst) = old;
-      }
+      for_each_lane(active, [&](int lane) {
+        const RegValue old = gmem_.atomic_add(lane_addrs_[lane], v[lane]);
+        if (d != nullptr) d[lane] = old;
+      });
       const int count = coalesce_lines_into(
           lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
       salt_lines(count);
@@ -1005,17 +1042,13 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
     }
     case Opcode::kAtomGCas:
     case Opcode::kAtomGExch: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
+      for_each_lane(active, [&](int lane) {
         const RegValue old =
             inst.op == Opcode::kAtomGCas
-                ? gmem_.atomic_cas(lane_addrs_[lane],
-                                   reg(warp, lane, inst.src1),
-                                   reg(warp, lane, inst.src2))
-                : gmem_.atomic_exch(lane_addrs_[lane],
-                                    reg(warp, lane, inst.src1));
-        if (inst.dst != kNoReg) reg(warp, lane, inst.dst) = old;
-      }
+                ? gmem_.atomic_cas(lane_addrs_[lane], v[lane], n[lane])
+                : gmem_.atomic_exch(lane_addrs_[lane], v[lane]);
+        if (d != nullptr) d[lane] = old;
+      });
       const int count = coalesce_lines_into(
           lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
       salt_lines(count);
@@ -1035,10 +1068,7 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kLds: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
-        reg(warp, lane, inst.dst) = smem_word(lane);
-      }
+      for_each_lane(active, [&](int lane) { d[lane] = smem_word(lane); });
       const int degree =
           smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
       stats_.smem_conflict_extra_cycles +=
@@ -1050,10 +1080,7 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kSts: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
-        smem_word(lane) = reg(warp, lane, inst.src1);
-      }
+      for_each_lane(active, [&](int lane) { smem_word(lane) = v[lane]; });
       const int degree =
           smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
       stats_.smem_conflict_extra_cycles +=
@@ -1062,15 +1089,13 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kAtomSAdd: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
+      for_each_lane(active, [&](int lane) {
         RegValue& word = smem_word(lane);
         const RegValue old = word;
-        word = static_cast<RegValue>(
-            static_cast<std::uint64_t>(word) +
-            static_cast<std::uint64_t>(reg(warp, lane, inst.src1)));
-        if (inst.dst != kNoReg) reg(warp, lane, inst.dst) = old;
-      }
+        word = static_cast<RegValue>(static_cast<std::uint64_t>(word) +
+                                     static_cast<std::uint64_t>(v[lane]));
+        if (d != nullptr) d[lane] = old;
+      });
       const int degree =
           smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
       stats_.smem_conflict_extra_cycles +=
@@ -1084,15 +1109,12 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kAtomSCas: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
+      for_each_lane(active, [&](int lane) {
         RegValue& word = smem_word(lane);
         const RegValue old = word;
-        if (old == reg(warp, lane, inst.src1)) {
-          word = reg(warp, lane, inst.src2);
-        }
-        if (inst.dst != kNoReg) reg(warp, lane, inst.dst) = old;
-      }
+        if (old == v[lane]) word = n[lane];
+        if (d != nullptr) d[lane] = old;
+      });
       const int degree =
           smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
       stats_.smem_conflict_extra_cycles +=
@@ -1106,10 +1128,8 @@ void SmCore::execute_memory(int warp, const Instruction& inst,
       break;
     }
     case Opcode::kLdc: {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if ((active & (1u << lane)) == 0) continue;
-        reg(warp, lane, inst.dst) = gmem_.load(lane_addrs_[lane]);
-      }
+      for_each_lane(active,
+                    [&](int lane) { d[lane] = gmem_.load(lane_addrs_[lane]); });
       scoreboard_.reserve(warp, inst.dst);
       if (config_.const_cache_enabled) {
         const int count = coalesce_lines_into(
@@ -1162,7 +1182,7 @@ void SmCore::diagnose(Cycle now, std::vector<WarpBlockInfo>& warps,
     if (wc.at_barrier) {
       info.reason = WarpBlockReason::kBarrier;
       info.barrier_wait = now - wc.barrier_arrive;
-    } else if (wc.ibuffer_ready > now) {
+    } else if (ibuffer_ready_[w] > now) {
       info.reason = WarpBlockReason::kFetch;
     } else {
       const Instruction& inst =
@@ -1219,7 +1239,7 @@ void SmCore::release_barrier(int tb_slot, Cycle now) {
     WarpCtx& wc = warps_[w];
     if (wc.allocated && !wc.finished && wc.at_barrier) {
       wc.at_barrier = false;
-      wc.ibuffer_ready = now + 1;
+      ibuffer_ready_[w] = now + 1;
       live_mask_ |= 1ull << w;
       stats_.barrier_wait_cycles += now - wc.barrier_arrive;
     }

@@ -99,7 +99,7 @@ struct TbCheckpoint {
     std::uint64_t progress = 0;
   };
   std::vector<WarpCkpt> warps;  ///< one per warp of the TB, in slot order
-  std::vector<RegValue> regs;   ///< flat [warp_in_tb][lane][reg] block
+  std::vector<RegValue> regs;   ///< flat [warp_in_tb][reg][lane] block
 };
 
 class SmCore {
@@ -265,7 +265,6 @@ class SmCore {
     /// lets the victim retire at least one instruction — the preemptive
     /// yield rotation can therefore never itself livelock.
     bool issued_since_launch = false;
-    Cycle ibuffer_ready = 0;
     Cycle barrier_arrive = 0;  // when at_barrier was set (stats)
     Cycle finish_cycle = 0;    // when the warp retired (stats)
     int tb_slot = -1;
@@ -385,17 +384,18 @@ class SmCore {
   void complete_load_transaction(std::uint32_t token, Cycle now);
   void schedule_release(int warp, std::uint8_t reg, Cycle at);
 
-  RegValue& reg(int warp, int lane, int r) {
-    return regs_[(static_cast<std::size_t>(warp) * kWarpSize + lane) *
-                     regs_per_thread_ +
-                 r];
+  /// Register `r` of warp `warp`: kWarpSize contiguous lane values. The
+  /// register file is laid out [warp][reg][lane], so a TB slot's warps
+  /// form one contiguous block; this is the layout's only index formula.
+  RegValue* row(int warp, int r) {
+    return regs_.data() +
+           (static_cast<std::size_t>(warp) * regs_per_thread_ + r) *
+               kWarpSize;
   }
-  RegValue reg_or_zero(int warp, int lane, std::uint8_t r) const {
-    return r == kNoReg
-               ? 0
-               : regs_[(static_cast<std::size_t>(warp) * kWarpSize + lane) *
-                           regs_per_thread_ +
-                       r];
+  /// row(), or a row of zeros for an absent operand (kNoReg).
+  const RegValue* src_row(int warp, std::uint8_t r) {
+    static constexpr RegValue kZeroRow[kWarpSize] = {};
+    return r == kNoReg ? kZeroRow : row(warp, r);
   }
   int tb_of_warp(int warp) const { return warps_[warp].tb_slot; }
   int tid_of(int warp, int lane) const {
@@ -421,6 +421,15 @@ class SmCore {
 
   // -- machine state ---------------------------------------------------------
   std::vector<WarpCtx> warps_;
+  /// Per warp slot, the pc its SIMT stack's top entry points at; dense so
+  /// the issue scan reads it without touching the stack. Refreshed at TB
+  /// launch and resume and at the end of issue_warp, the only places a
+  /// stack changes. Stale for finished warps.
+  std::vector<std::int32_t> warp_pc_;
+  /// Per warp slot, the cycle its instruction buffer refills (next fetch
+  /// after an issue, a taken branch or a barrier release); dense beside
+  /// warp_pc_ for the same reason.
+  std::vector<Cycle> ibuffer_ready_;
   std::vector<TbCtx> tbs_;
   std::vector<RegValue> regs_;
   std::vector<std::uint64_t> warp_progress_;

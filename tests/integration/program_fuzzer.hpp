@@ -42,6 +42,13 @@ class ProgramFuzzer {
       b_.imuli(static_cast<std::uint8_t>(r), 1,
                rng_.next_in(1, 1000));
     }
+    // Fold every special register into the scratch state.
+    for (int s = 0; s < kNumSpecialRegs; ++s) {
+      const std::uint8_t x = scratch();
+      const std::uint8_t acc = scratch();
+      b_.s2r(x, static_cast<SpecialReg>(s));
+      b_.iadd(acc, acc, x);
+    }
 
     emit_block(/*budget=*/static_cast<int>(rng_.next_in(12, 30)),
                /*depth=*/0, /*in_divergent=*/false);
@@ -58,6 +65,13 @@ class ProgramFuzzer {
 
  private:
   static constexpr int kFirstScratch = 4;
+  static constexpr int kNumSpecialRegs =
+      static_cast<int>(SpecialReg::kGlobalTid) + 1;
+  static constexpr int kNumCmpOps = static_cast<int>(CmpOp::kNe) + 1;
+
+  CmpOp random_cmp() {
+    return static_cast<CmpOp>(rng_.next_below(kNumCmpOps));
+  }
 
   bool is_reserved(std::uint8_t r) const {
     for (std::uint8_t x : reserved_) {
@@ -75,11 +89,14 @@ class ProgramFuzzer {
     }
   }
 
+  /// One random ALU instruction: any ALU/SFU opcode, in register or
+  /// immediate src1 form, or s2r of any special register.
   void emit_alu() {
     const std::uint8_t d = scratch();
     const std::uint8_t a = scratch();
     const std::uint8_t c = scratch();
-    switch (rng_.next_below(8)) {
+    const std::int64_t imm = rng_.next_in(-300, 300);
+    switch (rng_.next_below(31)) {
       case 0: b_.iadd(d, a, c); break;
       case 1: b_.isub(d, a, c); break;
       case 2: b_.imul(d, a, c); break;
@@ -88,6 +105,31 @@ class ProgramFuzzer {
       case 5: b_.ishri(d, a, rng_.next_in(0, 7)); break;
       case 6: b_.fsin(d, a); break;
       case 7: b_.imax(d, a, c); break;
+      case 8: b_.imin(d, a, c); break;
+      case 9: b_.iand_(d, a, c); break;
+      case 10: b_.ior_(d, a, c); break;
+      case 11: b_.ishl(d, a, c); break;
+      case 12: b_.ishr(d, a, c); break;
+      case 13: b_.sel(d, a, c, scratch()); break;
+      case 14: b_.mov(d, a); break;
+      case 15: b_.setp(random_cmp(), d, a, c); break;
+      case 16: b_.setpi(random_cmp(), d, a, imm); break;
+      case 17: b_.iaddi(d, a, imm); break;
+      case 18: b_.isubi(d, a, imm); break;
+      case 19: b_.imuli(d, a, imm); break;
+      case 20: b_.iandi(d, a, imm); break;
+      case 21: b_.ixori(d, a, imm); break;
+      case 22: b_.ishli(d, a, rng_.next_in(0, 70)); break;
+      case 23: b_.fadd(d, a, c); break;
+      case 24: b_.fmul(d, a, c); break;
+      case 25: b_.ffma(d, a, c, scratch()); break;
+      case 26: b_.fdiv(d, a, c); break;
+      case 27: b_.rsqrt(d, a); break;
+      case 28: b_.fexp(d, a); break;
+      case 29: b_.flog(d, a); break;
+      case 30:
+        b_.s2r(d, static_cast<SpecialReg>(rng_.next_below(kNumSpecialRegs)));
+        break;
     }
   }
 

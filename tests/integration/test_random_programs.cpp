@@ -3,7 +3,8 @@
 // every scheduler) and the scalar golden-model interpreter.
 //
 // The generator emits only schedule-independent constructs:
-//  - ALU ops over the whole register file,
+//  - every ALU/SFU opcode (register and immediate src1 forms) and s2r of
+//    every special register, over the whole register file,
 //  - global loads from a read-only input region (addresses masked+aligned),
 //  - global stores to a per-thread output slot,
 //  - global atomic adds (commutative, result discarded),

@@ -76,12 +76,55 @@ TEST(Semantics, FdivGuardsZero) {
   EXPECT_EQ(eval_alu(alu(Opcode::kFdiv), 10, 2, 0), 5);
 }
 
+TEST(Semantics, FdivOverflowWrapsInsteadOfTrapping) {
+  // INT64_MIN / -1 overflows a signed divide (SIGFPE on x86); it wraps.
+  const RegValue min = std::numeric_limits<RegValue>::min();
+  EXPECT_EQ(eval_alu(alu(Opcode::kFdiv), min, -1, 0), min);
+  EXPECT_EQ(eval_alu(alu(Opcode::kFdiv), min, 1, 0), min);
+  EXPECT_EQ(eval_alu(alu(Opcode::kFdiv), 7, -1, 0), -7);
+  EXPECT_EQ(eval_alu(alu(Opcode::kFdiv), -7, 2, 0), -3);  // truncates
+}
+
 TEST(Semantics, RsqrtIsIntegerSqrtOfMagnitude) {
   EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt), 0, 0, 0), 0);
   EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt), 16, 0, 0), 4);
   EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt), 17, 0, 0), 4);
   EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt), -16, 0, 0), 4);  // magnitude
   EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt), 1ll << 40, 0, 0), 1ll << 20);
+  // |INT64_MIN| = 2^63 is taken unsigned (no signed-negation UB).
+  EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt),
+                     std::numeric_limits<RegValue>::min(), 0, 0),
+            3037000499);  // floor(sqrt(2^63))
+  EXPECT_EQ(eval_alu(alu(Opcode::kRsqrt),
+                     std::numeric_limits<RegValue>::max(), 0, 0),
+            3037000499);
+}
+
+TEST(Semantics, RsqrtIsExactFloorRootAtEverySquareBoundary) {
+  // r = rsqrt(v) must satisfy r^2 <= |v| < (r+1)^2 exactly, including
+  // next to perfect squares where a floating-point root is off by one.
+  auto check = [](std::uint64_t v) {
+    const auto r = static_cast<unsigned __int128>(
+        eval_alu(alu(Opcode::kRsqrt), static_cast<RegValue>(v), 0, 0));
+    const auto m = v <= (1ull << 63) ? v : 0 - v;  // |v| as RegValue
+    EXPECT_TRUE(r * r <= m && (r + 1) * (r + 1) > m) << v;
+  };
+  for (std::uint64_t k = 0; k < 4096; ++k) {
+    check(k);
+    check(k * k);
+    check(k * k - 1);
+  }
+  for (std::uint64_t k = 3037000499 - 4096; k <= 3037000499; ++k) {
+    check(k * k);
+    check(k * k - 1);
+    check(k * k + 2 * k);  // (k+1)^2 - 1
+  }
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 100000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    check(x);
+    check(x >> (i % 64));
+  }
 }
 
 TEST(Semantics, SfuMixersAreDeterministicAndSpread) {
