@@ -29,3 +29,11 @@
       std::abort();                                                          \
     }                                                                        \
   } while (0)
+
+// PROSIM_DEBUG_CHECKS turns on self-checks too costly for the hot path of a
+// release build, such as re-deriving incrementally kept state from scratch
+// every cycle. Debug builds define it here; sanitized builds get it from
+// CMake (PROSIM_SANITIZE), so the sanitizer runs of the test suite use it.
+#if !defined(NDEBUG) && !defined(PROSIM_DEBUG_CHECKS)
+#define PROSIM_DEBUG_CHECKS
+#endif

@@ -174,7 +174,6 @@ void Gpu::bind_sm(int s, int k) {
       s, config_.sm, st.launch.program, *st.launch.memory, mem_,
       std::move(policy), [this, k] { return streams_[k]->tbs.has_waiting(); });
   sms_[s]->set_fault_injector(faults_.get());
-  sms_[s]->set_scan_memo(!tick_all_);
   sms_[s]->set_addr_salt(stream_addr_salt(k));
   if (config_.record_registers) {
     sms_[s]->set_register_dump(streams_[k]->registers.data());

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/check.hpp"
 #include "isa/semantics.hpp"
 #include "sm/coalescer.hpp"
 
@@ -83,13 +84,13 @@ SmCore::SmCore(int sm_id, const SmConfig& config, const Program& program,
   }
   last_cause_.assign(static_cast<std::size_t>(config_.num_schedulers),
                      StallCause::kNoWarp);
-  memo_.assign(static_cast<std::size_t>(config_.num_schedulers), ScanMemo{});
 
   inst_meta_.resize(program_.code.size());
   for (std::size_t pc = 0; pc < program_.code.size(); ++pc) {
     const Instruction& inst = program_.code[pc];
-    inst_meta_[pc] = {Scoreboard::regs_of(inst), inst.info().fu,
-                      inst.info().is_exit, false};
+    inst_meta_[pc] = {inst.info().is_exit ? ~std::uint64_t{0}
+                                          : Scoreboard::regs_of(inst),
+                      inst.info().fu, false};
   }
 
   // Static spin-loop detection for stall attribution: a backward branch
@@ -167,13 +168,11 @@ void SmCore::claim_tb_slot(int ctaid, Cycle now, Fill&& fill) {
   tb.active = true;
   tb.ctaid = ctaid;
   tb.launch_seq = next_launch_seq_++;
-  tb.warps_at_barrier = 0;
   tb.start_cycle = now;
   tb_ctaid_[slot] = ctaid;
   tb_launch_seq_[slot] = tb.launch_seq;
   fill(slot, tb);
   ++resident_tbs_;
-  ++scan_gen_;
   policy_->on_tb_launch(slot);
   if (trace_ != nullptr) trace_->on_tb_launch(sm_id_, ctaid, now);
 }
@@ -197,12 +196,13 @@ void SmCore::launch_tb(int ctaid, Cycle now) {
       warp_pc_[w] = 0;
       wc.allocated = true;
       wc.finished = false;
-      wc.at_barrier = false;
       wc.issued_since_launch = false;
       wc.tb_slot = slot;
       ibuffer_ready_[w] = now + 1;
+      refill_mask_ |= 1ull << w;
       live_mask_ |= 1ull << w;
       scoreboard_.reset(w);
+      refresh_issue_bits(w);
       warp_progress_[w] = 0;
       last_issue_[static_cast<std::size_t>(w)] = now;
       std::memset(row(w, 0), 0,
@@ -220,6 +220,8 @@ void SmCore::release_tb_slot(int tb_slot, Cycle now) {
     trace_->on_tb_retire(sm_id_, tb.ctaid, tb.start_cycle, now);
   tb.active = false;
   tb_ctaid_[tb_slot] = -1;
+  parked_mask_ &= ~tb_bits(tb_slot);
+  done_mask_ &= ~tb_bits(tb_slot);
   --resident_tbs_;
 }
 
@@ -269,15 +271,14 @@ bool SmCore::all_resident_spin_stuck() const {
     for (int i = 0; i < warps_per_tb_; ++i) {
       const int w = t * warps_per_tb_ + i;
       const WarpCtx& wc = warps_[w];
-      if (wc.finished || wc.at_barrier) continue;
+      if (wc.finished || (parked_mask_ & (1ull << w)) != 0) continue;
       // A warp that has not issued since its TB was (re)launched is not
       // evidence of a livelock — its spin-classified PC may fall straight
       // through under the current memory state (e.g. a flag written while
       // the TB was parked). Requiring one issue per residency span also
       // bounds the yield rotation: every round makes real progress.
       if (!wc.issued_since_launch) return false;
-      if (!inst_meta_[static_cast<std::size_t>(warp_pc_[w])].in_spin)
-        return false;
+      if ((spin_mask_ & (1ull << w)) == 0) return false;
     }
   }
   return true;
@@ -295,10 +296,7 @@ int SmCore::oldest_tb_slot() const {
 void SmCore::request_yield(int tb_slot) {
   PROSIM_CHECK(pending_yield_slot_ < 0 && tbs_[tb_slot].active);
   pending_yield_slot_ = tb_slot;
-  ++scan_gen_;
-  for (int i = 0; i < warps_per_tb_; ++i) {
-    yield_mask_ |= 1ull << (tb_slot * warps_per_tb_ + i);
-  }
+  yield_mask_ = tb_bits(tb_slot);
 }
 
 bool SmCore::yield_quiescent() const {
@@ -334,7 +332,7 @@ TbCheckpoint SmCore::take_yield_checkpoint(Cycle now) {
     TbCheckpoint::WarpCkpt& out = ckpt.warps[static_cast<std::size_t>(i)];
     out.stack = wc.stack;
     out.finished = wc.finished;
-    out.at_barrier = wc.at_barrier;
+    out.at_barrier = (parked_mask_ & (1ull << w)) != 0;
     out.barrier_arrive = wc.barrier_arrive;
     out.finish_cycle = wc.finish_cycle;
     out.progress = warp_progress_[w];
@@ -350,7 +348,6 @@ TbCheckpoint SmCore::take_yield_checkpoint(Cycle now) {
   release_tb_slot(slot, now);
   yield_mask_ = 0;
   pending_yield_slot_ = -1;
-  ++scan_gen_;
   return ckpt;
 }
 
@@ -369,27 +366,26 @@ void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
       if (!in.finished) warp_pc_[w] = in.stack.pc();
       wc.allocated = true;
       wc.finished = in.finished;
-      wc.at_barrier = in.at_barrier;
       wc.issued_since_launch = false;
       wc.barrier_arrive = in.barrier_arrive;
       wc.finish_cycle = in.finish_cycle;
       wc.tb_slot = slot;
       ibuffer_ready_[w] = now + 1;
+      refill_mask_ |= 1ull << w;
       scoreboard_.reset(w);
+      refresh_issue_bits(w);
       warp_progress_[w] = in.progress;
       last_issue_[static_cast<std::size_t>(w)] = now;
-      if (!in.finished) {
+      if (in.finished) {
+        done_mask_ |= 1ull << w;
+      } else {
         ++tb.warps_live;
-        if (in.at_barrier) {
-          ++tb.warps_at_barrier;
-        } else {
-          live_mask_ |= 1ull << w;
-        }
+        (in.at_barrier ? parked_mask_ : live_mask_) |= 1ull << w;
       }
     }
     // A checkpointable TB always had a non-barrier live warp (the spinner),
     // so the restored barrier can never be complete-but-unreleased.
-    PROSIM_CHECK(tb.warps_live > tb.warps_at_barrier);
+    PROSIM_CHECK(tb.warps_live > warps_at_barrier(slot));
     std::memcpy(row(slot * warps_per_tb_, 0), ckpt.regs.data(),
                 ckpt.regs.size() * sizeof(RegValue));
   });
@@ -456,7 +452,7 @@ Cycle SmCore::next_event(Cycle now) const {
   if (!wb_.empty()) t = std::min(t, wb_.top().at);  // > now after drain
   if (sfu_ready_at_ > now) t = std::min(t, sfu_ready_at_);
   if (ldst_busy_until_ > now) t = std::min(t, ldst_busy_until_);
-  std::uint64_t pending = live_mask_;
+  std::uint64_t pending = live_mask_ & refill_mask_;
   while (pending != 0) {
     const int w = std::countr_zero(pending);
     pending &= pending - 1;
@@ -500,7 +496,7 @@ bool SmCore::drain_writebacks(Cycle now) {
     wb_.pop();
     if (ev.kind == WbKind::kRegRelease) {
       scoreboard_.release(ev.warp, ev.reg);
-      ++scan_gen_;
+      refresh_issue_bits(ev.warp);
     } else {
       complete_load_transaction(ev.token, now);
     }
@@ -564,10 +560,7 @@ bool SmCore::ldst_cycle(Cycle now) {
     ++ldst_op_.next;
     --budget;
   }
-  if (ldst_op_.next == ldst_op_.num_lines) {
-    ldst_op_.valid = false;
-    ++scan_gen_;  // memory instructions can issue again
-  }
+  if (ldst_op_.next == ldst_op_.num_lines) ldst_op_.valid = false;
   return true;
 }
 
@@ -591,6 +584,42 @@ bool SmCore::fu_can_accept(const Instruction& inst, Cycle now) const {
   return false;
 }
 
+void SmCore::refresh_issue_bits(int warp) {
+  const InstMeta& meta = inst_meta_[static_cast<std::size_t>(warp_pc_[warp])];
+  const std::uint64_t hazard = scoreboard_.pending_mask(warp) & meta.regs;
+  auto assign = [warp](std::uint64_t& mask, bool on) {
+    mask = (mask & ~(1ull << warp)) | (std::uint64_t{on} << warp);
+  };
+  assign(hazard_mask_, hazard != 0);
+  assign(mem_wait_mask_, (hazard & warps_[warp].mem_pending) != 0);
+  assign(spin_mask_, meta.in_spin);
+  assign(sfu_mask_, meta.fu == FuType::kSfu);
+  assign(ldst_mask_, meta.fu == FuType::kMem);
+}
+
+#ifdef PROSIM_DEBUG_CHECKS
+void SmCore::check_issue_bits(std::uint64_t candidates, Cycle now) const {
+  for (std::uint64_t scan = candidates; scan != 0; scan &= scan - 1) {
+    const int w = std::countr_zero(scan);
+    const std::uint64_t bit = 1ull << w;
+    const WarpCtx& wc = warps_[w];
+    PROSIM_CHECK(wc.allocated && !wc.finished &&
+                 warp_pc_[w] == wc.stack.pc());
+    const auto pc = static_cast<std::size_t>(warp_pc_[w]);
+    const Instruction& inst = program_.code[pc];
+    const std::uint64_t pending = scoreboard_.pending_mask(w);
+    const std::uint64_t hazard =
+        inst.info().is_exit ? pending : pending & Scoreboard::regs_of(inst);
+    PROSIM_CHECK(((hazard_mask_ & bit) != 0) == (hazard != 0));
+    PROSIM_CHECK(((mem_wait_mask_ & bit) != 0) ==
+                 ((hazard & wc.mem_pending) != 0));
+    PROSIM_CHECK(((spin_mask_ & bit) != 0) == inst_meta_[pc].in_spin);
+    PROSIM_CHECK(((fu_busy_mask(now) & bit) != 0) == !fu_can_accept(inst, now));
+    PROSIM_CHECK(((refill_mask_ & bit) != 0) == (ibuffer_ready_[w] > now));
+  }
+}
+#endif
+
 bool SmCore::issue_cycle(Cycle now) {
   policy_->begin_cycle(now);
   bool issued_any = false;
@@ -604,57 +633,18 @@ bool SmCore::issue_cycle(Cycle now) {
     const std::uint64_t candidates = live_mask_ & ~yield_mask_ &
                                      sched_mask_[si] &
                                      policy_->consider_mask(sched);
-    ScanMemo& memo = memo_[si];
-    if (scan_memo_ && candidates == memo.candidates &&
-        scan_gen_ == memo.gen && now < memo.until) {
-      // Nothing the last no-issue scan read has changed: same verdict.
-      count_cause(sched, last_cause_[si], 1);
-      continue;
-    }
-    bool any_valid = false;
-    bool any_fu_blocked = false;
-    bool all_spin = true;  // every register-blocked candidate spin-waits
-    bool mem = false;      // some blocked candidate waits on a load
-    std::uint64_t ready = 0;
-    Cycle until = kNoCycle;
-    std::uint64_t scan = candidates;
-    while (scan != 0) {
+    // Drop the refill bits whose cycle has come; the rest still refill.
+    for (std::uint64_t scan = candidates & refill_mask_; scan != 0;
+         scan &= scan - 1) {
       const int w = std::countr_zero(scan);
-      scan &= scan - 1;
-      if (ibuffer_ready_[w] > now) {
-        until = std::min(until, ibuffer_ready_[w]);
-        continue;
-      }
-      const InstMeta& meta =
-          inst_meta_[static_cast<std::size_t>(warp_pc_[w])];
-      const std::uint64_t pending = scoreboard_.pending_mask(w);
-      any_valid = true;
-      // A warp may only retire once all its in-flight writebacks and loads
-      // have drained; otherwise the slot could be re-used by a new TB while
-      // stale completions are still queued.
-      const std::uint64_t blocked =
-          meta.is_exit ? pending : pending & meta.regs;
-      if (blocked != 0) {
-        all_spin &= meta.in_spin;
-        mem |= (blocked & warps_[w].mem_pending) != 0;
-        continue;
-      }
-      const bool can_accept =
-          meta.fu == FuType::kSfu
-              ? sfu_ready_at_ <= now
-              : (meta.fu != FuType::kMem ||
-                 (!ldst_op_.valid && ldst_busy_until_ <= now));
-      if (!can_accept) {
-        any_fu_blocked = true;
-        // A busy LDST op ends with a generation bump; the timed units
-        // free at their ready cycles.
-        const Cycle free_at =
-            meta.fu == FuType::kSfu ? sfu_ready_at_ : ldst_busy_until_;
-        if (free_at > now) until = std::min(until, free_at);
-        continue;
-      }
-      ready |= 1ull << w;
+      if (ibuffer_ready_[w] <= now) refill_mask_ &= ~(1ull << w);
     }
+#ifdef PROSIM_DEBUG_CHECKS
+    check_issue_bits(candidates, now);
+#endif
+    const std::uint64_t fetched = candidates & ~refill_mask_;
+    const std::uint64_t unblocked = fetched & ~hazard_mask_;
+    const std::uint64_t ready = unblocked & ~fu_busy_mask(now);
 
     if (ready != 0) {
       const int w = policy_->pick(sched, ready, now);
@@ -669,22 +659,21 @@ bool SmCore::issue_cycle(Cycle now) {
       count_cause(sched, StallCause::kIssued, 1);
       continue;
     }
-    // With no ready warp, any FU-blocked candidate makes it a pipeline
-    // stall, else any fetched one a scoreboard stall: every such candidate
-    // is register-blocked, and all of them spinning is a spin wait.
+    // With no ready warp, any unblocked fetched candidate waits on its
+    // functional unit: a pipeline stall. Else any fetched one makes it a
+    // scoreboard stall: all of them spinning is a spin wait.
     StallCause cause;
-    if (any_fu_blocked) {
+    if (unblocked != 0) {
       cause = StallCause::kFuBusy;
-    } else if (any_valid) {
-      cause = all_spin ? StallCause::kSpinWait
-              : mem    ? StallCause::kScoreboardMem
-                       : StallCause::kScoreboardAlu;
+    } else if (fetched != 0) {
+      cause = (fetched & ~spin_mask_) == 0       ? StallCause::kSpinWait
+              : (fetched & mem_wait_mask_) != 0 ? StallCause::kScoreboardMem
+                                                : StallCause::kScoreboardAlu;
     } else {
-      cause = classify_idle(sched);
+      cause = classify_idle(sched, candidates);
     }
     last_cause_[si] = cause;
     count_cause(sched, cause, 1);
-    memo = {candidates, scan_gen_, until};
   }
   return issued_any;
 }
@@ -708,29 +697,12 @@ void SmCore::count_cause(int sched, StallCause cause, Cycle count) {
   if (trace_ != nullptr) trace_->on_sched_cycles(sm_id_, sched, cause, count);
 }
 
-StallCause SmCore::classify_idle(int sched) const {
+StallCause SmCore::classify_idle(int sched,
+                                 std::uint64_t candidates) const {
+  if (candidates != 0) return StallCause::kFetch;
   const std::uint64_t smask = sched_mask_[static_cast<std::size_t>(sched)];
-  // In the idle branch every considered live warp is refilling its
-  // instruction buffer (otherwise the cycle would have been classified
-  // scoreboard or better).
-  if ((live_mask_ & ~yield_mask_ & smask & policy_->consider_mask(sched)) != 0)
-    return StallCause::kFetch;
-  bool barrier = false;
-  bool finish = false;
-  std::uint64_t scan = smask;
-  while (scan != 0) {
-    const int w = std::countr_zero(scan);
-    scan &= scan - 1;
-    const WarpCtx& wc = warps_[w];
-    if (!wc.allocated) continue;
-    if (!wc.finished && wc.at_barrier) {
-      barrier = true;
-    } else if (wc.finished && tbs_[wc.tb_slot].active) {
-      finish = true;
-    }
-  }
-  if (barrier) return StallCause::kBarrierWait;
-  if (finish) return StallCause::kFinishWait;
+  if ((parked_mask_ & smask) != 0) return StallCause::kBarrierWait;
+  if ((done_mask_ & smask) != 0) return StallCause::kFinishWait;
   if ((live_mask_ & smask &
        (~policy_->consider_mask(sched) | yield_mask_)) != 0)
     return StallCause::kThrottled;
@@ -742,32 +714,24 @@ StallCause SmCore::classify_idle(int sched) const {
 // ---------------------------------------------------------------------------
 
 WarpState SmCore::trace_state_of(int warp, Cycle now) const {
-  const WarpCtx& wc = warps_[warp];
-  if (!wc.allocated) return WarpState::kUnallocated;
+  if (!warps_[warp].allocated) return WarpState::kUnallocated;
+  const std::uint64_t bit = 1ull << warp;
   // Issue wins over the post-issue flags a bar/exit just set, so summed
   // kIssued warp-cycles equal SmStats::issued exactly; the barrier /
   // finish window then opens at the next executed cycle.
-  if ((issued_now_mask_ & (1ull << warp)) != 0) return WarpState::kIssued;
-  if (wc.finished)
-    return tbs_[wc.tb_slot].active ? WarpState::kFinishWait
+  if ((issued_now_mask_ & bit) != 0) return WarpState::kIssued;
+  if (warps_[warp].finished)
+    return (done_mask_ & bit) != 0 ? WarpState::kFinishWait
                                    : WarpState::kUnallocated;
-  if (wc.at_barrier) return WarpState::kBarrierWait;
+  if ((parked_mask_ & bit) != 0) return WarpState::kBarrierWait;
   if (ibuffer_ready_[warp] > now) return WarpState::kFetch;
-  const InstMeta& meta =
-      inst_meta_[static_cast<std::size_t>(warp_pc_[warp])];
-  const std::uint64_t pending = scoreboard_.pending_mask(warp);
-  const std::uint64_t blocked = meta.is_exit ? pending : pending & meta.regs;
-  if (blocked != 0) {
-    if (meta.in_spin) return WarpState::kSpinWait;
-    return (blocked & wc.mem_pending) != 0 ? WarpState::kMemPending
-                                           : WarpState::kScoreboard;
+  if ((hazard_mask_ & bit) != 0) {
+    if ((spin_mask_ & bit) != 0) return WarpState::kSpinWait;
+    return (mem_wait_mask_ & bit) != 0 ? WarpState::kMemPending
+                                       : WarpState::kScoreboard;
   }
-  const bool can_accept =
-      meta.fu == FuType::kSfu
-          ? sfu_ready_at_ <= now
-          : (meta.fu != FuType::kMem ||
-             (!ldst_op_.valid && ldst_busy_until_ <= now));
-  return can_accept ? WarpState::kEligible : WarpState::kFuBusy;
+  return (fu_busy_mask(now) & bit) != 0 ? WarpState::kFuBusy
+                                        : WarpState::kEligible;
 }
 
 void SmCore::trace_warp_states(Cycle now) {
@@ -813,7 +777,7 @@ void SmCore::complete_load_transaction(std::uint32_t token, Cycle) {
   if (--pl.outstanding == 0) {
     scoreboard_.release(pl.warp, pl.dst);
     warps_[pl.warp].mem_pending &= ~(1ull << pl.dst);
-    ++scan_gen_;
+    refresh_issue_bits(pl.warp);
     pl.valid = false;
     free_pending_loads_.push_back(token);
     --live_pending_loads_;
@@ -827,7 +791,6 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
   const int tb_slot = wc.tb_slot;
 
   warp_progress_[warp] += static_cast<std::uint64_t>(lanes);
-  ++scan_gen_;
   wc.issued_since_launch = true;
   last_issue_[static_cast<std::size_t>(warp)] = now;
   tb_progress_[tb_slot] += static_cast<std::uint64_t>(lanes);
@@ -879,10 +842,12 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
   if (wc.finished) return;
   const std::int32_t new_pc = wc.stack.pc();
   warp_pc_[warp] = new_pc;
-  if (wc.at_barrier) return;
+  refresh_issue_bits(warp);
+  if ((parked_mask_ & (1ull << warp)) != 0) return;
   const bool redirected = new_pc != prev_pc + 1;
   ibuffer_ready_[warp] =
       now + 1 + (redirected ? config_.branch_fetch_penalty : 0);
+  refill_mask_ |= 1ull << warp;
 }
 
 void SmCore::execute_alu(int warp, const Instruction& inst,
@@ -1175,11 +1140,11 @@ void SmCore::diagnose(Cycle now, std::vector<WarpBlockInfo>& warps,
     info.warp = w;
     info.ctaid = tb.ctaid;
     info.pc = wc.stack.empty() ? -1 : wc.stack.pc();
-    info.warps_at_barrier = tb.warps_at_barrier;
+    info.warps_at_barrier = warps_at_barrier(wc.tb_slot);
     info.warps_live = tb.warps_live;
     info.issue_gap = now - last_issue_[static_cast<std::size_t>(w)];
 
-    if (wc.at_barrier) {
+    if ((parked_mask_ & (1ull << w)) != 0) {
       info.reason = WarpBlockReason::kBarrier;
       info.barrier_wait = now - wc.barrier_arrive;
     } else if (ibuffer_ready_[w] > now) {
@@ -1223,28 +1188,24 @@ void SmCore::do_barrier(int warp, Cycle now) {
                                 "barrier executed inside a divergent region")
                      .at_cycle(now).on_sm(sm_id_).on_warp(warp)
                      .at_pc(wc.stack.pc()));
-  wc.at_barrier = true;
   wc.barrier_arrive = now;
   live_mask_ &= ~(1ull << warp);
-  TbCtx& tb = tbs_[wc.tb_slot];
-  ++tb.warps_at_barrier;
+  parked_mask_ |= 1ull << warp;
   policy_->on_warp_barrier_arrive(warp, wc.tb_slot);
-  if (tb.warps_at_barrier == tb.warps_live) release_barrier(wc.tb_slot, now);
+  if (warps_at_barrier(wc.tb_slot) == tbs_[wc.tb_slot].warps_live)
+    release_barrier(wc.tb_slot, now);
 }
 
 void SmCore::release_barrier(int tb_slot, Cycle now) {
-  TbCtx& tb = tbs_[tb_slot];
-  for (int i = 0; i < warps_per_tb_; ++i) {
-    const int w = tb_slot * warps_per_tb_ + i;
-    WarpCtx& wc = warps_[w];
-    if (wc.allocated && !wc.finished && wc.at_barrier) {
-      wc.at_barrier = false;
-      ibuffer_ready_[w] = now + 1;
-      live_mask_ |= 1ull << w;
-      stats_.barrier_wait_cycles += now - wc.barrier_arrive;
-    }
+  const std::uint64_t released = parked_mask_ & tb_bits(tb_slot);
+  for (std::uint64_t scan = released; scan != 0; scan &= scan - 1) {
+    const int w = std::countr_zero(scan);
+    ibuffer_ready_[w] = now + 1;
+    stats_.barrier_wait_cycles += now - warps_[w].barrier_arrive;
   }
-  tb.warps_at_barrier = 0;
+  refill_mask_ |= released;
+  live_mask_ |= released;
+  parked_mask_ &= ~released;
   ++stats_.barrier_releases;
   policy_->on_barrier_release(tb_slot);
 }
@@ -1260,13 +1221,13 @@ void SmCore::finish_warp(int warp, Cycle now) {
   wc.finished = true;
   wc.finish_cycle = now;
   live_mask_ &= ~(1ull << warp);
+  done_mask_ |= 1ull << warp;
   TbCtx& tb = tbs_[wc.tb_slot];
   --tb.warps_live;
   policy_->on_warp_finish(warp, wc.tb_slot);
   if (tb.warps_live == 0) {
     retire_tb(wc.tb_slot, now);
-  } else if (tb.warps_at_barrier > 0 &&
-             tb.warps_at_barrier == tb.warps_live) {
+  } else if (warps_at_barrier(wc.tb_slot) == tb.warps_live) {
     // The finished warp was the last one the barrier was waiting on.
     release_barrier(wc.tb_slot, now);
   }

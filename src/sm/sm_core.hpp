@@ -3,8 +3,9 @@
 // Per cycle (in order): memory responses are drained into the L1 /
 // pending-load bookkeeping, writeback events release scoreboard entries,
 // the LDST unit dispatches coalesced transactions, and each hardware warp
-// scheduler classifies its warps and (via the attached SchedulerPolicy)
-// issues at most one instruction.
+// scheduler combines its warps' issue bits (kept per warp, updated only at
+// the events that change them) into a ready mask and, via the attached
+// SchedulerPolicy, issues at most one instruction.
 //
 // Functional execution happens at issue time against the shared
 // GlobalMemory / register files; the scoreboard guarantees dependents
@@ -181,10 +182,6 @@ class SmCore {
             mem_.interconnect().request_free_slots(ldst_blocked_port_) > 0);
   }
 
-  /// Enables the per-scheduler no-issue scan memo (on by default; the Gpu
-  /// turns it off for its tick-everything reference mode).
-  void set_scan_memo(bool enabled) { scan_memo_ = enabled; }
-
   int resident_tbs() const { return resident_tbs_; }
   /// True when no TB is resident and no memory/writeback event is pending.
   bool drained() const;
@@ -256,7 +253,6 @@ class SmCore {
     SimtStack stack;
     bool allocated = false;
     bool finished = false;
-    bool at_barrier = false;
     /// False until the warp issues its first instruction after its TB was
     /// launched or resumed. A warp with no issues since (re)launch is never
     /// spin-stuck evidence: the static in-spin PC classification only
@@ -265,7 +261,7 @@ class SmCore {
     /// lets the victim retire at least one instruction — the preemptive
     /// yield rotation can therefore never itself livelock.
     bool issued_since_launch = false;
-    Cycle barrier_arrive = 0;  // when at_barrier was set (stats)
+    Cycle barrier_arrive = 0;  // when parked at the barrier (stats)
     Cycle finish_cycle = 0;    // when the warp retired (stats)
     int tb_slot = -1;
     /// Registers reserved by an in-flight load: set by alloc_pending_load,
@@ -278,7 +274,6 @@ class SmCore {
     int ctaid = -1;
     std::uint64_t launch_seq = 0;
     int warps_live = 0;
-    int warps_at_barrier = 0;
     Cycle start_cycle = 0;
     std::vector<RegValue> smem;
   };
@@ -317,24 +312,16 @@ class SmCore {
 
   static constexpr std::uint32_t kNoToken = 0xFFFFFFFFu;
 
-  /// Per-instruction static properties needed by the issue scan, packed
-  /// into one flat table indexed by pc. Precomputed at construction so the
-  /// per-candidate hot loop never touches Instruction or OpcodeInfo.
+  /// Per-instruction static properties behind a warp's issue bits, packed
+  /// into one flat table indexed by pc and precomputed at construction, so
+  /// refresh_issue_bits never touches Instruction or OpcodeInfo.
   struct InstMeta {
-    std::uint64_t regs = 0;  // scoreboard mask (Scoreboard::regs_of)
+    /// Registers whose pending writeback blocks issue: Scoreboard::regs_of,
+    /// or every register for exit (a warp retires only once its writebacks
+    /// and loads have drained, so its slot is never reused under them).
+    std::uint64_t regs = 0;
     FuType fu = FuType::kSpInt;
-    bool is_exit = false;
     bool in_spin = false;  // pc lies inside a detected spin-wait loop
-  };
-
-  /// The inputs a hardware scheduler's last no-issue scan depended on. The
-  /// scan repeats its verdict while the candidate mask and the SM-wide
-  /// generation are unchanged and the clock stays below `until`, the
-  /// earliest i-buffer, SFU or LDST-busy time the scan saw.
-  struct ScanMemo {
-    std::uint64_t candidates = 0;
-    std::uint64_t gen = ~std::uint64_t{0};
-    Cycle until = 0;
   };
 
   // -- cycle phases (each returns "did any work") ---------------------------
@@ -347,6 +334,32 @@ class SmCore {
   void count_cause(int sched, StallCause cause, Cycle count);
 
   // -- issue helpers --------------------------------------------------------
+  /// Re-derives warp `warp`'s bits in hazard_mask_, mem_wait_mask_,
+  /// spin_mask_, sfu_mask_ and ldst_mask_ from inst_meta_[warp_pc_[warp]],
+  /// its scoreboard and its pending-load mask. Called wherever one of those
+  /// inputs changes: TB launch and resume, the end of issue_warp, a
+  /// scoreboard release and a load's final transaction.
+  void refresh_issue_bits(int warp);
+  /// PROSIM_CHECKs each candidate's dense pc, issue bits and refill bit
+  /// against a from-scratch derivation from its SIMT stack, instruction,
+  /// scoreboard and pending loads. Compiled and called only where
+  /// PROSIM_DEBUG_CHECKS is defined (Debug and sanitized builds).
+  void check_issue_bits(std::uint64_t candidates, Cycle now) const;
+  /// Warps whose instruction's functional unit cannot accept this cycle.
+  std::uint64_t fu_busy_mask(Cycle now) const {
+    return (sfu_ready_at_ > now ? sfu_mask_ : 0) |
+           (ldst_op_.valid || ldst_busy_until_ > now ? ldst_mask_ : 0);
+  }
+  /// The warp slots of TB slot `tb_slot`, as a warp mask.
+  std::uint64_t tb_bits(int tb_slot) const {
+    const std::uint64_t one_tb =
+        warps_per_tb_ >= 64 ? ~std::uint64_t{0} : (1ull << warps_per_tb_) - 1;
+    return one_tb << (tb_slot * warps_per_tb_);
+  }
+  /// How many of TB slot `tb_slot`'s warps are parked at its barrier.
+  int warps_at_barrier(int tb_slot) const {
+    return std::popcount(parked_mask_ & tb_bits(tb_slot));
+  }
   /// mem_.can_inject, recording the port that refused the line.
   bool can_inject(Addr line);
   bool fu_can_accept(const Instruction& inst, Cycle now) const;
@@ -369,9 +382,10 @@ class SmCore {
   /// timeline span, announces it to the policy and trace sink, frees it.
   void release_tb_slot(int tb_slot, Cycle now);
 
-  /// Refines an idle scheduler cycle (fetch > barrier > finish > throttled
-  /// > no-warp precedence).
-  StallCause classify_idle(int sched) const;
+  /// Refines an idle scheduler cycle with `candidates` considered warps,
+  /// all refilling (fetch > barrier > finish > throttled > no-warp
+  /// precedence).
+  StallCause classify_idle(int sched, std::uint64_t candidates) const;
 
   // -- tracing helpers (called only with a sink attached) -------------------
   /// Samples warp `warp`'s scheduling state at the end of cycle `now`.
@@ -430,6 +444,10 @@ class SmCore {
   /// after an issue, a taken branch or a barrier release); dense beside
   /// warp_pc_ for the same reason.
   std::vector<Cycle> ibuffer_ready_;
+  /// Bit w set when ibuffer_ready_[w] was written and may still lie in the
+  /// future; the issue scan clears it once that cycle has passed, so the
+  /// scan and next_event read only these warps' refill times.
+  std::uint64_t refill_mask_ = 0;
   std::vector<TbCtx> tbs_;
   std::vector<RegValue> regs_;
   std::vector<std::uint64_t> warp_progress_;
@@ -441,10 +459,24 @@ class SmCore {
   int resident_tbs_ = 0;
 
   /// Bit w set while warp w is allocated, unfinished, and not parked at a
-  /// barrier — the candidate superset the issue stage scans. Maintained at
-  /// launch/finish/barrier transitions so issue_cycle iterates set bits
-  /// instead of probing all warp slots every cycle.
+  /// barrier — the candidate superset of the issue stage. Maintained at
+  /// launch/finish/barrier transitions.
   std::uint64_t live_mask_ = 0;
+  /// Bit w set while warp w is parked at a barrier: the only barrier flag.
+  std::uint64_t parked_mask_ = 0;
+  /// Bit w set while warp w has finished and its TB is still resident.
+  std::uint64_t done_mask_ = 0;
+  // Issue bits of each warp's current instruction (refresh_issue_bits); a
+  // finished warp's bits are stale and never read.
+  /// Blocked on the scoreboard: a pending register in InstMeta::regs.
+  std::uint64_t hazard_mask_ = 0;
+  /// Blocked on a register an in-flight load reserved.
+  std::uint64_t mem_wait_mask_ = 0;
+  /// The pc lies inside a detected spin-wait loop.
+  std::uint64_t spin_mask_ = 0;
+  /// The instruction issues to the SFU / the LDST unit.
+  std::uint64_t sfu_mask_ = 0;
+  std::uint64_t ldst_mask_ = 0;
   /// Bit w set while warp w belongs to a TB with a yield pending: excluded
   /// from issue so the TB drains to a checkpointable state. Zero except in
   /// the short window between request_yield and take_yield_checkpoint.
@@ -453,15 +485,9 @@ class SmCore {
   /// Bit w set when warp slot w belongs to hardware scheduler `sched`
   /// (w % num_schedulers == sched), w < used_warp_slots_.
   std::vector<std::uint64_t> sched_mask_;
-  /// Per-scheduler stall cause of the last executed no-issue scan; the
-  /// memo and skip_cycles repeat it (a quiet span's inputs are constant).
+  /// Per-scheduler stall cause of the last executed no-issue scan;
+  /// skip_cycles repeats it (a quiet span's inputs are constant).
   std::vector<StallCause> last_cause_;
-  bool scan_memo_ = true;
-  std::vector<ScanMemo> memo_;
-  /// Bumped by every event that can change a scan's verdict: issue,
-  /// scoreboard release, LDST-op completion, and TB launch, resume, yield
-  /// request or checkpoint.
-  std::uint64_t scan_gen_ = 0;
 
   // -- tracing state (engaged only via set_trace_sink) ----------------------
   TraceSink* trace_ = nullptr;

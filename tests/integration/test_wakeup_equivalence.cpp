@@ -4,10 +4,10 @@
 // FCFS or FR-FCFS DRAM, 1-8 memory partitions with 2-32 L2 MSHR entries,
 // DRAM queues of 2-32 entries and L2 hit latencies up to 100 — plus a
 // Table II kernel and a scheduler, runs it with SM, partition and admission
-// wakeups and the issue-scan memo, then again under PROSIM_NO_FASTFORWARD=1
-// (every SM and partition ticks and every SM's admission is evaluated every
-// cycle, no memo), and requires byte-identical result documents and
-// identical per-SM stall causes (which the memo and skip_cycles replay),
+// wakeups, then again under PROSIM_NO_FASTFORWARD=1 (every SM and
+// partition ticks and every SM's admission is evaluated every cycle), and
+// requires byte-identical result documents and identical per-SM stall
+// causes (which skip_cycles replays over a sleeping SM's quiet span),
 // each reconciling with its SM's legacy counters in both modes. Tiny MSHRs
 // and queues keep LDST head lines and partition request heads blocked, and
 // long hit latencies back the L2-hit path up: exactly what the port,

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <ostream>
+#include <utility>
+#include <vector>
+
 #include "gpu/gpu.hpp"
 #include "isa/builder.hpp"
 #include "isa/interpreter.hpp"
@@ -315,6 +322,211 @@ TEST(SmCore, L1CachesRepeatedLoads) {
   EXPECT_EQ(r.l1_misses, 1u);
   EXPECT_EQ(r.l1_hits, 1u);
 }
+
+// ---------------------------------------------------------------------------
+// One micro-kernel per fine stall cause. Each pins the whole cause_cycles
+// array, so a change to any branch of the issue-stage classification shows
+// up as a changed count, spin_wait and throttled included, which no Fig. 4
+// cell reaches.
+// ---------------------------------------------------------------------------
+
+using CauseArray = std::array<std::uint64_t, kNumStallCauses>;
+
+constexpr std::int64_t kFlagAddr = 1 << 16;
+
+/// TB 0 polls a flag until TB 1 sets it after a dependent SFU chain of
+/// `delay` rsqrts. The poll loop (ldg, setp, bra) is a detected spin loop.
+Program flag_poll_kernel(int delay) {
+  ProgramBuilder b("flag_poll");
+  b.block_dim(32).grid_dim(2);
+  b.s2r(0, SpecialReg::kCtaId);
+  b.movi(1, kFlagAddr);
+  b.setpi(CmpOp::kEq, 2, 0, 0);
+  b.if_begin(2);
+  auto top = b.loop_begin();
+  b.ldg(3, 1, 0);
+  b.setpi(CmpOp::kEq, 4, 3, 0);
+  b.loop_end_if(4, top);
+  b.if_else();
+  b.movi(5, 3);
+  for (int i = 0; i < delay; ++i) b.rsqrt(5, 5);
+  b.movi(6, 1);
+  b.stg(1, 0, 6);
+  b.if_end();
+  b.exit_();
+  return b.build();
+}
+
+CauseArray causes_of(const SmStats& stats) {
+  CauseArray out{};
+  std::copy(std::begin(stats.cause_cycles), std::end(stats.cause_cycles),
+            out.begin());
+  return out;
+}
+
+CauseArray run_single(const GpuConfig& cfg, const Program& p) {
+  GlobalMemory mem;
+  return causes_of(simulate(cfg, p, mem).totals);
+}
+
+CauseArray fu_busy_case() {
+  // Back-to-back independent SFU ops from many warps, then every lane of
+  // every warp storing to shared-memory bank 0.
+  ProgramBuilder b("fu_busy");
+  b.block_dim(128).grid_dim(2).smem(128 * 32 * 8);
+  b.s2r(0, SpecialReg::kTid);
+  for (int i = 0; i < 4; ++i) b.rsqrt(static_cast<std::uint8_t>(1 + i), 0);
+  b.imuli(5, 0, 32 * 8);
+  b.sts(5, 0, 0);
+  b.sts(5, 0, 1);
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+CauseArray scoreboard_mem_case() {
+  // One warp: a global load consumed by the next instruction.
+  ProgramBuilder b("load_to_use");
+  b.block_dim(32).grid_dim(1);
+  b.s2r(0, SpecialReg::kTid);
+  b.ishli(1, 0, 3);
+  b.ldg(2, 1, 0);
+  b.iadd(3, 2, 2);
+  b.stg(1, 4096, 3);
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+CauseArray scoreboard_alu_case() {
+  // One warp: a chain of dependent integer multiplies.
+  ProgramBuilder b("alu_chain");
+  b.block_dim(32).grid_dim(1);
+  b.movi(0, 3);
+  for (int i = 0; i < 8; ++i) b.imuli(0, 0, 3);
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+CauseArray spin_wait_case() {
+  // Both TBs resident: TB 0 spins on an in-flight poll load while TB 1
+  // works toward setting the flag.
+  return run_single(one_sm(), flag_poll_kernel(8));
+}
+
+CauseArray barrier_wait_case() {
+  // Warp 1 (scheduler 1's only warp) waits at the barrier for slow warp 0.
+  ProgramBuilder b("barrier_wait");
+  b.block_dim(64).grid_dim(1);
+  b.s2r(0, SpecialReg::kWarpId);
+  b.setpi(CmpOp::kEq, 1, 0, 0);
+  b.if_begin(1);
+  for (int i = 0; i < 6; ++i) b.rsqrt(2, 2);
+  b.if_end();
+  b.bar();
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+CauseArray finish_wait_case() {
+  // Warp 1 exits at once; its TB stays resident until slow warp 0 retires.
+  ProgramBuilder b("finish_wait");
+  b.block_dim(64).grid_dim(1);
+  b.s2r(0, SpecialReg::kWarpId);
+  b.setpi(CmpOp::kEq, 1, 0, 0);
+  b.if_begin(1);
+  for (int i = 0; i < 6; ++i) b.rsqrt(2, 2);
+  b.if_end();
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+CauseArray fetch_case() {
+  // One warp: a counted loop whose taken backward branch redirects fetch.
+  ProgramBuilder b("taken_branch");
+  b.block_dim(32).grid_dim(1);
+  b.movi(0, 0);
+  auto top = b.loop_begin();
+  b.iaddi(0, 0, 1);
+  b.setpi(CmpOp::kLt, 1, 0, 8);
+  b.loop_end_if(1, top);
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+CauseArray throttled_case() {
+  // One resident TB under TL: TB 0 spins on a flag only TB 1 sets, so
+  // preemptive admission yields TB 0. While its in-flight poll drains, its
+  // live warp is excluded from issue: the scheduler is throttled.
+  GpuConfig cfg = one_sm();
+  cfg.sm.max_tbs = 1;
+  cfg.scheduler.kind = SchedulerKind::kTl;
+  GlobalMemory mem;
+  KernelLaunch launch;
+  launch.name = "flag_poll";
+  launch.program = flag_poll_kernel(1);
+  launch.memory = &mem;
+  std::vector<KernelLaunch> launches;
+  launches.push_back(std::move(launch));
+  Gpu gpu(cfg, std::move(launches), "preemptive_slo");
+  return causes_of(gpu.run().totals);
+}
+
+CauseArray no_warp_case() {
+  // One warp: scheduler 1 never owns an allocated warp.
+  ProgramBuilder b("one_warp");
+  b.block_dim(32).grid_dim(1);
+  b.movi(0, 1);
+  b.exit_();
+  return run_single(one_sm(), b.build());
+}
+
+struct CauseCase {
+  const char* name;
+  StallCause cause;
+  CauseArray (*run)();
+  /// Indexed by StallCause, recorded before the issue stage became mask
+  /// algebra.
+  CauseArray expected;
+};
+
+const CauseCase kCauseCases[] = {
+    {"fu_busy", StallCause::kFuBusy, fu_busy_case,
+     {72, 816, 0, 36, 0, 0, 256, 4, 0, 0}},
+    {"scoreboard_mem", StallCause::kScoreboardMem, scoreboard_mem_case,
+     {6, 0, 94, 27, 0, 0, 0, 1, 0, 162}},
+    {"scoreboard_alu", StallCause::kScoreboardAlu, scoreboard_alu_case,
+     {10, 0, 0, 81, 0, 0, 0, 1, 0, 92}},
+    {"spin_wait", StallCause::kSpinWait, spin_wait_case,
+     {37, 0, 0, 289, 308, 0, 0, 20, 0, 70}},
+    {"barrier_wait", StallCause::kBarrierWait, barrier_wait_case,
+     {16, 0, 0, 221, 0, 157, 29, 6, 0, 1}},
+    {"finish_wait", StallCause::kFinishWait, finish_wait_case,
+     {14, 0, 0, 222, 0, 0, 188, 5, 0, 1}},
+    {"fetch", StallCause::kFetch, fetch_case,
+     {26, 0, 0, 153, 0, 0, 0, 22, 0, 201}},
+    {"throttled", StallCause::kThrottled, throttled_case,
+     {18, 0, 0, 72, 104, 0, 0, 9, 1, 204}},
+    {"no_warp", StallCause::kNoWarp, no_warp_case,
+     {2, 0, 0, 9, 0, 0, 0, 1, 0, 12}},
+};
+
+// gtest prints the parameter into the test's name; keep it the case name.
+void PrintTo(const CauseCase& c, std::ostream* os) { *os << c.name; }
+
+class StallCauseKernel : public ::testing::TestWithParam<CauseCase> {};
+
+TEST_P(StallCauseKernel, CountsItsCauseAndPinsEveryCause) {
+  const CauseCase& c = GetParam();
+  const CauseArray got = c.run();
+  EXPECT_GT(got[static_cast<std::size_t>(c.cause)], 0u)
+      << stall_cause_name(c.cause);
+  EXPECT_EQ(got, c.expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Causes, StallCauseKernel, ::testing::ValuesIn(kCauseCases),
+    [](const ::testing::TestParamInfo<CauseCase>& param) {
+      return std::string(param.param.name);
+    });
 
 }  // namespace
 }  // namespace prosim
