@@ -161,7 +161,7 @@ void write_results_json(std::ostream& os, const SweepReport& report,
     os << ", \"scheduler\": ";
     write_json_string(os, cell.scheduler);
     os << ", \"cache_key\": ";
-    write_json_string(os, cell.cache_key);
+    write_json_string(os, jobs[i].cache_key());
     os << ", \"from_cache\": " << (cell.from_cache ? "true" : "false")
        << ", \"ok\": " << (cell.ok() ? "true" : "false") << ",\n     ";
     if (cell.ok()) {

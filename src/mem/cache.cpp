@@ -1,5 +1,7 @@
 #include "mem/cache.hpp"
 
+#include <bit>
+
 #include "common/check.hpp"
 
 namespace prosim {
@@ -17,16 +19,9 @@ Cache::Cache(const CacheGeometry& geometry) : geometry_(geometry) {
                geometry_.line_bytes * geometry_.ways);
   num_sets_ = geometry_.size_bytes / (geometry_.line_bytes * geometry_.ways);
   PROSIM_CHECK_MSG(is_pow2(num_sets_), "cache sets must be a power of two");
+  line_shift_ = std::countr_zero(static_cast<unsigned>(geometry_.line_bytes));
+  tag_shift_ = line_shift_ + std::countr_zero(static_cast<unsigned>(num_sets_));
   lines_.resize(static_cast<std::size_t>(num_sets_) * geometry_.ways);
-}
-
-int Cache::set_of(Addr line_addr) const {
-  return static_cast<int>((line_addr / geometry_.line_bytes) &
-                          (num_sets_ - 1));
-}
-
-Addr Cache::tag_of(Addr line_addr) const {
-  return line_addr / geometry_.line_bytes / num_sets_;
 }
 
 Cache::Line* Cache::find(Addr line_addr) {
@@ -75,9 +70,8 @@ Cache::Victim Cache::fill(Addr line_addr, bool dirty) {
     }
     victim.valid = true;
     victim.dirty = slot->dirty;
-    victim.line_addr = static_cast<Addr>(slot->tag) * num_sets_ *
-                           geometry_.line_bytes +
-                       static_cast<Addr>(set) * geometry_.line_bytes;
+    victim.line_addr = (slot->tag << tag_shift_) |
+                       (static_cast<Addr>(set) << line_shift_);
   }
   slot->valid = true;
   slot->dirty = dirty;

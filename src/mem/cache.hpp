@@ -59,13 +59,18 @@ class Cache {
     std::uint64_t lru = 0;  // larger = more recently used
   };
 
-  int set_of(Addr line_addr) const;
-  Addr tag_of(Addr line_addr) const;
+  int set_of(Addr line_addr) const {
+    return static_cast<int>((line_addr >> line_shift_) &
+                            static_cast<Addr>(num_sets_ - 1));
+  }
+  Addr tag_of(Addr line_addr) const { return line_addr >> tag_shift_; }
   Line* find(Addr line_addr);
   const Line* find(Addr line_addr) const;
 
   CacheGeometry geometry_;
   int num_sets_;
+  int line_shift_;  ///< log2(line_bytes)
+  int tag_shift_;   ///< log2(line_bytes * num_sets_)
   std::uint64_t lru_clock_ = 0;
   std::vector<Line> lines_;  // num_sets * ways, row-major by set
 };

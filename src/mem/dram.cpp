@@ -1,28 +1,29 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
+#include "common/sim_error.hpp"
 
 namespace prosim {
 
 Dram::Dram(const DramConfig& config) : config_(config) {
-  PROSIM_CHECK(config_.num_banks > 0);
+  PROSIM_REQUIRE(config_.num_banks > 0 && config_.num_banks <= 64,
+                 SimError::make(ErrorCategory::kInvariant,
+                                "DRAM num_banks must be in [1, 64]"));
   banks_.resize(config_.num_banks);
+  queue_.reserve(static_cast<std::size_t>(std::max(config_.queue_capacity, 0)));
 }
 
-int Dram::bank_of(Addr line_addr) const {
-  // Interleave lines across banks.
-  return static_cast<int>((line_addr / 128) % config_.num_banks);
-}
-
-std::uint64_t Dram::row_of(Addr line_addr) const {
-  return line_addr / config_.row_bytes / config_.num_banks;
-}
-
-void Dram::push(MemRequest request, Cycle now) {
+void Dram::push(MemRequest request, Cycle /*now*/) {
   PROSIM_CHECK(can_accept());
-  queue_.push_back({request, now});
+  // Lines interleave across banks; a row spans row_bytes of one bank.
+  const auto banks = static_cast<Addr>(config_.num_banks);
+  const int bank = static_cast<int>((request.line_addr / 128) % banks);
+  const std::uint64_t row = request.line_addr / config_.row_bytes / banks;
+  queue_.push_back({request, row, bank});
+  if (banks_[bank].queued++ == 0) occupied_ |= std::uint64_t{1} << bank;
   scan_skip_until_ = 0;  // the new request may be issuable immediately
 }
 
@@ -31,73 +32,61 @@ void Dram::cycle(Cycle now) {
   if (bus_busy_until_ > now) return;
   if (scan_skip_until_ > now) return;
 
-  // FR-FCFS: first pass looks for the oldest row-buffer hit on a free
-  // bank; second pass takes the oldest request on a free bank.
-  auto issue_at = [&](std::size_t idx, bool row_hit) {
-    Pending pending = queue_[idx];
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-    Bank& bank = banks_[static_cast<std::size_t>(
-        bank_of(pending.request.line_addr))];
-    const Cycle service =
-        row_hit ? config_.row_hit_latency : config_.row_miss_latency;
-    bank.row_open = true;
-    bank.open_row = row_of(pending.request.line_addr);
-    bank.busy_until = now + service;
-    bus_busy_until_ = now + config_.bus_cycles;
-    if (row_hit) {
-      ++row_hits;
+  std::uint64_t ready = 0;
+  Cycle earliest = kNoCycle;
+  for (std::uint64_t m = occupied_; m != 0; m &= m - 1) {
+    const Cycle busy = banks_[std::countr_zero(m)].busy_until;
+    if (busy <= now) {
+      ready |= m & -m;
     } else {
-      ++row_misses;
-    }
-    if (pending.request.kind == MemReqKind::kWrite) {
-      ++writes;  // fire-and-forget
-    } else {
-      ++reads;
-      // Keep completions sorted by ready time: a row hit issued after a
-      // row miss can finish earlier.
-      const Cycle ready = now + service;
-      auto it = completions_.end();
-      while (it != completions_.begin() && std::prev(it)->first > ready) --it;
-      completions_.emplace(it, ready, pending.request);
-    }
-  };
-
-  // First-ready pass (skipped under plain FCFS): oldest row-buffer hit on
-  // a free bank wins.
-  if (config_.scheduler == DramSchedulerKind::kFrFcfs) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Bank& bank = banks_[static_cast<std::size_t>(
-          bank_of(queue_[i].request.line_addr))];
-      if (bank.busy_until > now) continue;
-      if (bank.row_open &&
-          bank.open_row == row_of(queue_[i].request.line_addr)) {
-        issue_at(i, /*row_hit=*/true);
-        return;
-      }
+      earliest = std::min(earliest, busy);
     }
   }
-  // Oldest-first pass; an incidental hit on the open row still pays only
-  // the row-hit service time.
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const Bank& bank =
-        banks_[static_cast<std::size_t>(bank_of(queue_[i].request.line_addr))];
-    if (bank.busy_until > now) continue;
-    const bool row_hit =
-        bank.row_open && bank.open_row == row_of(queue_[i].request.line_addr);
-    issue_at(i, row_hit);
+  if (ready == 0) {
+    // Bank states only change at issue time, so nothing can become
+    // issuable before the earliest occupied bank frees.
+    scan_skip_until_ = earliest;
     return;
   }
 
-  // Every queued request's bank is busy; bank states only change at issue
-  // time, so nothing can become issuable before the earliest bank frees.
-  Cycle earliest = kNoCycle;
-  for (const Pending& p : queue_) {
-    earliest = std::min(
-        earliest,
-        banks_[static_cast<std::size_t>(bank_of(p.request.line_addr))]
-            .busy_until);
+  // FR-FCFS: the oldest row-buffer hit on a ready bank, else (the only
+  // pass under plain FCFS) the oldest request on a ready bank.
+  const auto on_ready_bank = [&](const Pending& p) {
+    return ((ready >> p.bank) & 1) != 0;
+  };
+  auto it = queue_.end();
+  if (config_.scheduler == DramSchedulerKind::kFrFcfs) {
+    it = std::find_if(queue_.begin(), queue_.end(), [&](const Pending& p) {
+      return on_ready_bank(p) && banks_[p.bank].open_row == p.row;
+    });
   }
-  scan_skip_until_ = earliest;
+  if (it == queue_.end()) {
+    it = std::find_if(queue_.begin(), queue_.end(), on_ready_bank);
+  }
+  const Pending pending = *it;
+  queue_.erase(it);
+  Bank& bank = banks_[pending.bank];
+  if (--bank.queued == 0) occupied_ &= ~(std::uint64_t{1} << pending.bank);
+  // An incidental hit on the open row (oldest-first pass) still pays only
+  // the row-hit service time.
+  const bool row_hit = bank.open_row == pending.row;
+  const Cycle service =
+      row_hit ? config_.row_hit_latency : config_.row_miss_latency;
+  bank.open_row = pending.row;
+  bank.busy_until = now + service;
+  bus_busy_until_ = now + config_.bus_cycles;
+  ++(row_hit ? row_hits : row_misses);
+  if (pending.request.kind == MemReqKind::kWrite) {
+    ++writes;  // fire-and-forget
+    return;
+  }
+  ++reads;
+  // Keep completions sorted by ready time: a row hit issued after a row
+  // miss can finish earlier.
+  const Cycle ready_at = now + service;
+  auto pos = completions_.end();
+  while (pos != completions_.begin() && std::prev(pos)->first > ready_at) --pos;
+  completions_.emplace(pos, ready_at, pending.request);
 }
 
 Cycle Dram::next_event(Cycle now) const {
@@ -113,8 +102,8 @@ Cycle Dram::next_event(Cycle now) const {
 
 MemRequest Dram::pop_completion() {
   PROSIM_CHECK(!completions_.empty());
-  MemRequest request = completions_.front().second;
-  completions_.pop_front();
+  const MemRequest request = completions_.front().second;
+  completions_.erase(completions_.begin());
   return request;
 }
 

@@ -2,10 +2,12 @@
 // scheduling: row-buffer hits are served before older row-buffer misses;
 // among equals, the oldest wins. Bank-level parallelism and a shared data
 // bus are modelled with busy-until times.
+// A request's bank and row are decoded once, at push; a cycle builds the
+// mask of ready banks (occupied and free) once, and each pass tests one bit
+// and compares one stored row per queued request.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hpp"
@@ -39,8 +41,8 @@ class Dram {
 
   /// Lower bound (> now) on the next cycle this channel does anything:
   /// the head completion becoming ready, or the earliest cycle a queued
-  /// request could issue (the bus free and, after a scan found every
-  /// queued request's bank busy, the earliest of those banks free). O(1);
+  /// request could issue (the bus free and, after a cycle found every
+  /// occupied bank busy, the earliest of those banks free). O(1);
   /// kNoCycle when idle.
   Cycle next_event(Cycle now) const;
 
@@ -51,29 +53,33 @@ class Dram {
   std::uint64_t writes = 0;
 
  private:
+  /// open_row of a closed row buffer; line-aligned addresses never decode
+  /// to it.
+  static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
+
   struct Bank {
-    bool row_open = false;
-    std::uint64_t open_row = 0;
+    std::uint64_t open_row = kNoRow;
     Cycle busy_until = 0;
+    int queued = 0;  ///< requests in queue_ that target this bank
   };
 
   struct Pending {
     MemRequest request;
-    Cycle arrival;
+    std::uint64_t row;
+    int bank;
   };
-
-  int bank_of(Addr line_addr) const;
-  std::uint64_t row_of(Addr line_addr) const;
 
   DramConfig config_;
   std::vector<Bank> banks_;
-  std::deque<Pending> queue_;
+  std::uint64_t occupied_ = 0;  ///< bit b set while banks_[b].queued > 0
+  std::vector<Pending> queue_;  ///< arrival order
   Cycle bus_busy_until_ = 0;
-  std::deque<std::pair<Cycle, MemRequest>> completions_;
-  /// Scan memo: when a full FR-FCFS scan finds every queued request's bank
-  /// busy, no request can issue before the earliest bank frees — skip the
-  /// rescans until then, and report it as the issue bound in next_event.
-  /// Invalidated by push (a new request may target a free bank).
+  /// Ascending ready cycle; equal cycles in issue order.
+  std::vector<std::pair<Cycle, MemRequest>> completions_;
+  /// When a cycle finds every occupied bank busy, no request can issue
+  /// before the earliest of them frees: skip the cycles until then, and
+  /// report it as the issue bound in next_event. Invalidated by push (a
+  /// new request may target a free bank).
   Cycle scan_skip_until_ = 0;
 };
 

@@ -24,7 +24,7 @@ void MemoryPartition::drain_dram(Cycle now) {
   while (dram_.has_completion(now)) {
     const MemRequest done = dram_.pop_completion();
     // Fill the L2; the line is dirty if any merged requester was an atomic.
-    std::vector<MissToken> tokens = mshr_.release(done.line_addr);
+    const std::span<const MissToken> tokens = mshr_.release(done.line_addr);
     bool any_atomic = false;
     for (const MissToken& t : tokens) any_atomic = any_atomic || t.is_atomic;
     const Cache::Victim victim = l2_.fill(done.line_addr, any_atomic);

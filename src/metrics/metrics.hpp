@@ -162,6 +162,10 @@ struct ObservabilityOptions {
   bool journal_enabled() const {
     return !events_jsonl.empty() || !kernel_timeline.empty();
   }
+  /// True when any output path is set (for_cell suffixes each one).
+  bool has_output_path() const {
+    return !metrics_csv.empty() || !metrics_json.empty() || journal_enabled();
+  }
 
   /// Copy with every output path suffixed for one cell of a multi-cell
   /// run: "dir/serve.jsonl" + "gto.preemptive_slo" →

@@ -41,10 +41,14 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
   cell.kernel = job.workload.kernel;
   cell.app = job.workload.app;
   cell.scheduler = scheduler_name(job.config.scheduler.kind);
-  cell.cache_key = job.cache_key();
+  // The key re-runs the workload's init() and hashes its input image, so
+  // it is computed only where the cache or a product path reads it.
+  const bool keyed = cache != nullptr || !options.trace_dir.empty() ||
+                     options.obs.has_output_path();
+  const std::string key = keyed ? job.cache_key() : std::string();
 
   if (cache != nullptr) {
-    if (std::optional<GpuResult> hit = cache->load(cell.cache_key)) {
+    if (std::optional<GpuResult> hit = cache->load(key)) {
       cell.result = std::move(hit);
       cell.from_cache = true;
       return cell;
@@ -54,7 +58,7 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
   // One session per cell: sinks are single-threaded by design; each
   // worker observes only its own cell. Product paths get the cache key so
   // concurrent cells never collide.
-  ObservabilitySession obs(options.obs.for_cell(cell.cache_key));
+  ObservabilitySession obs(options.obs.for_cell(key));
 
   GlobalMemory mem;
   if (job.workload.init) job.workload.init(mem);
@@ -73,12 +77,12 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
         wall_seconds, cell.result->cycles, cell.result->totals.warp_insts);
     TraceFiles trace;
     if (!options.trace_dir.empty()) {
-      trace = {cell.cache_key + ".trace.json", cell.cache_key + ".windows.csv",
-               cell.cache_key + ".windows.hist.csv"};
+      trace = {key + ".trace.json", key + ".windows.csv",
+               key + ".windows.hist.csv"};
     }
     obs.write({job.workload.kernel}, cell.write_error, trace,
               options.trace_dir);
-    if (cache != nullptr) cache->store(cell.cache_key, *cell.result);
+    if (cache != nullptr) cache->store(key, *cell.result);
   } else {
     cell.error = std::move(outcome.error());
   }

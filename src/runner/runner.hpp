@@ -40,7 +40,8 @@ struct SweepJob {
   static SweepJob make(Workload w, GpuConfig cfg);
 
   /// Content-addressed cache key: human-readable prefix + combined
-  /// workload/config fingerprint hex.
+  /// workload/config fingerprint hex. Not free: it runs the workload's
+  /// init() to hash the input image.
   std::string cache_key() const;
 };
 
@@ -49,7 +50,6 @@ struct SweepCell {
   std::string kernel;
   std::string app;
   std::string scheduler;
-  std::string cache_key;
   bool from_cache = false;
   std::optional<GpuResult> result;
   std::optional<SimError> error;  ///< set iff the cell failed

@@ -1,6 +1,11 @@
 #include "mem/mshr.hpp"
 
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.hpp"
 
 namespace prosim {
 namespace {
@@ -69,6 +74,45 @@ TEST(MshrDeathTest, DoubleAllocateAborts) {
   Mshr<int> m(MshrConfig{2, 2});
   m.allocate(0, 1);
   EXPECT_DEATH(m.allocate(0, 2), "");
+}
+
+// Property check against a std::map reference over random allocate, merge
+// and release sequences: every query and the token order on release agree.
+TEST(MshrProperty, MatchesMapReference) {
+  Rng rng(0x3511);
+  for (const MshrConfig config :
+       {MshrConfig{1, 1}, MshrConfig{4, 2}, MshrConfig{8, 8},
+        MshrConfig{32, 8}, MshrConfig{6, 3}}) {
+    Mshr<int> mshr(config);
+    std::map<Addr, std::vector<int>> ref;
+    int next_token = 0;
+    for (int step = 0; step < 4000; ++step) {
+      // A small line pool makes hits on live entries common.
+      const Addr line = rng.next_below(
+                            static_cast<std::uint64_t>(config.entries) * 2 + 1) *
+                        128;
+      const auto it = ref.find(line);
+      const bool live = it != ref.end();
+      ASSERT_EQ(mshr.has(line), live);
+      ASSERT_EQ(mshr.can_allocate(),
+                static_cast<int>(ref.size()) < config.entries);
+      ASSERT_EQ(mshr.can_merge(line),
+                live && static_cast<int>(it->second.size()) <
+                            config.max_merges);
+      ASSERT_EQ(mshr.occupancy(), static_cast<int>(ref.size()));
+      if (live && rng.next_below(3) == 0) {
+        const std::span<const int> got = mshr.release(line);
+        ASSERT_EQ(std::vector<int>(got.begin(), got.end()), it->second);
+        ref.erase(it);
+      } else if (live && mshr.can_merge(line)) {
+        mshr.merge(line, next_token);
+        it->second.push_back(next_token++);
+      } else if (!live && mshr.can_allocate()) {
+        mshr.allocate(line, next_token);
+        ref[line].push_back(next_token++);
+      }
+    }
+  }
 }
 
 }  // namespace

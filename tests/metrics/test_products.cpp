@@ -65,19 +65,21 @@ serving::ServingOptions serving_cell(const fs::path& dir) {
 }
 
 /// One single-kernel PRO cell through run_sweep with every product on.
-runner::SweepReport sweep_cell(const fs::path& dir,
-                               const ObservabilityOptions& obs) {
+runner::SweepJob sweep_job() {
   GpuConfig config = GpuConfig::test_config();
   config.scheduler.kind = SchedulerKind::kPro;
+  return runner::SweepJob::make(find_workload("mergeHistogram64Kernel"),
+                                config);
+}
+
+runner::SweepReport sweep_cell(const fs::path& dir,
+                               const ObservabilityOptions& obs) {
   runner::SweepOptions options;
   options.trace_dir = dir.string();
   options.obs = obs;
   options.obs.warp_lanes = true;
   options.obs.windows = true;
-  return runner::run_sweep(
-      {runner::SweepJob::make(find_workload("mergeHistogram64Kernel"),
-                              config)},
-      options);
+  return runner::run_sweep({sweep_job()}, options);
 }
 
 TEST(ObservabilityProducts, ServingCellMatchesRecordedDigests) {
@@ -110,7 +112,7 @@ TEST(ObservabilityProducts, SingleKernelCellMatchesRecordedDigests) {
   const SmStats& totals = report.cells[0].result->totals;
   EXPECT_EQ(totals.cause_cycles[static_cast<int>(StallCause::kIssued)],
             totals.issued);
-  const std::string key = report.cells[0].cache_key;
+  const std::string key = sweep_job().cache_key();
   const std::pair<std::string, const char*> want[] = {
       {"m." + key + ".csv", "91c9e5f39e0c8eb5"},
       {"m." + key + ".json", "70313bef1722a325"},
@@ -135,7 +137,7 @@ TEST(ObservabilityProducts, AbsolutePathsIgnoreTraceDir) {
   const runner::SweepReport report = sweep_cell(dir, obs);
   ASSERT_TRUE(report.cells[0].ok());
   EXPECT_EQ(report.cells[0].write_error, "");
-  const std::string key = report.cells[0].cache_key;
+  const std::string key = sweep_job().cache_key();
   EXPECT_TRUE(fs::exists(elsewhere / ("e." + key + ".jsonl")));
   EXPECT_TRUE(fs::exists(dir / ("k." + key + ".json")));
   EXPECT_TRUE(fs::exists(dir / (key + ".trace.json")));
@@ -160,7 +162,7 @@ TEST(ObservabilityProducts, UnwritablePathIsReportedPerCell) {
   obs.events_jsonl = missing;
   const runner::SweepReport swept = sweep_cell(dir, obs);
   ASSERT_TRUE(swept.cells[0].ok());
-  EXPECT_NE(swept.cells[0].write_error.find("e." + swept.cells[0].cache_key),
+  EXPECT_NE(swept.cells[0].write_error.find("e." + sweep_job().cache_key()),
             std::string::npos)
       << swept.cells[0].write_error;
 

@@ -4,8 +4,10 @@
 //   2. Failure isolation — one failing cell becomes a structured-error
 //      artifact; the rest of the sweep completes normally.
 //   3. Warm cache — rerunning an unchanged matrix simulates nothing.
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -164,6 +166,38 @@ TEST(Sweep, ConfigChangeMissesTheCache) {
   changed.scheduler.kind = SchedulerKind::kPro;
   jobs[0] = SweepJob::make(runner_test::make_alu_workload("inval", 2), changed);
   EXPECT_EQ(run_sweep(jobs, opts).simulated, 1u);
+}
+
+// The cache key runs the workload's init() a second time to hash the input
+// image; a sweep with no cache and no product path never computes it.
+TEST(Sweep, KeyIsComputedOnlyWhereRead) {
+  const auto inits = std::make_shared<std::atomic<int>>(0);
+  Workload w = runner_test::make_mem_workload("counted", 6);
+  w.init = [inits, init = w.init](GlobalMemory& mem) {
+    ++*inits;
+    init(mem);
+  };
+  const std::vector<SweepJob> jobs = cross_matrix(
+      {w}, {SchedulerKind::kLrr, SchedulerKind::kPro}, /*fault_seeds=*/{},
+      /*include_fault_free=*/true, runner_test::sweep_test_config());
+
+  SweepOptions opts;
+  opts.jobs = 2;
+  EXPECT_EQ(run_sweep(jobs, opts).simulated, jobs.size());
+  EXPECT_EQ(*inits, static_cast<int>(jobs.size()));  // once per cell
+
+  opts.cache_dir = fresh_dir("keyed");
+  const SweepReport cold = run_sweep(jobs, opts);
+  EXPECT_EQ(cold.simulated, jobs.size());
+  const SweepReport warm = run_sweep(jobs, opts);
+  EXPECT_EQ(warm.simulated, 0u);
+  EXPECT_EQ(warm.cache_hits, jobs.size());
+  // Each cell hits its own entry: LRR and PRO finish at different cycles.
+  EXPECT_NE(cold.cells[0].result->cycles, cold.cells[1].result->cycles);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(gpu_result_to_json(*warm.cells[i].result),
+              gpu_result_to_json(*cold.cells[i].result));
+  }
 }
 
 TEST(Sweep, ProgressCallbackSeesEveryCell) {
