@@ -132,6 +132,9 @@ def check_events(path):
     counts = {}
     prev = 0
     n = 0
+    # Admission lifecycle: kernel -> line of its arrival / admission grant.
+    arrived = {}
+    granted = {}
     for i, line in enumerate(open(path), start=1):
         e = json.loads(line)
         if e["event"] not in EVENT_KINDS:
@@ -141,6 +144,19 @@ def check_events(path):
         prev = int(e["cycle"])
         counts[e["event"]] = counts.get(e["event"], 0) + 1
         n += 1
+        k = e.get("kernel")
+        if e["event"] == "kernel_arrival":
+            arrived.setdefault(k, i)
+        elif e["event"] == "admission_grant":
+            if k in granted:
+                fail(f"{path}:{i}: second admission_grant for kernel {k}")
+            granted[k] = i
+        elif e["event"] in ("tb_launch", "tb_resume"):
+            if "sm" not in e:
+                fail(f"{path}:{i}: {e['event']} without an sm")
+            if k not in arrived or k not in granted:
+                fail(f"{path}:{i}: {e['event']} of kernel {k} before its "
+                     "kernel_arrival and admission_grant")
     if counts.get("sim_end", 0) != 1:
         fail(f"{path}: expected exactly one sim_end, got {counts}")
     if counts.get("kernel_arrival", 0) < 1:

@@ -42,6 +42,12 @@ Addr stream_addr_salt(int kernel_id) {
 
 }  // namespace
 
+void Gpu::CoreTotals::add(const SmCore& sm) {
+  accumulate_stats(stats, sm.stats());
+  l1_hits += sm.l1().hits;
+  l1_misses += sm.l1().misses;
+}
+
 GpuConfig GpuConfig::test_config() {
   GpuConfig cfg;
   cfg.num_sms = 2;
@@ -54,10 +60,10 @@ Gpu::Gpu(const GpuConfig& config, Program program, GlobalMemory& memory)
           [&] {
             std::vector<KernelLaunch> launches;
             launches.push_back(
-                KernelLaunch{0, "", std::move(program), &memory, 0});
+                KernelLaunch{0, "", std::move(program), &memory, 0, {}});
             return launches;
           }(),
-          nullptr, /*multi=*/false) {}
+          make_admission("fifo_exclusive"), /*per_kernel_report=*/false) {}
 
 Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
          const std::string& admission)
@@ -70,10 +76,10 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
                                "unknown admission policy: " + admission));
             return policy;
           }(),
-          /*multi=*/true) {}
+          /*per_kernel_report=*/true) {}
 
 Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
-         std::unique_ptr<AdmissionPolicy> admission, bool multi)
+         std::unique_ptr<AdmissionPolicy> admission, bool per_kernel_report)
     : config_(config),
       admission_(std::move(admission)),
       faults_(config.faults.enabled
@@ -83,7 +89,7 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
                   : nullptr),
       mem_(config.mem, config.num_sms, faults_.get()),
       watchdog_(config.watchdog),
-      multi_(multi) {
+      per_kernel_report_(per_kernel_report) {
   PROSIM_REQUIRE(!launches.empty(),
                  SimError::make(ErrorCategory::kInvariant,
                                 "multi-stream run needs at least one kernel"));
@@ -128,9 +134,7 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
 
   const auto n = static_cast<std::size_t>(config_.num_sms);
   binding_.assign(n, -1);
-  per_sm_acc_.assign(n, SmStats{});
-  per_sm_acc_l1_hits_.assign(n, 0);
-  per_sm_acc_l1_misses_.assign(n, 0);
+  per_sm_acc_.assign(n, CoreTotals{});
   timeline_acc_.resize(n);
   sms_.resize(n);
   wake_at_.assign(n, 0);
@@ -139,8 +143,7 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
   eval_.assign(n, 0);
   bound_sms_.assign(streams_.size(), 0);
   unfinished_ = static_cast<int>(streams_.size());
-  // Every SM starts bound to the earliest-arrival kernel (stream 0); in
-  // single-kernel mode this reproduces the classic construction exactly.
+  // Every SM starts bound to the earliest-arrival kernel (stream 0).
   for (int s = 0; s < config_.num_sms; ++s) bind_sm(s, 0);
   // Cycle-0 arrivals precede every attach, which retro-emits them.
   note_arrivals();
@@ -153,19 +156,14 @@ void Gpu::bind_sm(int s, int k) {
     --bound_sms_[binding_[s]];
     // Tear-down accounting: the outgoing generation's counters belong to
     // the stream it executed and to this SM slot's running totals.
-    Stream& old = *streams_[binding_[s]];
-    accumulate_stats(old.acc, sms_[s]->stats());
-    old.acc_l1_hits += sms_[s]->l1().hits;
-    old.acc_l1_misses += sms_[s]->l1().misses;
-    accumulate_stats(per_sm_acc_[s], sms_[s]->stats());
-    per_sm_acc_l1_hits_[s] += sms_[s]->l1().hits;
-    per_sm_acc_l1_misses_[s] += sms_[s]->l1().misses;
+    streams_[binding_[s]]->acc.add(*sms_[s]);
+    per_sm_acc_[s].add(*sms_[s]);
     for (const TbTimelineEntry& e : sms_[s]->timeline()) {
       timeline_acc_[s].push_back(e);
     }
   }
   auto policy = make_policy(config_.scheduler);
-  if (s == 0 && !multi_ && config_.record_tb_order_sm0) {
+  if (s == 0 && !per_kernel_report_ && config_.record_tb_order_sm0) {
     if (auto* pro = dynamic_cast<ProPolicy*>(policy.get())) {
       pro->set_order_trace(&tb_order_sm0_);
     }
@@ -192,8 +190,21 @@ const std::vector<RegValue>& Gpu::stream_registers(int kernel) const {
   return streams_[static_cast<std::size_t>(kernel)]->registers;
 }
 
+Gpu::CoreTotals Gpu::sm_totals(int s) const {
+  CoreTotals t = per_sm_acc_[s];
+  t.add(*sms_[s]);
+  return t;
+}
+
+Gpu::CoreTotals Gpu::kernel_totals(int k) const {
+  CoreTotals t = streams_[k]->acc;
+  for (int s = 0; s < num_sms(); ++s) {
+    if (binding_[s] == k) t.add(*sms_[s]);
+  }
+  return t;
+}
+
 int Gpu::waiting_tbs() const {
-  if (!multi_) return streams_[0]->tbs.remaining();
   int waiting = 0;
   for (const auto& st : streams_) {
     if (!st->finished && st->launch.arrival <= now_) {
@@ -201,43 +212,6 @@ int Gpu::waiting_tbs() const {
     }
   }
   return waiting;
-}
-
-void Gpu::assign_tbs() {
-  if (faults_ != nullptr && faults_->tb_launch_blocked(now_)) return;
-  const int n = static_cast<int>(sms_.size());
-  // This cycle evaluates the SMs marked since the last evaluation; marks
-  // made from here on are for the next cycle.
-  eval_.swap(dirty_);
-  if (tick_all_) std::fill(eval_.begin(), eval_.end(), 1);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  admission_due_ = false;
-  if (multi_) {
-    assign_tbs_multi();
-  } else {
-    // One TB per SM per cycle, round-robin over SMs — models the global
-    // work distribution engine refilling an SM as soon as a resident TB
-    // retires.
-    Stream& st = *streams_[0];
-    for (int i = 0; i < n && st.tbs.has_waiting(); ++i) {
-      const int s = (next_sm_ + i) % n;
-      if (!eval_[s]) continue;
-      ++admission_evals_;
-      if (sms_[s]->can_accept_tb()) {
-        if (!st.launched_any) {
-          st.launched_any = true;
-          st.first_launch = now_;
-          emit({now_, SimEventKind::kAdmissionGrant, 0, s});
-        }
-        const int ctaid = st.tbs.pop();
-        touch_sm(s);
-        sms_[s]->launch_tb(ctaid, now_);
-        if (!st.tbs.has_waiting()) wake_bound(0);
-        emit({now_, SimEventKind::kTbLaunch, 0, s, ctaid});
-      }
-    }
-  }
-  next_sm_ = (next_sm_ + 1) % n;
 }
 
 bool Gpu::refresh_view() {
@@ -304,20 +278,37 @@ void Gpu::request_yields() {
   }
 }
 
-void Gpu::assign_tbs_multi() {
+void Gpu::assign_tbs() {
+  if (faults_ != nullptr && faults_->tb_launch_blocked(now_)) return;
+  const int n = static_cast<int>(sms_.size());
+  // One TB per SM per cycle, round-robin over SMs starting one further
+  // each cycle: the global work distribution engine refilling an SM as
+  // soon as a resident TB retires.
+  const int first = next_sm_;
+  next_sm_ = (next_sm_ + 1) % n;
+  // This cycle evaluates the SMs marked since the last evaluation; marks
+  // made from here on are for the next cycle.
+  eval_.swap(dirty_);
+  if (tick_all_) std::fill(eval_.begin(), eval_.end(), 1);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
+  admission_due_ = false;
+
   const bool preemptive = admission_->preemptive();
   if (preemptive) harvest_yields();
 
   if (refresh_view()) std::fill(eval_.begin(), eval_.end(), 1);
-  if (active_.empty()) return;
+  // With no TB waiting or parked, no SM can launch, resume or rebind, and
+  // no policy has a focus to yield to.
+  if (waiting_.empty()) return;
   const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
                            static_cast<int>(streams_.size())};
 
-  const int n = static_cast<int>(sms_.size());
   for (int i = 0; i < n; ++i) {
-    const int s = (next_sm_ + i) % n;
+    const int s = (first + i) % n;
     if (!eval_[s]) continue;
     ++admission_evals_;
+    // A full SM still holds work: it can neither take a TB nor rebind.
+    if (!sms_[s]->can_accept_tb() && !sms_[s]->drained()) continue;
     int k = binding_[s];
     const Stream& bound = *streams_[k];
     const bool bound_serves = !bound.finished && bound.launch.arrival <= now_ &&
@@ -496,14 +487,14 @@ Cycle Gpu::next_step(Cycle sm_wake) const {
     target = std::min(target, metrics_->next_sample_cycle());
   }
   // A kernel arrival is a stream event: its cycle executes.
-  if (multi_ && next_arrival_ < streams_.size()) {
+  if (next_arrival_ < streams_.size()) {
     target = std::min(target, streams_[next_arrival_]->launch.arrival);
   }
   return std::max(target, now_);
 }
 
 bool Gpu::step() {
-  if (multi_) note_arrivals();
+  note_arrivals();
   assign_tbs();
   mem_.cycle(now_);
   const Interconnect& icnt = mem_.interconnect();
@@ -515,25 +506,11 @@ bool Gpu::step() {
 
   const Cycle executed = now_;
   ++now_;
-  bool running;
-  if (multi_) {
-    if (streams_check_ || tick_all_) {
-      streams_check_ = false;
-      update_streams();
-    }
-    running = unfinished_ > 0 || !mem_.idle();
-  } else {
-    running = streams_[0]->tbs.has_waiting();
-    if (!running) {
-      for (const auto& sm : sms_) {
-        if (!sm->drained()) {
-          running = true;
-          break;
-        }
-      }
-    }
-    if (!running) running = !mem_.idle();
+  if (streams_check_ || tick_all_) {
+    streams_check_ = false;
+    update_streams();
   }
+  const bool running = unfinished_ > 0 || !mem_.idle();
 
   // Advance the clock to the next cycle anything is due: every cycle in
   // between would have repeated the executed one verbatim.
@@ -546,7 +523,7 @@ bool Gpu::step() {
     next_sm_ = static_cast<int>(
         (static_cast<Cycle>(next_sm_) + skipped) % n);  // per-cycle rotation
   }
-  if (multi_ && admission_->preemptive()) {
+  if (admission_->preemptive()) {
     // Bindings, queues and parked sets are constant until the next step,
     // so the per-cycle preemption accounting multiplies out exactly.
     account_preempted(executed, target - executed);
@@ -615,9 +592,8 @@ void Gpu::sample_metrics() {
     constexpr MetricScope kSm = MetricScope::kSm;
     // Counters are cumulative across rebind tear-downs (acc + live core),
     // so the per-interval deltas telescope to the run totals exactly.
-    const SmStats& acc = per_sm_acc_[s];
-    const std::uint64_t d_issued =
-        counter(kSm, id, "issued", acc.issued + sm.stats().issued);
+    const SmStats totals = sm_totals(id).stats;
+    const std::uint64_t d_issued = counter(kSm, id, "issued", totals.issued);
     gauge(kSm, id, "ipc",
           static_cast<double>(d_issued) / static_cast<double>(span));
     gauge(kSm, id, "runnable_warps", sm.runnable_warps());
@@ -630,7 +606,7 @@ void Gpu::sample_metrics() {
       counter(kSm, id,
               std::string("stall.") +
                   stall_cause_name(static_cast<StallCause>(c)),
-              acc.cause_cycles[c] + sm.stats().cause_cycles[c]);
+              totals.cause_cycles[c]);
     }
     progress_sm.clear();
     sm.sample_progress(progress_sm);
@@ -653,23 +629,15 @@ void Gpu::sample_metrics() {
     }
   }
 
-  if (multi_) {
+  if (per_kernel_report_) {
     for (const auto& st : streams_) {
       if (st->launch.arrival > now_) continue;
       const int k = st->launch.kernel_id;
       constexpr MetricScope kKernel = MetricScope::kKernel;
-      std::uint64_t issued = st->acc.issued;
-      std::uint64_t tbs = st->acc.tbs_executed;
-      int bound = 0;
-      for (std::size_t s = 0; s < sms_.size(); ++s) {
-        if (binding_[s] != k) continue;
-        ++bound;
-        issued += sms_[s]->stats().issued;
-        tbs += sms_[s]->stats().tbs_executed;
-      }
-      counter(kKernel, k, "issued", issued);
-      counter(kKernel, k, "tbs_executed", tbs);
-      gauge(kKernel, k, "bound_sms", bound);
+      const SmStats totals = kernel_totals(k).stats;
+      counter(kKernel, k, "issued", totals.issued);
+      counter(kKernel, k, "tbs_executed", totals.tbs_executed);
+      gauge(kKernel, k, "bound_sms", bound_sms_[k]);
       gauge(kKernel, k, "waiting_tbs", st->tbs.remaining());
       gauge(kKernel, k, "parked_tbs", static_cast<double>(st->parked.size()));
       counter(kKernel, k, "demotions", st->demotions);
@@ -699,6 +667,7 @@ void Gpu::sample_metrics() {
 }
 
 void Gpu::emit_finish(const Stream& st) {
+  if (!per_kernel_report_) return;
   emit({now_, SimEventKind::kKernelFinish, st.launch.kernel_id});
   if (st.launch.tenant.deadline_cycles == 0) return;
   const Cycle deadline = st.launch.arrival + st.launch.tenant.deadline_cycles;
@@ -737,15 +706,13 @@ GpuResult Gpu::collect() {
   result.regs_per_thread = info0.regs_per_thread;
   result.block_dim = info0.block_dim;
   for (std::size_t s = 0; s < sms_.size(); ++s) {
-    const SmCore& sm = *sms_[s];
-    SmStats stats = per_sm_acc_[s];
-    accumulate_stats(stats, sm.stats());
-    result.per_sm.push_back(stats);
-    accumulate_stats(result.totals, stats);
-    result.l1_hits += per_sm_acc_l1_hits_[s] + sm.l1().hits;
-    result.l1_misses += per_sm_acc_l1_misses_[s] + sm.l1().misses;
+    const CoreTotals totals = sm_totals(static_cast<int>(s));
+    result.per_sm.push_back(totals.stats);
+    accumulate_stats(result.totals, totals.stats);
+    result.l1_hits += totals.l1_hits;
+    result.l1_misses += totals.l1_misses;
     std::vector<TbTimelineEntry> timeline = timeline_acc_[s];
-    for (const TbTimelineEntry& e : sm.timeline()) timeline.push_back(e);
+    for (const TbTimelineEntry& e : sms_[s]->timeline()) timeline.push_back(e);
     result.timelines.push_back(std::move(timeline));
   }
   if (faults_ != nullptr) result.faults_injected = faults_->total_faults();
@@ -760,7 +727,7 @@ GpuResult Gpu::collect() {
   result.dram_row_hits = mem_.dram_row_hits();
   result.dram_row_misses = mem_.dram_row_misses();
   result.tb_order_sm0 = tb_order_sm0_;
-  if (!multi_) {
+  if (!per_kernel_report_) {
     result.registers = streams_[0]->registers;
   } else {
     // Per-kernel slices: accumulated tear-down counters plus the share of
@@ -775,20 +742,15 @@ GpuResult Gpu::collect() {
       slice.launched = st->launched_any;
       slice.finish = st->finish;
       slice.finished = st->finished;
-      slice.stats = st->acc;
-      slice.l1_hits = st->acc_l1_hits;
-      slice.l1_misses = st->acc_l1_misses;
+      const CoreTotals totals = kernel_totals(slice.kernel_id);
+      slice.stats = totals.stats;
+      slice.l1_hits = totals.l1_hits;
+      slice.l1_misses = totals.l1_misses;
       slice.slo_active = admission_->preemptive();
       slice.tenant = st->launch.tenant;
       slice.demotions = st->demotions;
       slice.resumptions = st->resumptions;
       slice.preempted_cycles = st->preempted_cycles;
-      for (std::size_t s = 0; s < sms_.size(); ++s) {
-        if (binding_[s] != st->launch.kernel_id) continue;
-        accumulate_stats(slice.stats, sms_[s]->stats());
-        slice.l1_hits += sms_[s]->l1().hits;
-        slice.l1_misses += sms_[s]->l1().misses;
-      }
       result.kernel_slices.push_back(std::move(slice));
     }
   }

@@ -16,9 +16,9 @@
 // which kernel's TB queue every SM draws from. An SM executes one kernel's
 // TBs at a time and rebinds to another kernel only once fully drained
 // (TB-drain-granularity sharing; the L1 is flushed by the rebind, as on
-// real kernel switches). Per-kernel accounting lands in
-// GpuResult::kernel_slices; single-kernel runs keep the slice list empty
-// and stay bit-identical to the classic path.
+// real kernel switches). One admission loop serves every run: the
+// single-kernel constructor is a one-launch run under fifo_exclusive that
+// reports no GpuResult::kernel_slices.
 #pragma once
 
 #include <deque>
@@ -64,7 +64,8 @@ class Gpu {
  public:
   /// `memory` must outlive the Gpu; kernels mutate it in place. The
   /// program is copied (temporaries are safe to pass). Throws SimException
-  /// (category `invariant`) on an invalid program.
+  /// (category `invariant`) on an invalid program. Runs exactly the
+  /// one-launch fifo_exclusive run of the concurrent form.
   Gpu(const GpuConfig& config, Program program, GlobalMemory& memory);
 
   /// Concurrent-kernel form: launches must be ordered by non-decreasing
@@ -138,6 +139,14 @@ class Gpu {
   const FaultInjector* fault_injector() const { return faults_.get(); }
 
  private:
+  /// Counters of SmCore generations: SM stats plus L1 hits and misses.
+  struct CoreTotals {
+    SmStats stats;
+    std::uint64_t l1_hits = 0;
+    std::uint64_t l1_misses = 0;
+    void add(const SmCore& sm);
+  };
+
   /// One resident kernel (stream): its launch, TB queue, and the counters
   /// accumulated from SM generations that already rebound away from it.
   struct Stream {
@@ -147,9 +156,7 @@ class Gpu {
     Cycle first_launch = 0;
     bool finished = false;
     Cycle finish = 0;
-    SmStats acc;  ///< stats of SmCore generations already torn down
-    std::uint64_t acc_l1_hits = 0;
-    std::uint64_t acc_l1_misses = 0;
+    CoreTotals acc;  ///< SmCore generations already torn down
     std::vector<RegValue> registers;
     /// Yield-checkpointed TBs awaiting resumption, FIFO (preemptive
     /// admission only; always empty under the legacy policies).
@@ -164,7 +171,7 @@ class Gpu {
   };
 
   Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
-      std::unique_ptr<AdmissionPolicy> admission, bool multi);
+      std::unique_ptr<AdmissionPolicy> admission, bool per_kernel_report);
 
   /// One executed cycle of SM `s`, when it is due (see sm_due): catches
   /// up its skipped cycles, cycles it and caches its next wake time.
@@ -206,13 +213,17 @@ class Gpu {
   /// fresh SmCore on stream k's program and memory (fresh L1 — a kernel
   /// switch flushes it).
   void bind_sm(int s, int k);
+  /// Run totals so far of SM slot `s` and of stream `k`: the torn-down
+  /// generations plus the live cores.
+  CoreTotals sm_totals(int s) const;
+  CoreTotals kernel_totals(int k) const;
 
-  /// TB assignment for the SMs marked for evaluation (see dirty_). An SM
+  /// The one admission loop: refill, rebind and (preemptive policies)
+  /// yield decisions for the SMs marked for evaluation (see dirty_). An SM
   /// neither ticked nor touched since its last evaluation, under an
   /// unchanged AdmissionView, would repeat its last no-op decision.
   void assign_tbs();
-  void assign_tbs_multi();
-  /// Preemptive-only phases of assign_tbs_multi: parks quiescent yield
+  /// Preemptive-only phases of assign_tbs: parks quiescent yield
   /// victims (before launches) and requests new yields where the policy's
   /// focus demands the SM but every resident TB is spin-stuck (after).
   void harvest_yields();
@@ -226,8 +237,9 @@ class Gpu {
   /// stream that has runnable work but no SM bound to it (preemptive only;
   /// `executed` is the first cycle of the accounted span).
   void account_preempted(Cycle executed, Cycle count);
-  /// Marks arrived streams whose TBs have all drained as finished
-  /// (multi-stream bookkeeping; runs when an SM drained or was touched).
+  /// Marks arrived streams whose TBs have all drained as finished (runs
+  /// when an SM drained or was touched); the run ends once every stream
+  /// finished and the memory subsystem is idle.
   void update_streams();
   /// Unassigned TBs across arrived, unfinished streams (watchdog context).
   int waiting_tbs() const;
@@ -239,25 +251,26 @@ class Gpu {
   }
   /// Records one row of every configured series at cycle now_.
   void sample_metrics();
-  /// Emits stream `st`'s finish-time rows (kernel_finish + SLO verdict).
+  /// Emits stream `st`'s finish-time rows (kernel_finish + SLO verdict)
+  /// when the run reports per kernel.
   void emit_finish(const Stream& st);
   GpuConfig config_;
   std::vector<std::unique_ptr<Stream>> streams_;
-  std::unique_ptr<AdmissionPolicy> admission_;  // null in single-kernel mode
+  std::unique_ptr<AdmissionPolicy> admission_;  // never null
   std::unique_ptr<FaultInjector> faults_;  // must precede mem_ (ctor order)
   MemorySubsystem mem_;
   Watchdog watchdog_;
   std::vector<std::unique_ptr<SmCore>> sms_;
   std::vector<int> binding_;  ///< per SM: bound stream id
-  // Counters of torn-down SmCore generations, per SM slot (multi mode).
-  std::vector<SmStats> per_sm_acc_;
-  std::vector<std::uint64_t> per_sm_acc_l1_hits_;
-  std::vector<std::uint64_t> per_sm_acc_l1_misses_;
+  /// Counters of torn-down SmCore generations, per SM slot.
+  std::vector<CoreTotals> per_sm_acc_;
   std::vector<std::vector<TbTimelineEntry>> timeline_acc_;
   std::vector<TbOrderSample> tb_order_sm0_;
   Cycle now_ = 0;
   int next_sm_ = 0;
-  bool multi_ = false;
+  /// What the run reports, never how it runs: kernel slices, kernel-scope
+  /// series and kernel_finish/SLO rows, or registers and the SM0 TB order.
+  bool per_kernel_report_ = false;
   /// Every SM executes every cycle and the clock never jumps: the
   /// PROSIM_NO_FASTFORWARD reference, and the fault-injection mode.
   bool tick_all_ = false;

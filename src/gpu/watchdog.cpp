@@ -59,8 +59,10 @@ std::optional<SimError> Watchdog::check(
 
   // Healthy idle: no resident warps and no TBs queued means the GPU is
   // legitimately between kernels (multi-stream runs waiting for the next
-  // arrival) — that is not a stall. Unreachable in single-kernel runs,
-  // where the driver stops stepping once everything drains.
+  // arrival) — that is not a stall. A single-kernel run (one launch at
+  // cycle 0) can reach it only in the memory drain after its last TB
+  // retired: the step loop stops once every stream finished and the
+  // memory subsystem is idle.
   if (scan.warps.empty() && tbs_waiting == 0) {
     stalled_windows_ = 0;
     return std::nullopt;

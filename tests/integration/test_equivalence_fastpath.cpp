@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,53 +160,91 @@ TEST(EquivalenceFastpath, AttributionOnlyIsBitIdentical) {
       << "fingerprint 0x" << std::hex << actual << ")";
 }
 
-// The concurrent-kernel constructor with a single launch must be the
-// *same simulation* as the legacy path: every admission policy degenerates
-// to "this kernel, always", so the result fingerprints — pinned above from
-// the seed implementation — must come out bit-identical, and the document
-// must not grow the optional serving block's sibling fields into the
-// canonical bytes (kernel_slices are serialized, appended after block_dim,
-// so the prefix is the untouched single-kernel document).
+// The journal as JSON lines, without the rows of kind `drop`.
+std::string journal_jsonl(const EventJournal& journal, SimEventKind drop) {
+  EventJournal kept;
+  for (const SimEvent& e : journal.events()) {
+    if (e.kind != drop) kept.on_sim_event(e);
+  }
+  std::ostringstream os;
+  kept.write_jsonl(os);
+  return os.str();
+}
+
+// The legacy constructor *is* the concurrent-kernel constructor's
+// one-launch fifo_exclusive run, and with a single launch every admission
+// policy degenerates to "this kernel, always": the result fingerprints —
+// pinned above from the seed implementation — must come out bit-identical,
+// and the document must not grow the optional serving block's sibling
+// fields into the canonical bytes (kernel_slices are serialized, appended
+// after block_dim, so the prefix is the untouched single-kernel document).
+// The lifecycle journals match too, except for the kernel_finish row that
+// only a per-kernel report carries.
 TEST(EquivalenceFastpath, SingleKernelViaMultiCtorMatchesSeed) {
-  constexpr Cell kCell = {SchedulerKind::kPro, "scalarProdGPU",
-                          0xf0604c1acd235617ull};
-  const Workload& w = find_workload(kCell.kernel);
-  for (const AdmissionInfo& info : admission_registry()) {
-    const std::string admission = info.name;
+  constexpr Cell kSingleCells[] = {
+      {SchedulerKind::kPro, "scalarProdGPU", 0xf0604c1acd235617ull},
+      {SchedulerKind::kLrr, "GPU_laplace3d", 0x7cb9bc88114d6244ull},
+      {SchedulerKind::kTl, "bfs_kernel", 0x2a1b77df2e26072full},
+      {SchedulerKind::kGto, "calculate_temp", 0xf73d34b299219e61ull},
+  };
+  for (const Cell& cell : kSingleCells) {
+    const Workload& w = find_workload(cell.kernel);
     GpuConfig cfg;
-    cfg.scheduler.kind = kCell.kind;
-    GlobalMemory mem;
-    if (w.init) w.init(mem);
-    std::vector<KernelLaunch> launches;
-    KernelLaunch launch;
-    launch.kernel_id = 0;
-    launch.name = kCell.kernel;
-    launch.program = w.program;
-    launch.memory = &mem;
-    launches.push_back(std::move(launch));
-    Gpu gpu(cfg, std::move(launches), admission);
-    GpuResult r = gpu.run();
-    // The multi path records a (correct) slice for its one kernel; the
-    // canonical document then carries the optional serving block. Every
-    // *seed* field must still hash to the pinned fingerprint, so strip
-    // the optional block and compare against the legacy constant.
-    ASSERT_EQ(r.kernel_slices.size(), 1u) << admission;
-    EXPECT_TRUE(r.kernel_slices[0].finished) << admission;
-    // The slice finishes when its last TB drains; the run's cycle count
-    // additionally covers the memory-subsystem drain that follows.
-    EXPECT_GT(r.kernel_slices[0].finish, 0u) << admission;
-    EXPECT_LE(r.kernel_slices[0].finish, r.cycles)
-        << admission;
-    r.kernel_slices.clear();
-    const std::string json = gpu_result_to_json(r);
-    EXPECT_EQ(json.find("\"serving\""), std::string::npos);
-    Fingerprint fp;
-    fp.add_bytes(json.data(), json.size());
-    EXPECT_EQ(fp.hash(), kCell.expected)
-        << admission
-        << ": single-kernel run through the concurrent-kernel "
-        << "constructor diverged from the legacy path (actual "
-        << "fingerprint 0x" << std::hex << fp.hash() << ")";
+    cfg.scheduler.kind = cell.kind;
+    EventJournal legacy;
+    {
+      GlobalMemory mem;
+      if (w.init) w.init(mem);
+      Gpu gpu(cfg, w.program, mem);
+      gpu.set_event_journal(&legacy);
+      gpu.run();
+    }
+    EXPECT_EQ(legacy.count(SimEventKind::kKernelFinish), 0u) << cell.kernel;
+    const std::string legacy_jsonl =
+        journal_jsonl(legacy, SimEventKind::kKernelFinish);
+    for (const AdmissionInfo& info : admission_registry()) {
+      const std::string admission = info.name;
+      GlobalMemory mem;
+      if (w.init) w.init(mem);
+      std::vector<KernelLaunch> launches;
+      KernelLaunch launch;
+      launch.kernel_id = 0;
+      launch.name = cell.kernel;
+      launch.program = w.program;
+      launch.memory = &mem;
+      launches.push_back(std::move(launch));
+      Gpu gpu(cfg, std::move(launches), admission);
+      EventJournal journal;
+      gpu.set_event_journal(&journal);
+      GpuResult r = gpu.run();
+      EXPECT_EQ(journal.count(SimEventKind::kKernelFinish), 1u)
+          << cell.kernel << "/" << admission;
+      EXPECT_EQ(journal_jsonl(journal, SimEventKind::kKernelFinish),
+                legacy_jsonl)
+          << cell.kernel << "/" << admission
+          << ": lifecycle journal diverged from the legacy constructor's";
+      // The multi path records a (correct) slice for its one kernel; the
+      // canonical document then carries the optional serving block. Every
+      // *seed* field must still hash to the pinned fingerprint, so strip
+      // the optional block and compare against the legacy constant.
+      ASSERT_EQ(r.kernel_slices.size(), 1u) << admission;
+      EXPECT_TRUE(r.kernel_slices[0].finished) << admission;
+      // The slice finishes when its last TB drains; the run's cycle count
+      // additionally covers the memory-subsystem drain that follows.
+      EXPECT_GT(r.kernel_slices[0].finish, 0u) << admission;
+      EXPECT_LE(r.kernel_slices[0].finish, r.cycles) << admission;
+      r.kernel_slices.clear();
+      const std::string json = gpu_result_to_json(r);
+      EXPECT_EQ(json.find("\"serving\""), std::string::npos);
+      Fingerprint fp;
+      fp.add_bytes(json.data(), json.size());
+      EXPECT_EQ(fp.hash(), cell.expected)
+          << cell.kernel << "/" << scheduler_name(cell.kind) << "/"
+          << admission
+          << ": single-kernel run through the concurrent-kernel "
+          << "constructor diverged from the legacy path (actual "
+          << "fingerprint 0x" << std::hex << fp.hash() << ")";
+    }
   }
 }
 
