@@ -11,7 +11,10 @@ void ProPolicy::attach(const PolicyContext& ctx) {
   ctx_ = ctx;
   tbs_.assign(static_cast<std::size_t>(ctx.num_tb_slots), {});
   tb_order_.clear();
-  warp_priority_.clear();
+  sched_bits_.assign(static_cast<std::size_t>(ctx.num_schedulers), 0);
+  for (int w = 0; w < ctx.num_warp_slots; ++w) {
+    sched_bits_[static_cast<std::size_t>(w % ctx.num_schedulers)] |= 1ull << w;
+  }
   fast_phase_ = true;
   phase_initialized_ = false;
   last_sort_ = 0;
@@ -84,12 +87,15 @@ void ProPolicy::rebuild_order() {
     // indices"), lower index first.
     return ctx_.tb_ctaid[a] < ctx_.tb_ctaid[b];
   });
+}
 
-  warp_priority_.clear();
+std::vector<int> ProPolicy::priority_list() const {
+  std::vector<int> warps;
   for (int t : tb_order_) {
     const int base = t * ctx_.warps_per_tb;
-    for (int i : tbs_[t].warp_order) warp_priority_.push_back(base + i);
+    for (int i : tbs_[t].warp_order) warps.push_back(base + i);
   }
+  return warps;
 }
 
 void ProPolicy::check_phase(Cycle now) {
@@ -274,12 +280,19 @@ void ProPolicy::on_warp_finish(int /*warp_slot*/, int tb_slot) {
 }
 
 int ProPolicy::pick(int sched_id, std::uint64_t ready_mask, Cycle /*now*/) {
-  for (int w : warp_priority_) {
-    if (w % ctx_.num_schedulers != sched_id) continue;
-    if (ready_mask & (1ull << w)) return w;
+  const std::uint64_t ready =
+      ready_mask & sched_bits_[static_cast<std::size_t>(sched_id)];
+  const int wpt = ctx_.warps_per_tb;
+  for (int t : tb_order_) {
+    const std::uint64_t tb_ready = ready & tb_warp_mask(wpt, t);
+    if (tb_ready == 0) continue;
+    const int base = t * wpt;
+    for (int i : tbs_[t].warp_order) {
+      if ((tb_ready >> (base + i) & 1) != 0) return base + i;
+    }
   }
-  // The priority list covers every active TB's warps, so a ready warp is
-  // always found.
+  // tb_order_ holds every active TB and each warp_order all of its warps,
+  // so a ready warp is always found.
   PROSIM_CHECK_MSG(false, "PRO priority list missed a ready warp");
   return -1;
 }

@@ -13,10 +13,10 @@
 //    barrierWait / finishWait / finishNoWait: increasing progress — the
 //    least-progressed warp first so stragglers catch up).
 //
-// pick() walks TBs in priority order and warps in each TB's order,
-// returning the first ready warp owned by the requesting hardware
-// scheduler — "the warps of a higher-priority TB have higher priority
-// than the warps of a lower-priority TB".
+// pick() walks TBs in priority order, tests each TB's warp mask against
+// the requesting hardware scheduler's ready warps, and walks the warp order
+// of the first TB with a hit — "the warps of a higher-priority TB have
+// higher priority than the warps of a lower-priority TB".
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,9 @@ class ProPolicy final : public SchedulerPolicy {
   // Test introspection.
   TbState tb_state(int tb_slot) const { return tbs_[tb_slot].state; }
   bool in_fast_phase() const { return fast_phase_; }
-  const std::vector<int>& priority_list() const { return warp_priority_; }
+  /// Every active TB's warp slots, highest priority first (the order
+  /// pick() serves, before filtering by scheduler and readiness).
+  std::vector<int> priority_list() const;
   const ProConfig& config() const { return config_; }
 
  private:
@@ -101,8 +103,7 @@ class ProPolicy final : public SchedulerPolicy {
   /// Sort warps of one TB by progress; `increasing=true` puts the
   /// least-progressed warp first.
   void sort_warps(int tb_slot, bool increasing);
-  /// Recompute state-class + key ordering of TBs and flatten into the
-  /// warp priority list.
+  /// Recompute the state-class + key ordering of TBs.
   void rebuild_order();
   int state_class(TbState state) const;
   /// Exit state after a barrier completes, by phase and finish count.
@@ -111,8 +112,9 @@ class ProPolicy final : public SchedulerPolicy {
   ProConfig config_;
   PolicyContext ctx_;
   std::vector<TbInfo> tbs_;
-  std::vector<int> tb_order_;       // active TB slots, priority order
-  std::vector<int> warp_priority_;  // flattened warp slots, priority order
+  std::vector<int> tb_order_;  // active TB slots, priority order
+  /// Per hardware scheduler, the warp slots it owns (w % num_schedulers).
+  std::vector<std::uint64_t> sched_bits_;
   bool fast_phase_ = true;
   bool phase_initialized_ = false;
   Cycle last_sort_ = 0;

@@ -27,18 +27,23 @@ class GtoPolicy final : public SchedulerPolicy {
     const int last = last_[static_cast<std::size_t>(sched_id)];
     if (last >= 0 && (ready_mask & (1ull << last))) return last;
 
-    int best = -1;
+    // The oldest TB holding a ready warp, one step per such TB (launch
+    // sequences are distinct among resident TBs; a tie keeps the lower
+    // slot), then its lowest ready warp slot.
+    const int wpt = ctx_.warps_per_tb;
+    int best_tb = -1;
     std::uint64_t best_seq = 0;
-    for (int w = 0; w < ctx_.num_warp_slots; ++w) {
-      if ((ready_mask & (1ull << w)) == 0) continue;
-      const std::uint64_t seq =
-          ctx_.tb_launch_seq[w / ctx_.warps_per_tb];
-      if (best < 0 || seq < best_seq ||
-          (seq == best_seq && w < best)) {
-        best = w;
+    for (std::uint64_t scan = ready_mask; scan != 0;) {
+      const int t = std::countr_zero(scan) / wpt;
+      scan &= ~tb_warp_mask(wpt, t);
+      const std::uint64_t seq = ctx_.tb_launch_seq[t];
+      if (best_tb < 0 || seq < best_seq) {
+        best_tb = t;
         best_seq = seq;
       }
     }
+    const int best =
+        std::countr_zero(ready_mask & tb_warp_mask(wpt, best_tb));
     last_[static_cast<std::size_t>(sched_id)] = best;
     return best;
   }

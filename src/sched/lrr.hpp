@@ -21,17 +21,10 @@ class LrrPolicy final : public SchedulerPolicy {
   }
 
   int pick(int sched_id, std::uint64_t ready_mask, Cycle /*now*/) override {
-    // Scan slots in circular order starting just after the previous pick.
-    const int n = ctx_.num_warp_slots;
-    int start = next_[static_cast<std::size_t>(sched_id)];
-    for (int i = 0; i < n; ++i) {
-      const int w = (start + i) % n;
-      if (ready_mask & (1ull << w)) {
-        next_[static_cast<std::size_t>(sched_id)] = (w + 1) % n;
-        return w;
-      }
-    }
-    return -1;  // unreachable: ready_mask is never empty
+    // The first ready warp after the previous pick, circularly.
+    return round_robin_pick(ready_mask,
+                            next_[static_cast<std::size_t>(sched_id)],
+                            ctx_.num_warp_slots);
   }
 
  private:

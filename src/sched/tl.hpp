@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <vector>
 
@@ -34,7 +35,6 @@ class TlPolicy final : public SchedulerPolicy {
   void attach(const PolicyContext& ctx) override {
     ctx_ = ctx;
     const auto n = static_cast<std::size_t>(ctx.num_schedulers);
-    active_.assign(n, {});
     active_mask_.assign(n, 0);
     pending_.assign(n, {});
     next_.assign(n, 0);
@@ -46,17 +46,10 @@ class TlPolicy final : public SchedulerPolicy {
   }
 
   int pick(int sched_id, std::uint64_t ready_mask, Cycle /*now*/) override {
-    const auto s = static_cast<std::size_t>(sched_id);
-    const int n = ctx_.num_warp_slots;
-    const int start = next_[s];
-    for (int i = 0; i < n; ++i) {
-      const int w = (start + i) % n;
-      if (ready_mask & (1ull << w)) {
-        next_[s] = (w + 1) % n;
-        return w;
-      }
-    }
-    return -1;  // unreachable: ready_mask is never empty
+    // Loose round robin over the active warps (consider_mask hid the rest).
+    return round_robin_pick(ready_mask,
+                            next_[static_cast<std::size_t>(sched_id)],
+                            ctx_.num_warp_slots);
   }
 
   void on_tb_launch(int tb_slot) override {
@@ -64,7 +57,7 @@ class TlPolicy final : public SchedulerPolicy {
       const int w = tb_slot * ctx_.warps_per_tb + i;
       const auto s = static_cast<std::size_t>(sched_of(w));
       at_barrier_[w] = false;
-      if (static_cast<int>(active_[s].size()) < active_size_) {
+      if (active_count(s) < active_size_) {
         activate(s, w);
       } else {
         pending_[s].push_back(w);
@@ -91,20 +84,28 @@ class TlPolicy final : public SchedulerPolicy {
   }
 
   void on_warp_finish(int warp_slot, int /*tb_slot*/) override {
-    const auto s = static_cast<std::size_t>(sched_of(warp_slot));
-    auto it = std::find(active_[s].begin(), active_[s].end(), warp_slot);
-    if (it != active_[s].end()) {
-      deactivate(s, it);
-    } else {
-      auto pit = std::find(pending_[s].begin(), pending_[s].end(), warp_slot);
-      if (pit != pending_[s].end()) pending_[s].erase(pit);
-    }
-    top_up(static_cast<int>(s));
+    drop(warp_slot);
+    top_up(sched_of(warp_slot));
   }
 
-  // Test introspection.
-  const std::vector<int>& active_set(int sched_id) const {
-    return active_[static_cast<std::size_t>(sched_id)];
+  void on_tb_finish(int tb_slot) override {
+    // A retired TB's warps all finished and left already; a yielded TB
+    // leaves with unfinished warps, which must not hold places in either
+    // set while the TB is off the SM (its resume launches them afresh).
+    for (int i = 0; i < ctx_.warps_per_tb; ++i) {
+      const int w = tb_slot * ctx_.warps_per_tb + i;
+      if (drop(w)) top_up(sched_of(w));
+    }
+  }
+
+  // Test introspection: the active warps in ascending slot order.
+  std::vector<int> active_set(int sched_id) const {
+    std::vector<int> warps;
+    for (std::uint64_t m = active_mask_[static_cast<std::size_t>(sched_id)];
+         m != 0; m &= m - 1) {
+      warps.push_back(std::countr_zero(m));
+    }
+    return warps;
   }
   const std::deque<int>& pending_set(int sched_id) const {
     return pending_[static_cast<std::size_t>(sched_id)];
@@ -115,15 +116,30 @@ class TlPolicy final : public SchedulerPolicy {
     return warp_slot % ctx_.num_schedulers;
   }
 
-  /// Every change to active_ goes through these two, which keep the
-  /// consider mask in step with it.
+  int active_count(std::size_t s) const {
+    return std::popcount(active_mask_[s]);
+  }
+  bool is_active(std::size_t s, int warp_slot) const {
+    return (active_mask_[s] >> warp_slot & 1) != 0;
+  }
   void activate(std::size_t s, int warp_slot) {
-    active_[s].push_back(warp_slot);
     active_mask_[s] |= 1ull << warp_slot;
   }
-  void deactivate(std::size_t s, std::vector<int>::iterator it) {
-    active_mask_[s] &= ~(1ull << *it);
-    active_[s].erase(it);
+  void deactivate(std::size_t s, int warp_slot) {
+    active_mask_[s] &= ~(1ull << warp_slot);
+  }
+
+  /// Removes a warp from whichever set holds it; false if neither did.
+  bool drop(int warp_slot) {
+    const auto s = static_cast<std::size_t>(sched_of(warp_slot));
+    if (is_active(s, warp_slot)) {
+      deactivate(s, warp_slot);
+      return true;
+    }
+    auto it = std::find(pending_[s].begin(), pending_[s].end(), warp_slot);
+    if (it == pending_[s].end()) return false;
+    pending_[s].erase(it);
+    return true;
   }
 
   /// Promote the oldest runnable (not at-barrier) pending warp, if any.
@@ -139,11 +155,10 @@ class TlPolicy final : public SchedulerPolicy {
 
   void top_up(int sched_id) {
     const auto s = static_cast<std::size_t>(sched_id);
-    while (static_cast<int>(active_[s].size()) < active_size_ &&
-           !pending_[s].empty()) {
-      const std::size_t before = active_[s].size();
+    while (active_count(s) < active_size_ && !pending_[s].empty()) {
+      const std::uint64_t before = active_mask_[s];
       promote_one(s);
-      if (active_[s].size() == before) break;  // only blocked warps left
+      if (active_mask_[s] == before) break;  // only blocked warps left
     }
   }
 
@@ -152,18 +167,18 @@ class TlPolicy final : public SchedulerPolicy {
   /// is blocked at a barrier).
   void demote(int warp_slot) {
     const auto s = static_cast<std::size_t>(sched_of(warp_slot));
-    auto it = std::find(active_[s].begin(), active_[s].end(), warp_slot);
-    if (it == active_[s].end()) return;
+    if (!is_active(s, warp_slot)) return;
     if (pending_[s].empty()) return;  // nobody could ever replace it
-    deactivate(s, it);
+    deactivate(s, warp_slot);
     pending_[s].push_back(warp_slot);
     promote_one(s);
   }
 
   int active_size_;
   PolicyContext ctx_;
-  std::vector<std::vector<int>> active_;
-  std::vector<std::uint64_t> active_mask_;  ///< bit w: w is in active_[s]
+  /// Per scheduler, bit w set while warp w is in its active set: the only
+  /// record of the set, and the consider mask itself.
+  std::vector<std::uint64_t> active_mask_;
   std::vector<std::deque<int>> pending_;
   std::vector<int> next_;
   std::vector<bool> at_barrier_;

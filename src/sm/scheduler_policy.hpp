@@ -11,6 +11,7 @@
 // the on_* hooks, and read progress counters via PolicyContext.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,6 +46,28 @@ struct PolicyContext {
   std::function<bool()> tbs_waiting;
 };
 
+// ---- Mask algebra shared by the picks ----------------------------------
+
+/// The warp slots of TB slot `tb_slot`, as a warp mask (slots are blocked
+/// per TB: slot = tb * warps_per_tb + i).
+inline std::uint64_t tb_warp_mask(int warps_per_tb, int tb_slot) {
+  const std::uint64_t one_tb = warps_per_tb >= 64
+                                   ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << warps_per_tb) - 1;
+  return one_tb << (tb_slot * warps_per_tb);
+}
+
+/// Round robin over a nonempty mask: the lowest ready warp at or after
+/// `next`, else the lowest ready warp. `next` moves just past the pick,
+/// modulo `num_warp_slots` (every ready bit lies below it).
+inline int round_robin_pick(std::uint64_t ready, int& next,
+                            int num_warp_slots) {
+  const std::uint64_t from_next = ready & (~std::uint64_t{0} << next);
+  const int w = std::countr_zero(from_next != 0 ? from_next : ready);
+  next = (w + 1) % num_warp_slots;
+  return w;
+}
+
 class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
@@ -54,7 +77,8 @@ class SchedulerPolicy {
 
   /// Pick one warp from `ready_mask` (bit w = warp slot w is issuable for
   /// hardware scheduler `sched_id` this cycle). Never called with an empty
-  /// mask; must return a set bit.
+  /// mask, nor with a bit at or above num_warp_slots; must return a set
+  /// bit.
   virtual int pick(int sched_id, std::uint64_t ready_mask, Cycle now) = 0;
 
   /// Warps the policy wants the issue stage to consider at all this cycle.

@@ -59,7 +59,8 @@ SmCore::SmCore(int sm_id, const SmConfig& config, const Program& program,
       l1_(config.l1d),
       l1_mshr_(config.l1_mshr),
       const_cache_(config.const_cache),
-      const_mshr_(config.const_mshr) {
+      const_mshr_(config.const_mshr),
+      wb_(max_writeback_latency(config)) {
   PROSIM_CHECK_MSG(max_resident_tbs_ > 0,
                    "kernel does not fit on the SM at all");
   PROSIM_CHECK_MSG(config_.max_warps <= 64,
@@ -148,6 +149,17 @@ int SmCore::compute_residency(const SmConfig& config, const KernelInfo& info) {
   if (regs_per_tb > 0)
     limit = std::min(limit, config.num_registers / regs_per_tb);
   return limit;
+}
+
+Cycle SmCore::max_writeback_latency(const SmConfig& config) {
+  const Cycle smem_worst = config.smem_latency + kWarpSize - 1;
+  const Cycle latencies[] = {config.alu_latency,    config.fp_latency,
+                             config.sfu_latency,    config.l1_hit_latency,
+                             config.const_latency,  config.smem_latency};
+  PROSIM_REQUIRE(std::ranges::min(latencies) > 0,
+                 SimError::make(ErrorCategory::kInvariant,
+                                "SM writeback latencies must be at least 1"));
+  return std::max(std::ranges::max(latencies), smem_worst);
 }
 
 bool SmCore::can_accept_tb() const { return resident_tbs_ < max_resident_tbs_; }
@@ -448,8 +460,7 @@ void SmCore::skip_cycles(Cycle count) {
 Cycle SmCore::next_event(Cycle now) const {
   // A valid LDST op that dispatched made the cycle active; one that did
   // not waits on external_wakeup(), so it sets no time here.
-  Cycle t = kNoCycle;
-  if (!wb_.empty()) t = std::min(t, wb_.top().at);  // > now after drain
+  Cycle t = wb_.next_after(now);
   if (sfu_ready_at_ > now) t = std::min(t, sfu_ready_at_);
   if (ldst_busy_until_ > now) t = std::min(t, ldst_busy_until_);
   std::uint64_t pending = live_mask_ & refill_mask_;
@@ -489,19 +500,14 @@ bool SmCore::drain_responses(Cycle now) {
 }
 
 bool SmCore::drain_writebacks(Cycle now) {
-  bool any = false;
-  while (!wb_.empty() && wb_.top().at <= now) {
-    any = true;
-    const WbEvent ev = wb_.top();
-    wb_.pop();
+  return wb_.drain(now, [&](const WbEvent& ev) {
     if (ev.kind == WbKind::kRegRelease) {
       scoreboard_.release(ev.warp, ev.reg);
       refresh_issue_bits(ev.warp);
     } else {
       complete_load_transaction(ev.token, now);
     }
-  }
-  return any;
+  });
 }
 
 bool SmCore::ldst_cycle(Cycle now) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/sim_error.hpp"
@@ -32,6 +31,7 @@
 #include "sm/scoreboard.hpp"
 #include "sm/simt_stack.hpp"
 #include "sm/sm_config.hpp"
+#include "sm/wb_ring.hpp"
 #include "trace/trace_events.hpp"
 
 namespace prosim {
@@ -117,6 +117,12 @@ class SmCore {
 
   /// Resident-TB limit for this kernel on this SM configuration.
   static int compute_residency(const SmConfig& config, const KernelInfo& info);
+  /// The largest distance from an issue (or LDST dispatch) to the
+  /// writeback it schedules: the ALU, FP, SFU, L1-hit and constant
+  /// latencies and a shared-memory access at the worst bank conflict
+  /// (kWarpSize-way). Sizes the writeback ring. Throws SimError if a
+  /// latency is 0: a writeback is always due after the cycle scheduling it.
+  static Cycle max_writeback_latency(const SmConfig& config);
 
   int max_resident_tbs() const { return max_resident_tbs_; }
   bool can_accept_tb() const;
@@ -300,16 +306,6 @@ class SmCore {
     bool is_const = false;  // route through the constant cache
   };
 
-  enum class WbKind : std::uint8_t { kRegRelease, kLoadComplete };
-  struct WbEvent {
-    Cycle at;
-    WbKind kind;
-    int warp;
-    std::uint8_t reg;
-    std::uint32_t token;
-    bool operator>(const WbEvent& other) const { return at > other.at; }
-  };
-
   static constexpr std::uint32_t kNoToken = 0xFFFFFFFFu;
 
   /// Per-instruction static properties behind a warp's issue bits, packed
@@ -352,9 +348,7 @@ class SmCore {
   }
   /// The warp slots of TB slot `tb_slot`, as a warp mask.
   std::uint64_t tb_bits(int tb_slot) const {
-    const std::uint64_t one_tb =
-        warps_per_tb_ >= 64 ? ~std::uint64_t{0} : (1ull << warps_per_tb_) - 1;
-    return one_tb << (tb_slot * warps_per_tb_);
+    return tb_warp_mask(warps_per_tb_, tb_slot);
   }
   /// How many of TB slot `tb_slot`'s warps are parked at its barrier.
   int warps_at_barrier(int tb_slot) const {
@@ -508,7 +502,8 @@ class SmCore {
   std::vector<std::uint32_t> free_pending_loads_;
   int live_pending_loads_ = 0;
 
-  std::priority_queue<WbEvent, std::vector<WbEvent>, std::greater<>> wb_;
+  /// Register releases and L1/constant hits, due in (now, now + span()).
+  WbRing wb_;
   MemOp ldst_op_;
   /// Partition whose full request port stopped the last ldst_cycle, or -1.
   int ldst_blocked_port_ = -1;

@@ -110,9 +110,12 @@ TEST(PreemptiveLitmus, OversubscribedCellsTerminateForFairSchedulers) {
   // rescues spin-stuck TBs, never warps the scheduler itself parks.
   for (const SchedulerSummary& s : report.schedulers) {
     if (s.scheduler == SchedulerKind::kTl) {
+      // Its two unfair cells are intra_tb_flag's starvation. A yielded
+      // TB's warps leave TL's active and pending sets (TlPolicy::
+      // on_tb_finish), so oversubscribed cas_mutex passes.
       EXPECT_EQ(s.model, ProgressModel::kUnfairLivelocks);
-      EXPECT_EQ(s.passes, 7);
-      EXPECT_EQ(s.unfair_cells, 3);
+      EXPECT_EQ(s.passes, 8);
+      EXPECT_EQ(s.unfair_cells, 2);
     } else {
       EXPECT_EQ(s.model, ProgressModel::kTerminates)
           << scheduler_name(s.scheduler);

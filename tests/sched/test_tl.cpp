@@ -92,7 +92,7 @@ TEST(Tl, BarrierReleaseMakesWarpPromotableAgain) {
   tl.on_barrier_release(0);
   // Demote an active warp: warp 0 (front of pending, now runnable) returns.
   tl.on_warp_issue(4, 32, true);
-  EXPECT_EQ(tl.active_set(0), (std::vector<int>{6, 0}));
+  EXPECT_EQ(tl.active_set(0), (std::vector<int>{0, 6}));
 }
 
 TEST(Tl, FinishRemovesAndBackfills) {
@@ -107,6 +107,22 @@ TEST(Tl, FinishRemovesAndBackfills) {
   // Finish of a pending warp just removes it.
   tl.on_warp_finish(6, 1);
   EXPECT_TRUE(tl.pending_set(0).empty());
+}
+
+TEST(Tl, YieldedTbLeavesBothSetsAndResumesOnce) {
+  FakeSm sm;
+  TlPolicy tl(2);
+  tl.attach(sm.ctx);
+  sm.launch(tl, 0, 0);  // scheduler 0: warps 0, 2 active
+  sm.launch(tl, 1, 1);  // warps 4, 6 pend
+  // TB slot 0 yields with unfinished warps: 4 and 6 take their places.
+  tl.on_tb_finish(0);
+  EXPECT_EQ(tl.active_set(0), (std::vector<int>{4, 6}));
+  EXPECT_TRUE(tl.pending_set(0).empty());
+  // Its resume into slot 0 queues each warp once.
+  sm.launch(tl, 0, 0);
+  EXPECT_EQ(tl.active_set(0), (std::vector<int>{4, 6}));
+  EXPECT_EQ(tl.pending_set(0), (std::deque<int>{0, 2}));
 }
 
 TEST(Tl, ActiveSetNeverExceedsLimitUnderChurn) {
