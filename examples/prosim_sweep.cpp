@@ -2,6 +2,7 @@
 // scheduler x config x fault-seed matrix, with a persistent result cache.
 //
 //   $ prosim-sweep --fig4 --jobs 8 --cache-dir .prosim-cache --out fig4.json
+//   $ prosim-sweep --paper --jobs 4 --cache-dir .prosim-cache > paper.txt
 //   $ prosim-sweep --matrix sweep.json --csv results.csv
 //   $ prosim-sweep --workloads scalarProdGPU,bfs_kernel --schedulers LRR,PRO
 //   $ prosim-sweep --fig4 --cache-dir .prosim-cache --expect-cached
@@ -10,9 +11,12 @@
 // One failed cell does not kill the sweep: the failure is recorded as a
 // structured-error artifact in the output and the exit code becomes 4.
 // --expect-cached asserts a warm cache (exit 5 if anything simulated).
+// --paper prints every table and figure of the paper's evaluation to
+// stdout (src/runner/paper.hpp) once all its cells have run.
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +30,7 @@
 #include "gpu/result_io.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "runner/matrix.hpp"
+#include "runner/paper.hpp"
 #include "runner/runner.hpp"
 
 using namespace prosim;
@@ -35,6 +40,7 @@ namespace {
 
 struct Options {
   std::string matrix_path;
+  bool paper = false;
   bool fig4 = false;
   std::vector<std::string> workloads;
   std::vector<std::string> schedulers;
@@ -53,9 +59,42 @@ struct Options {
   bool progress_line = false;
 };
 
+/// Rejects a second matrix selection (--fig4 is the default one) and
+/// flags the selection does not use, after printing the reason.
+bool check_selection(const ArgParser& parser) {
+  std::string chosen;
+  for (const char* flag : {"--paper", "--fig4", "--workloads", "--matrix"}) {
+    if (!parser.seen(flag)) continue;
+    if (!chosen.empty()) {
+      std::cerr << chosen << " and " << flag
+                << " are both matrix selections; choose one\n";
+      return false;
+    }
+    chosen = flag;
+  }
+  if (chosen.empty()) chosen = "--fig4";
+  const char* unused = nullptr;
+  if (parser.seen("--schedulers") && chosen != "--workloads") {
+    unused = "--schedulers";
+  } else if (parser.seen("--fault-seed") &&
+             (chosen == "--paper" || chosen == "--fig4")) {
+    unused = "--fault-seed";
+  }
+  if (unused != nullptr) {
+    std::cerr << unused << " does not apply to " << chosen << "\n";
+  }
+  return unused == nullptr;
+}
+
 /// Builds the job list from whichever selection mechanism was used.
-bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs) {
-  if (!opt.matrix_path.empty()) {
+/// `keys` receives the jobs' cache keys where building them computed them.
+bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs,
+                std::vector<std::string>& keys) {
+  if (opt.paper) {
+    PaperCells cells = paper_cells();
+    jobs = std::move(cells.jobs);
+    keys = std::move(cells.keys);
+  } else if (!opt.matrix_path.empty()) {
     std::ifstream in(opt.matrix_path);
     if (!in) {
       std::cerr << "cannot open " << opt.matrix_path << "\n";
@@ -141,7 +180,8 @@ void write_sim_profile_json(std::ostream& os, const SimProfile& p,
 }
 
 void write_results_json(std::ostream& os, const SweepReport& report,
-                        const std::vector<SweepJob>& jobs, double wall_ms,
+                        const std::vector<SweepJob>& jobs,
+                        const std::vector<std::string>& keys, double wall_ms,
                         int jobs_used, bool profile) {
   os << "{\n  \"build\": ";
   write_build_info_json(os);
@@ -161,7 +201,7 @@ void write_results_json(std::ostream& os, const SweepReport& report,
     os << ", \"scheduler\": ";
     write_json_string(os, cell.scheduler);
     os << ", \"cache_key\": ";
-    write_json_string(os, jobs[i].cache_key());
+    write_json_string(os, keys[i]);
     os << ", \"from_cache\": " << (cell.from_cache ? "true" : "false")
        << ", \"ok\": " << (cell.ok() ? "true" : "false") << ",\n     ";
     if (cell.ok()) {
@@ -238,6 +278,9 @@ int main(int argc, char** argv) {
                    "Parallel experiment sweeps with a persistent result "
                    "cache.");
   parser.add_section("matrix selection (choose one; default --fig4)");
+  parser.add_flag("--paper", &opt.paper,
+                  "every cell of the paper's tables and figures; prints "
+                  "the report to stdout");
   parser.add_string("--matrix", &opt.matrix_path, "FILE",
                     "JSON matrix spec (see docs/RUNNER.md)");
   parser.add_flag("--fig4", &opt.fig4,
@@ -245,15 +288,16 @@ int main(int argc, char** argv) {
   parser.add_string_list("--workloads", &opt.workloads, "A,B,...",
                          "explicit kernel list");
   parser.add_string_list("--schedulers", &opt.schedulers, "S,...",
-                         "scheduler list (with --workloads; default the "
-                         "paper's four)");
+                         "scheduler list (only with --workloads; default "
+                         "the paper's four)");
   parser.add_section("execution");
   parser.add_int("--jobs", &opt.jobs, "N",
                  "worker threads (default: hardware concurrency)");
   parser.add_string("--cache-dir", &opt.cache_dir, "DIR",
                     "persistent result cache (created if missing)");
   parser.add_u64("--fault-seed", &opt.fault_seed, "N",
-                 "add a chaos-preset fault dimension, seed N");
+                 "add a chaos-preset fault dimension, seed N (with "
+                 "--workloads or --matrix)");
   parser.add_flag("--expect-cached", &opt.expect_cached,
                   "fail (exit 5) if any cell had to simulate — asserts a "
                   "warm cache, e.g. in CI");
@@ -295,10 +339,12 @@ int main(int argc, char** argv) {
   if (!check_observability_flags(parser, opt.metrics_interval, opt.obs)) {
     return 2;
   }
+  if (!check_selection(parser)) return 2;
   opt.have_fault_seed = parser.seen("--fault-seed");
 
   std::vector<SweepJob> jobs;
-  if (!build_jobs(opt, jobs)) return 1;
+  std::vector<std::string> keys;
+  if (!build_jobs(opt, jobs, keys)) return 1;
 
   SweepOptions sweep_opt;
   sweep_opt.jobs = opt.jobs;
@@ -352,9 +398,13 @@ int main(int argc, char** argv) {
             << " cache hits, " << report.failures << " failures, "
             << static_cast<std::uint64_t>(wall_ms) << " ms\n";
 
+  if (!opt.out_path.empty() && keys.empty()) {
+    for (const SweepJob& job : jobs) keys.push_back(job.cache_key());
+  }
   if (!opt.out_path.empty() &&
       !write_to(opt.out_path, "results", [&](std::ostream& os) {
-        write_results_json(os, report, jobs, wall_ms, jobs_used, opt.profile);
+        write_results_json(os, report, jobs, keys, wall_ms, jobs_used,
+                           opt.profile);
       })) {
     return 1;
   }
@@ -365,6 +415,20 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (print_write_errors(std::cerr, report.cells)) return 1;
+
+  if (opt.paper && report.failures == 0) {
+    std::map<std::string, const GpuResult*> results;
+    for (std::size_t i = 0; i < report.cells.size(); ++i) {
+      results.emplace(keys[i], &*report.cells[i].result);
+    }
+    print_paper_report(std::cout, [&](const std::string& key) {
+      const auto it = results.find(key);
+      return it == results.end() ? nullptr : it->second;
+    });
+  } else if (opt.paper) {
+    std::cerr << "paper report not printed: " << report.failures
+              << " cells failed\n";
+  }
 
   if (opt.expect_cached && report.simulated > 0) {
     std::cerr << "--expect-cached: " << report.simulated

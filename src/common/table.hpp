@@ -1,6 +1,6 @@
-// ASCII table and CSV emission for bench harness reports. Every bench binary
-// prints the same rows/series the paper's tables and figures report; this
-// keeps the formatting in one place.
+// ASCII table and CSV emission for the CLIs' reports. The paper report
+// (runner/paper.hpp) prints the rows/series the paper's tables and figures
+// report; this keeps the formatting in one place.
 #pragma once
 
 #include <iosfwd>

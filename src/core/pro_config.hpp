@@ -48,8 +48,8 @@ struct ProConfig {
     hash_into(fp);
     return fp.hash();
   }
-  /// Human-readable variant key, the ablation shorthand the bench harness
-  /// historically used: "th1000.b1.f1.dec" (+".slat" when modeled).
+  /// Human-readable variant key, the ablation shorthand in sweep labels
+  /// and cache keys: "th1000.b1.f1.dec" (+".slat" when modeled).
   std::string fingerprint_key() const {
     std::string key = "th" + std::to_string(sort_threshold);
     key += handle_barriers ? ".b1" : ".b0";

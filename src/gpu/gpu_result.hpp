@@ -16,7 +16,7 @@
 namespace prosim {
 
 /// Wall-clock throughput of the simulation run that produced a GpuResult.
-/// The wall time is measured by the *driver* (runner / bench harness),
+/// The wall time is measured by the *driver* (runner, CLI, perfbench),
 /// never inside the deterministic core, and the struct is deliberately
 /// excluded from result_io serialization and all fingerprints: it is
 /// measurement metadata about a run, not simulation output, and must not

@@ -4,7 +4,7 @@
 //
 // expanded into the flat SweepJob list the runner executes. Matrices come
 // from JSON spec files (prosim-sweep --matrix) or from the programmatic
-// builders the benches and tests use. JSON spec format (all keys
+// builders the CLI and tests use. JSON spec format (all keys
 // optional; see docs/RUNNER.md):
 //
 //   {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -26,8 +25,13 @@ SweepJob SweepJob::make(Workload w, GpuConfig cfg) {
 std::string SweepJob::cache_key() const {
   Fingerprint fp;
   workload.hash_into(fp);
-  config.hash_into(fp);
-  return workload.kernel + "." + config.fingerprint_key() + "-" + fp.hex();
+  return runner::cache_key(workload.kernel, fp, config);
+}
+
+std::string cache_key(const std::string& kernel, Fingerprint workload_fp,
+                      const GpuConfig& config) {
+  config.hash_into(workload_fp);
+  return kernel + "." + config.fingerprint_key() + "-" + workload_fp.hex();
 }
 
 namespace {
@@ -151,40 +155,22 @@ void run_cells(int count, int jobs, const std::function<void(int)>& run_one,
 const GpuResult& memoized_run(const Workload& workload,
                               const GpuConfig& config) {
   // std::map nodes are stable, so returned references survive later
-  // insertions; the mutex makes the memo safe for concurrent bench or
-  // sweep callers.
+  // insertions; the mutex makes the memo safe for concurrent callers.
   static std::mutex mu;
   static std::map<std::string, GpuResult> memo;
-  static const char* cache_env = std::getenv("PROSIM_CACHE_DIR");
-  static std::unique_ptr<ResultCache> disk =
-      (cache_env != nullptr && cache_env[0] != '\0')
-          ? std::make_unique<ResultCache>(cache_env)
-          : nullptr;
 
-  SweepJob job = SweepJob::make(workload, config);
-  const std::string key = job.cache_key();
+  const std::string key = SweepJob::make(workload, config).cache_key();
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = memo.find(key);
     if (it != memo.end()) return it->second;
   }
 
-  GpuResult result;
-  bool have = false;
-  if (disk != nullptr) {
-    if (std::optional<GpuResult> hit = disk->load(key)) {
-      result = std::move(*hit);
-      have = true;
-    }
-  }
-  if (!have) {
-    // Simulate outside the lock: concurrent callers computing different
-    // cells must not serialize on each other.
-    GlobalMemory mem;
-    if (workload.init) workload.init(mem);
-    result = simulate(config, workload.program, mem);
-    if (disk != nullptr) disk->store(key, result);
-  }
+  // Simulate outside the lock: concurrent callers computing different
+  // cells must not serialize on each other.
+  GlobalMemory mem;
+  if (workload.init) workload.init(mem);
+  GpuResult result = simulate(config, workload.program, mem);
 
   std::lock_guard<std::mutex> lock(mu);
   return memo.emplace(key, std::move(result)).first->second;

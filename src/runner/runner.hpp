@@ -45,6 +45,12 @@ struct SweepJob {
   std::string cache_key() const;
 };
 
+/// SweepJob::cache_key() of `config` on the workload named `kernel` whose
+/// Workload::hash_into() state is `workload_fp`: callers keying many
+/// configs of one workload hash its input image once.
+std::string cache_key(const std::string& kernel, Fingerprint workload_fp,
+                      const GpuConfig& config);
+
 struct SweepCell {
   std::string label;
   std::string kernel;
@@ -107,12 +113,11 @@ SweepReport run_sweep(const std::vector<SweepJob>& jobs,
 void run_cells(int count, int jobs, const std::function<void(int)>& run_one,
                const std::function<void(int, int)>& on_done = {});
 
-/// Thread-safe process-wide memoized simulation: the bench harness's
-/// replacement for its former per-file static maps. Keyed by the same
+/// Thread-safe process-wide memoized simulation, keyed by the same
 /// content fingerprint as the sweep cache; the returned reference stays
-/// valid for the process lifetime. When the PROSIM_CACHE_DIR environment
-/// variable names a directory, results are additionally persisted there,
-/// so repeated bench invocations skip re-simulation too.
+/// valid for the process lifetime. It lives in memory only: serving's
+/// isolated baselines share it within one process, and a persistent cache
+/// is run_sweep's (SweepOptions::cache_dir).
 const GpuResult& memoized_run(const Workload& workload,
                               const GpuConfig& config);
 
