@@ -3,13 +3,15 @@
 //   $ prosim-litmus                       # full matrix, table on stdout
 //   $ prosim-litmus --jobs 8 --out litmus.json
 //   $ prosim-litmus --schedulers TL,PRO --tests intra_tb_flag
+//   $ prosim-litmus --background --admission preemptive_slo
 //   $ prosim-litmus --list
 //
 // Runs every selected scheduler through every (litmus x occupancy-regime)
 // cell under the per-warp starvation watchdog and prints the verdict
-// matrix plus each scheduler's progress model. Verdicts are data, not
-// failures: a scheduler that livelocks a litmus (Two-Level on
-// intra_tb_flag) exits 0 — the harness certified its behavior. Exit 3
+// matrix plus each scheduler's progress model; two axes select the
+// matrix, the tenant (--background) and the admission policy. Verdicts
+// are data, not failures: a scheduler that livelocks a litmus (Two-Level
+// on intra_tb_flag) exits 0 — the harness certified its behavior. Exit 3
 // flags cells that indicate a *harness or simulator* defect
 // (wrong_result / unclassified error).
 #include <fstream>
@@ -36,7 +38,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool list = false;
   bool background = false;
-  bool preemptive = false;
   std::int64_t metrics_interval = 0;
   ObservabilityOptions oopts;
 
@@ -56,17 +57,15 @@ int main(int argc, char** argv) {
   parser.add_flag("--background", &background,
                   "certify with a streaming co-tenant kernel resident "
                   "(tb_interleaved admission, two SMs; docs/SERVING.md)");
-  parser.add_flag("--preemptive", &preemptive,
-                  "certify under a preemptive admission policy "
-                  "(preemptive_slo): TB yield-resume lets oversubscribed "
-                  "cross-TB waits terminate, so every hang is a defect");
   parser.add_string("--admission", &admission, "A",
-                    "admission policy for --background / --preemptive "
-                    "(defaults: tb_interleaved / preemptive_slo)");
+                    "admission policy every cell runs under (default "
+                    "fifo_exclusive; tb_interleaved with --background); "
+                    "under preemptive_slo TB yield-resume lets "
+                    "oversubscribed cross-TB waits terminate, so every hang "
+                    "is a defect");
   parser.add_section(
-      "observability (needs --background or --preemptive; the "
-      "\"<scheduler>.<litmus>.<regime>\" key is inserted before each "
-      "FILE's extension)");
+      "observability (the \"<scheduler>.<litmus>.<regime>\" key is "
+      "inserted before each FILE's extension)");
   add_observability_flags(parser, oopts, metrics_interval);
   parser.add_flag("--quiet", &quiet, "no per-cell progress on stderr");
   parser.add_flag("--list", &list, "list the litmus suite and exit");
@@ -89,26 +88,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (background && preemptive) {
-    std::cerr << "--background and --preemptive are mutually exclusive\n";
-    return 2;
-  }
   if (!admission.empty() && find_admission(admission) == nullptr) {
     std::cerr << "unknown admission policy '" << admission << "'\n"
               << list_admissions();
     return 2;
   }
-  if (!admission.empty() && !background && !preemptive) {
-    std::cerr << "--admission needs --background or --preemptive\n";
-    return 2;
-  }
   if (!check_observability_flags(parser, metrics_interval, oopts)) return 2;
-  if ((oopts.metrics_enabled() || oopts.journal_enabled()) && !background &&
-      !preemptive) {
-    std::cerr << "--metrics-interval/--metrics/--metrics-json/--events/"
-                 "--kernel-timeline need --background or --preemptive\n";
-    return 2;
-  }
 
   LitmusOptions opt;
   opt.jobs = jobs;
@@ -137,9 +122,8 @@ int main(int argc, char** argv) {
     };
   }
 
-  const LitmusReport report = background    ? run_litmus_bg(opt)
-                              : preemptive  ? run_litmus_preemptive(opt)
-                                            : run_litmus(opt);
+  const LitmusReport report =
+      background ? run_litmus_bg(opt) : run_litmus(opt);
 
   // With --out - the JSON owns stdout; the human matrix moves to stderr.
   std::ostream& human = out_path == "-" ? std::cerr : std::cout;

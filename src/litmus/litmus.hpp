@@ -21,6 +21,11 @@
 //                          Two-Level parking a flag producer in the
 //                          pending set forever).
 //
+// One matrix, two axes: the tenant (the litmus kernel alone on one SM, or
+// beside a streaming background kernel on two SMs) and the admission
+// policy the kernels run under (fifo_exclusive alone, tb_interleaved with
+// the tenant, unless LitmusOptions::admission names another).
+//
 // Verdicts are bit-deterministic: every hang is detected at an identical
 // cycle whatever --jobs is and whether event-driven fast-forward is on
 // (watchdog checks run at window boundaries the fast-forward path never
@@ -128,26 +133,27 @@ struct LitmusReport {
 };
 
 struct LitmusOptions {
-  /// Worker threads for the sweep; <= 0 picks hardware concurrency.
+  /// Worker threads for the cell pool; <= 0 picks hardware concurrency.
   int jobs = 1;
   /// Schedulers to certify; empty = the whole registry.
   std::vector<SchedulerKind> schedulers;
   /// Litmus names to run; empty = the whole suite.
   std::vector<std::string> tests;
-  /// Admission-policy name for the concurrent-kernel harnesses; empty
-  /// picks each harness's default ("tb_interleaved" for the background
-  /// matrix, "preemptive_slo" for the preemptive matrix). Ignored by the
-  /// base single-kernel harness.
+  /// Admission-policy name every cell runs under; empty picks the
+  /// harness's default ("fifo_exclusive" for run_litmus, "tb_interleaved"
+  /// for run_litmus_bg). Under a preemptive policy (preemptive_slo) a TB
+  /// can be checkpointed and a queued one rotated in, so termination never
+  /// depends on residency and every cell is marked fair_suffices: a hang
+  /// is a defect, and a scheduler earns `terminates` only by passing all.
   std::string admission;
-  /// Invoked after every cell of any harness completes, serialized by the
-  /// cell pool (safe to print from): `completed` reads 1, 2, ..., total in
-  /// delivery order; `label` is litmus_cell_label() of the cell.
+  /// Invoked after every cell completes, serialized by the cell pool
+  /// (safe to print from): `completed` reads 1, 2, ..., total in delivery
+  /// order; `label` is litmus_cell_label() of the cell.
   std::function<void(int completed, int total, const std::string& label)>
       progress;
-  /// Metrics/journal products for the concurrent-kernel harnesses
-  /// (run_litmus_bg / run_litmus_preemptive); each cell's output paths
-  /// get a "<scheduler>.<litmus>.<regime>" suffix. Ignored by the base
-  /// single-kernel harness. Verdicts are identical on or off.
+  /// Metrics/journal products; each cell's output paths get a
+  /// "<scheduler>.<litmus>.<regime>" suffix. Verdicts are identical on or
+  /// off.
   ObservabilityOptions obs;
 };
 
@@ -156,60 +162,37 @@ struct LitmusOptions {
 /// and a small max_cycles backstop so hangs resolve quickly.
 GpuConfig litmus_config(SchedulerKind kind);
 
-/// Runs the certification matrix through the sweep runner.
+/// The certification matrix: the litmus kernel alone on litmus_config(),
+/// under fifo_exclusive unless `options.admission` names another policy.
+/// A cell is fair_suffices when the admission is preemptive, the grid fits
+/// the GPU at once, or the test says resident fairness suffices in its
+/// regime. Cells run on the runner's cell pool (runner::run_cells);
+/// reports are bit-identical whatever `jobs` is.
 LitmusReport run_litmus(const LitmusOptions& options = {});
 
-/// The options' schedulers (empty = the whole registry) and litmus tests
-/// (empty = the whole suite; an unknown name aborts), shared by every
-/// harness.
-std::vector<SchedulerKind> litmus_schedulers(const LitmusOptions& options);
-std::vector<const LitmusTest*> litmus_tests(const LitmusOptions& options);
+/// Background-tenant certification (docs/SERVING.md): the same matrix
+/// with a streaming background kernel co-resident on litmus_bg_config(),
+/// under tb_interleaved unless `options.admission` names another policy.
+/// It asserts that multi-tenancy never demotes a scheduler's progress
+/// model silently — any cell a fair scheduler finishes alone must still
+/// finish (or be caught by the starvation watchdog) with the tenant
+/// present. Grids are sized against the same per-SM residency as the
+/// base matrix, so cells line up 1:1; a grid that fits the doubled
+/// capacity makes the cell fair_suffices.
+LitmusReport run_litmus_bg(const LitmusOptions& options = {});
 
-/// "<SCHED>/<litmus>/<regime>", the progress label of a cell in every
-/// harness; with sep '.' it is the concurrent harnesses' per-cell suffix
-/// for observability output paths.
+/// "<SCHED>/<litmus>/<regime>", the progress label of a cell; with sep
+/// '.' it is the per-cell suffix for observability output paths.
 std::string litmus_cell_label(SchedulerKind kind, const std::string& litmus,
                               Regime regime, char sep = '/');
 
-/// SimError → verdict mapping shared by the base and background-tenant
-/// harnesses (starvation → kStarvation; livelock/barrier/MSHR → kHang).
-Verdict classify_sim_error(const SimError& error);
-
-/// Rolls one scheduler's cells up into its SchedulerSummary (progress
-/// model derivation; shared by both harnesses).
-SchedulerSummary summarize_scheduler(SchedulerKind kind,
-                                     const std::vector<LitmusCell>& cells);
-
-/// Background-tenant certification (docs/SERVING.md): every litmus cell
-/// re-runs with a streaming background kernel co-resident under
-/// tb_interleaved admission on a two-SM GPU. The matrix asserts that
-/// multi-tenancy never demotes a scheduler's progress model silently —
-/// any cell a fair scheduler finishes alone must still finish (or be
-/// caught by the starvation watchdog) with the tenant present. Grids are
-/// sized against the same per-SM residency as the base harness, so cells
-/// line up 1:1; a cell whose whole grid fits the doubled capacity counts
-/// as fair_suffices (cross-TB waits resolvable by fairness alone).
+/// litmus_config() on two SMs (and two memory partitions).
 GpuConfig litmus_bg_config(SchedulerKind kind);
 
 /// The background tenant: `grid` small TBs streaming a private global
 /// buffer through a fixed-iteration load/increment/store loop — steady
 /// memory traffic, no synchronization, guaranteed termination.
 Program background_tenant_program(int grid);
-
-/// Runs the background-tenant matrix on the runner's cell pool
-/// (runner::run_cells); verdicts are bit-identical whatever `jobs` is.
-LitmusReport run_litmus_bg(const LitmusOptions& options = {});
-
-/// Preemptive-admission certification: re-runs the suite with the litmus
-/// kernel as the sole stream of the concurrent-kernel constructor under a
-/// preemptive admission policy (default "preemptive_slo") on the base
-/// one-SM config. TB-drain preemption lets the policy checkpoint
-/// spin-stuck resident TBs and rotate queued ones in, so cross-TB waits
-/// that need a non-resident TB — the cells every hardware scheduler hangs
-/// on — now terminate. Accordingly every cell is marked fair_suffices:
-/// under preemption a hang is a defect, never "expected", and a scheduler
-/// only earns the `terminates` progress model by passing everything.
-LitmusReport run_litmus_preemptive(const LitmusOptions& options = {});
 
 /// Schema tag of the JSON verdict matrix below.
 inline constexpr const char* kLitmusSchema = "prosim-litmus-v1";

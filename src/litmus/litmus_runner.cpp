@@ -1,14 +1,20 @@
-// Litmus certification driver: expands the (scheduler x litmus x regime)
-// matrix into sweep jobs, runs them through the parallel sweep engine
-// (per-cell determinism is the runner's contract — results are
-// bit-identical whatever --jobs is), classifies verdicts, and derives the
-// per-scheduler progress model.
+// Litmus certification driver: one (scheduler x litmus x regime) matrix
+// over one cell path. Every cell runs the litmus kernel as stream 0 of the
+// concurrent-kernel Gpu under an admission policy, alone on the one-SM
+// config (the base matrix is the one-launch fifo_exclusive run) or beside
+// a streaming background tenant on two SMs. Cells run on the runner's
+// cell pool, each into its own slot, so reports are bit-identical
+// whatever --jobs is; verdicts are classified per cell and rolled up into
+// each scheduler's progress model.
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "gpu/admission.hpp"
+#include "gpu/gpu.hpp"
 #include "gpu/scheduler_registry.hpp"
+#include "isa/builder.hpp"
 #include "litmus/litmus.hpp"
 #include "runner/runner.hpp"
 #include "sm/sm_core.hpp"
@@ -18,9 +24,36 @@ namespace prosim::litmus {
 namespace {
 
 constexpr Regime kRegimes[] = {Regime::kResident, Regime::kOversubscribed};
+constexpr int kBackgroundGrid = 6;
 
-}  // namespace
+/// The options' schedulers (empty = the whole registry).
+std::vector<SchedulerKind> litmus_schedulers(const LitmusOptions& options) {
+  std::vector<SchedulerKind> kinds = options.schedulers;
+  if (kinds.empty()) {
+    for (const SchedulerInfo& info : scheduler_registry()) {
+      kinds.push_back(info.kind);
+    }
+  }
+  return kinds;
+}
 
+/// The options' litmus tests (empty = the whole suite; an unknown name
+/// aborts).
+std::vector<const LitmusTest*> litmus_tests(const LitmusOptions& options) {
+  std::vector<const LitmusTest*> tests;
+  if (options.tests.empty()) {
+    for (const LitmusTest& t : litmus_suite()) tests.push_back(&t);
+  } else {
+    for (const std::string& name : options.tests) {
+      const LitmusTest* t = find_litmus(name);
+      PROSIM_CHECK_MSG(t != nullptr, "unknown litmus test");
+      tests.push_back(t);
+    }
+  }
+  return tests;
+}
+
+/// starvation → kStarvation; livelock/barrier/MSHR → kHang.
 Verdict classify_sim_error(const SimError& error) {
   switch (error.category) {
     case ErrorCategory::kStarvation:
@@ -35,6 +68,7 @@ Verdict classify_sim_error(const SimError& error) {
   return Verdict::kError;
 }
 
+/// Rolls one scheduler's cells up into its SchedulerSummary.
 SchedulerSummary summarize_scheduler(SchedulerKind kind,
                                      const std::vector<LitmusCell>& cells) {
   SchedulerSummary s;
@@ -58,6 +92,124 @@ SchedulerSummary summarize_scheduler(SchedulerKind kind,
   return s;
 }
 
+void set_error(LitmusCell& cell, const SimError& error) {
+  cell.detect_cycle = error.cycle;
+  cell.detail = error.message;
+  cell.verdict = classify_sim_error(error);
+}
+
+/// The one litmus matrix: every scheduler × litmus × regime cell runs the
+/// litmus kernel as stream 0 under `admission`, with the background
+/// tenant as stream 1 on the two-SM config when `tenant` is set and alone
+/// on the one-SM config otherwise, observed per cell.
+LitmusReport run_matrix(const LitmusOptions& options,
+                        const std::string& admission, bool tenant) {
+  const std::vector<SchedulerKind> kinds = litmus_schedulers(options);
+  const std::vector<const LitmusTest*> tests = litmus_tests(options);
+  auto config_of = [tenant](SchedulerKind kind) {
+    return tenant ? litmus_bg_config(kind) : litmus_config(kind);
+  };
+  const std::unique_ptr<AdmissionPolicy> policy = make_admission(admission);
+  const bool preemptive = policy != nullptr && policy->preemptive();
+
+  struct CellMeta {
+    SchedulerKind kind;
+    const LitmusTest* test;
+    Regime regime;
+    int grid;
+    bool fair_suffices;
+  };
+  std::vector<CellMeta> metas;
+  for (SchedulerKind kind : kinds) {
+    const GpuConfig cfg = config_of(kind);
+    for (const LitmusTest* t : tests) {
+      // Grids are sized against the per-SM residency, so the cells of
+      // every matrix line up 1:1.
+      const int residency =
+          SmCore::compute_residency(cfg.sm, t->build(1).info);
+      for (Regime regime : kRegimes) {
+        const int grid = t->grid_for(regime, residency);
+        PROSIM_CHECK_MSG(
+            regime == Regime::kOversubscribed || grid <= residency,
+            "resident-regime grid exceeds residency");
+        // Preemption can rotate any queued TB in, so termination never
+        // depends on residency: every hang is a defect. A grid that fits
+        // the whole GPU at once makes every cross-TB wait resolvable by
+        // fairness alone (with a tenant on two SMs, the cell is honestly
+        // promoted to fair_suffices).
+        const bool fair = preemptive || grid <= cfg.num_sms * residency ||
+                          t->resident_fair_suffices(regime);
+        metas.push_back({kind, t, regime, grid, fair});
+      }
+    }
+  }
+
+  LitmusReport report;
+  report.cells.resize(metas.size());
+
+  const int total = static_cast<int>(metas.size());
+  const auto run_one = [&](int i) {
+    const CellMeta& meta = metas[static_cast<std::size_t>(i)];
+    LitmusCell& cell = report.cells[static_cast<std::size_t>(i)];
+    cell.scheduler = meta.kind;
+    cell.litmus = meta.test->name;
+    cell.regime = meta.regime;
+    cell.grid = meta.grid;
+    cell.fair_suffices = meta.fair_suffices;
+
+    // Flags and counters start zeroed.
+    GlobalMemory litmus_memory;
+    GlobalMemory background_memory;
+    std::vector<KernelLaunch> launches;
+    launches.push_back({0, meta.test->name, meta.test->build(meta.grid),
+                        &litmus_memory, 0, {}});
+    if (tenant) {
+      launches.push_back({1, "background_tenant",
+                          background_tenant_program(kBackgroundGrid),
+                          &background_memory, 0, {}});
+    }
+    std::vector<std::string> names;
+    for (const KernelLaunch& l : launches) names.push_back(l.name);
+
+    ObservabilitySession obs(options.obs.for_cell(
+        litmus_cell_label(meta.kind, meta.test->name, meta.regime, '.')));
+    try {
+      Gpu gpu(config_of(meta.kind), std::move(launches), admission);
+      obs.attach(gpu);
+      Expected<GpuResult> result = gpu.run_checked();
+      if (result.has_value()) {
+        // The checkers read the litmus kernel's registers: splice stream
+        // 0's image into the result view.
+        GpuResult view = std::move(result.value());
+        view.registers = gpu.stream_registers(0);
+        cell.detect_cycle = view.cycles;
+        cell.detail = meta.test->check(view, meta.grid);
+        cell.verdict =
+            cell.detail.empty() ? Verdict::kPass : Verdict::kWrongResult;
+      } else {
+        set_error(cell, result.error());
+      }
+    } catch (const SimException& e) {
+      set_error(cell, e.error());
+    }
+    obs.write(names, cell.write_error);
+  };
+  const auto on_done = [&](int i, int completed) {
+    if (!options.progress) return;
+    const CellMeta& m = metas[static_cast<std::size_t>(i)];
+    options.progress(completed, total,
+                     litmus_cell_label(m.kind, m.test->name, m.regime));
+  };
+  runner::run_cells(total, options.jobs, run_one, on_done);
+
+  for (SchedulerKind kind : kinds) {
+    report.schedulers.push_back(summarize_scheduler(kind, report.cells));
+  }
+  return report;
+}
+
+}  // namespace
+
 GpuConfig litmus_config(SchedulerKind kind) {
   GpuConfig cfg = GpuConfig::test_config();
   // One SM: residency (and hence the resident/oversubscribed boundary) is
@@ -77,28 +229,37 @@ GpuConfig litmus_config(SchedulerKind kind) {
   return cfg;
 }
 
-std::vector<SchedulerKind> litmus_schedulers(const LitmusOptions& options) {
-  std::vector<SchedulerKind> kinds = options.schedulers;
-  if (kinds.empty()) {
-    for (const SchedulerInfo& info : scheduler_registry()) {
-      kinds.push_back(info.kind);
-    }
-  }
-  return kinds;
+GpuConfig litmus_bg_config(SchedulerKind kind) {
+  GpuConfig cfg = litmus_config(kind);
+  // Two SMs: the minimum pool where a co-tenant can genuinely share the
+  // GPU with the litmus kernel at TB-drain granularity. Everything else
+  // (watchdog windows, starvation rule, max_cycles backstop) stays at the
+  // base settings so detection cycles remain comparable.
+  cfg.num_sms = 2;
+  cfg.mem.num_partitions = 2;
+  return cfg;
 }
 
-std::vector<const LitmusTest*> litmus_tests(const LitmusOptions& options) {
-  std::vector<const LitmusTest*> tests;
-  if (options.tests.empty()) {
-    for (const LitmusTest& t : litmus_suite()) tests.push_back(&t);
-  } else {
-    for (const std::string& name : options.tests) {
-      const LitmusTest* t = find_litmus(name);
-      PROSIM_CHECK_MSG(t != nullptr, "unknown litmus test");
-      tests.push_back(t);
-    }
-  }
-  return tests;
+Program background_tenant_program(int grid) {
+  ProgramBuilder b("background_tenant");
+  b.block_dim(32).grid_dim(grid);
+  // r4 = 8 * (ctaid * 32 + tid): a private word per thread, so the tenant
+  // produces steady load/store traffic with zero synchronization.
+  b.s2r(0, SpecialReg::kCtaId);
+  b.imuli(0, 0, 32);
+  b.s2r(1, SpecialReg::kTid);
+  b.iadd(4, 0, 1);
+  b.imuli(4, 4, 8);
+  b.movi(2, 0);  // iteration counter
+  ProgramBuilder::Label top = b.loop_begin();
+  b.ldg(3, 4, 0);
+  b.iaddi(3, 3, 1);
+  b.stg(4, 0, 3);
+  b.iaddi(2, 2, 1);
+  b.setpi(CmpOp::kLt, 5, 2, 64);
+  b.loop_end_if(5, top);
+  b.exit_();
+  return b.build();
 }
 
 std::string litmus_cell_label(SchedulerKind kind, const std::string& litmus,
@@ -108,81 +269,15 @@ std::string litmus_cell_label(SchedulerKind kind, const std::string& litmus,
 }
 
 LitmusReport run_litmus(const LitmusOptions& options) {
-  const std::vector<SchedulerKind> kinds = litmus_schedulers(options);
-  const std::vector<const LitmusTest*> tests = litmus_tests(options);
+  return run_matrix(
+      options, options.admission.empty() ? "fifo_exclusive" : options.admission,
+      /*tenant=*/false);
+}
 
-  struct CellMeta {
-    SchedulerKind kind;
-    const LitmusTest* test;
-    Regime regime;
-    int grid;
-  };
-  std::vector<runner::SweepJob> jobs;
-  std::vector<CellMeta> metas;
-  for (SchedulerKind kind : kinds) {
-    const GpuConfig cfg = litmus_config(kind);
-    for (const LitmusTest* t : tests) {
-      const int residency =
-          SmCore::compute_residency(cfg.sm, t->build(1).info);
-      for (Regime regime : kRegimes) {
-        const int grid = t->grid_for(regime, residency);
-        PROSIM_CHECK_MSG(
-            regime == Regime::kOversubscribed || grid <= residency,
-            "resident-regime grid exceeds residency");
-        Workload w;
-        w.suite = "litmus";
-        w.app = "litmus";
-        w.kernel = t->name + "." + regime_name(regime);
-        w.paper_tbs = grid;
-        w.program = t->build(grid);
-        w.init = [](GlobalMemory&) {};  // flags/counters start zeroed
-        // Spin iteration counts are legitimately schedule-dependent.
-        w.schedule_invariant_inst_count = false;
-        w.fits_residency = regime == Regime::kResident;
-        runner::SweepJob job = runner::SweepJob::make(std::move(w), cfg);
-        job.label = litmus_cell_label(kind, t->name, regime);
-        jobs.push_back(std::move(job));
-        metas.push_back({kind, t, regime, grid});
-      }
-    }
-  }
-
-  runner::SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs;
-  if (options.progress) {
-    sweep_options.progress = [&options](const runner::SweepProgress& p) {
-      options.progress(p.completed, p.total, p.cell->label);
-    };
-  }
-  const runner::SweepReport sweep = runner::run_sweep(jobs, sweep_options);
-
-  LitmusReport report;
-  report.cells.reserve(sweep.cells.size());
-  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
-    const runner::SweepCell& sc = sweep.cells[i];
-    const CellMeta& meta = metas[i];
-    LitmusCell cell;
-    cell.scheduler = meta.kind;
-    cell.litmus = meta.test->name;
-    cell.regime = meta.regime;
-    cell.grid = meta.grid;
-    cell.fair_suffices = meta.test->resident_fair_suffices(meta.regime);
-    if (sc.ok()) {
-      cell.detect_cycle = sc.result->cycles;
-      cell.detail = meta.test->check(*sc.result, meta.grid);
-      cell.verdict =
-          cell.detail.empty() ? Verdict::kPass : Verdict::kWrongResult;
-    } else {
-      cell.detect_cycle = sc.error->cycle;
-      cell.detail = sc.error->message;
-      cell.verdict = classify_sim_error(*sc.error);
-    }
-    report.cells.push_back(std::move(cell));
-  }
-  for (SchedulerKind kind : kinds) {
-    report.schedulers.push_back(summarize_scheduler(kind, report.cells));
-  }
-  return report;
+LitmusReport run_litmus_bg(const LitmusOptions& options) {
+  return run_matrix(
+      options, options.admission.empty() ? "tb_interleaved" : options.admission,
+      /*tenant=*/true);
 }
 
 const char* verdict_name(Verdict verdict) {

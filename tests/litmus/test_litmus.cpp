@@ -1,15 +1,19 @@
 // Tier-1 certification of the forward-progress litmus harness: the full
 // (scheduler x litmus x regime) verdict matrix is pinned — including the
-// exact detection cycles of every starvation and hang — and must be
-// bit-identical across worker-thread counts and with event-driven
+// exact detection cycles of every starvation and hang — and each of the
+// three (tenant, admission) matrices must match its recorded report digest
+// and be bit-identical across worker-thread counts and with event-driven
 // fast-forward disabled. If a scheduler change moves a verdict, that is a
 // fairness-behavior change and this table must be re-certified on purpose.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <ostream>
 #include <string>
 
+#include "common/fingerprint.hpp"
 #include "gpu/gpu_config.hpp"
 #include "litmus/litmus.hpp"
 
@@ -124,28 +128,6 @@ TEST(Litmus, PinnedVerdictMatrix) {
   }
 }
 
-TEST(Litmus, VerdictMatrixIdenticalAcrossJobs) {
-  LitmusOptions opt;
-  opt.schedulers = {SchedulerKind::kTl, SchedulerKind::kLrr};
-  opt.jobs = 1;
-  const std::string serial = litmus_report_to_json(run_litmus(opt));
-  opt.jobs = 4;
-  const std::string parallel = litmus_report_to_json(run_litmus(opt));
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(Litmus, VerdictMatrixIdenticalWithoutFastForward) {
-  LitmusOptions opt;
-  opt.jobs = 1;
-  opt.schedulers = {SchedulerKind::kTl};
-  opt.tests = {"intra_tb_flag", "tb_tree_barrier"};
-  const std::string fast = litmus_report_to_json(run_litmus(opt));
-  ::setenv("PROSIM_NO_FASTFORWARD", "1", 1);
-  const std::string tick = litmus_report_to_json(run_litmus(opt));
-  ::unsetenv("PROSIM_NO_FASTFORWARD");
-  EXPECT_EQ(fast, tick);
-}
-
 TEST(Litmus, JsonCarriesSchemaAndBalances) {
   LitmusOptions opt;
   opt.jobs = 2;
@@ -158,6 +140,80 @@ TEST(Litmus, JsonCarriesSchemaAndBalances) {
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
 }
+
+/// One harness, two axes: the three (tenant, admission) matrices.
+struct Mode {
+  const char* name;
+  bool tenant;
+  const char* admission;  ///< "" = the harness's default
+  /// FNV-1a of litmus_report_to_json() of the full matrix: every verdict,
+  /// cycle, grid, detail string and progress model.
+  const char* digest;
+};
+
+// Test names print the mode's name, not its pointer bytes.
+void PrintTo(const Mode& mode, std::ostream* os) { *os << mode.name; }
+
+constexpr Mode kModes[] = {
+    {"base", false, "", "0c333898aa4ba263"},
+    {"background", true, "", "00406aff0fd67230"},
+    {"preemptive", false, "preemptive_slo", "ca2f7a2dcb2240f4"},
+};
+
+class LitmusModes : public ::testing::TestWithParam<Mode> {
+ protected:
+  LitmusReport run(LitmusOptions opt) const {
+    opt.admission = GetParam().admission;
+    return GetParam().tenant ? run_litmus_bg(opt) : run_litmus(opt);
+  }
+};
+
+TEST_P(LitmusModes, ReportMatchesRecordedDigest) {
+  LitmusOptions opt;
+  opt.jobs = 4;
+  const std::string json = litmus_report_to_json(run(opt));
+  EXPECT_EQ(Fingerprint().add_bytes(json.data(), json.size()).hex(),
+            GetParam().digest)
+      << json;
+}
+
+TEST_P(LitmusModes, IdenticalAcrossJobs) {
+  LitmusOptions opt;
+  opt.schedulers = {SchedulerKind::kTl, SchedulerKind::kPro};
+  opt.jobs = 1;
+  const std::string serial = litmus_report_to_json(run(opt));
+  opt.jobs = 4;
+  std::map<std::string, int> reported;
+  int last_completed = 0;
+  opt.progress = [&](int completed, int total, const std::string& label) {
+    ++reported[label];
+    EXPECT_EQ(completed, ++last_completed);  // serialized, in order
+    EXPECT_EQ(total, 20);
+  };
+  const LitmusReport parallel = run(opt);
+  EXPECT_EQ(serial, litmus_report_to_json(parallel));
+  // Every cell is reported exactly once.
+  ASSERT_EQ(reported.size(), parallel.cells.size());
+  for (const LitmusCell& c : parallel.cells) {
+    EXPECT_EQ(reported[litmus_cell_label(c.scheduler, c.litmus, c.regime)], 1);
+  }
+}
+
+TEST_P(LitmusModes, IdenticalWithoutFastForward) {
+  LitmusOptions opt;
+  opt.schedulers = {SchedulerKind::kTl};
+  opt.tests = {"intra_tb_flag", "tb_tree_barrier"};
+  const std::string fast = litmus_report_to_json(run(opt));
+  ::setenv("PROSIM_NO_FASTFORWARD", "1", 1);
+  const std::string tick = litmus_report_to_json(run(opt));
+  ::unsetenv("PROSIM_NO_FASTFORWARD");
+  EXPECT_EQ(fast, tick);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LitmusModes, ::testing::ValuesIn(kModes),
+                         [](const ::testing::TestParamInfo<Mode>& param) {
+                           return std::string(param.param.name);
+                         });
 
 }  // namespace
 }  // namespace prosim::litmus

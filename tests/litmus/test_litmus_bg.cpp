@@ -11,8 +11,6 @@
 // versus `occupancy_bound_fair` solo.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <map>
 #include <string>
 
 #include "gpu/gpu_config.hpp"
@@ -91,40 +89,6 @@ TEST(LitmusBg, PinnedVerdictMatrixWithTenantResident) {
     EXPECT_EQ(s.expected_hangs, 0) << scheduler_name(s.scheduler);
     EXPECT_EQ(s.broken_cells, 0) << scheduler_name(s.scheduler);
   }
-}
-
-TEST(LitmusBg, MatrixIdenticalAcrossJobs) {
-  LitmusOptions opt;
-  opt.schedulers = {SchedulerKind::kTl, SchedulerKind::kPro};
-  opt.jobs = 1;
-  const std::string serial = litmus_report_to_json(run_litmus_bg(opt));
-  opt.jobs = 4;
-  std::map<std::string, int> reported;
-  int last_completed = 0;
-  opt.progress = [&](int completed, int total, const std::string& label) {
-    ++reported[label];
-    EXPECT_EQ(completed, ++last_completed);  // serialized, in order
-    EXPECT_EQ(total, 20);
-  };
-  const LitmusReport parallel = run_litmus_bg(opt);
-  EXPECT_EQ(serial, litmus_report_to_json(parallel));
-  // Every cell is reported exactly once.
-  ASSERT_EQ(reported.size(), parallel.cells.size());
-  for (const LitmusCell& c : parallel.cells) {
-    EXPECT_EQ(reported[litmus_cell_label(c.scheduler, c.litmus, c.regime)], 1);
-  }
-}
-
-TEST(LitmusBg, MatrixIdenticalWithoutFastForward) {
-  LitmusOptions opt;
-  opt.jobs = 1;
-  opt.schedulers = {SchedulerKind::kTl};
-  opt.tests = {"intra_tb_flag", "tb_tree_barrier"};
-  const std::string fast = litmus_report_to_json(run_litmus_bg(opt));
-  ::setenv("PROSIM_NO_FASTFORWARD", "1", 1);
-  const std::string tick = litmus_report_to_json(run_litmus_bg(opt));
-  ::unsetenv("PROSIM_NO_FASTFORWARD");
-  EXPECT_EQ(fast, tick);
 }
 
 }  // namespace

@@ -96,7 +96,8 @@ TEST(PreemptiveCounters, BitIdenticalWithoutFastForward) {
 TEST(PreemptiveLitmus, OversubscribedCellsTerminateForFairSchedulers) {
   LitmusOptions opt;
   opt.jobs = 4;
-  const LitmusReport report = run_litmus_preemptive(opt);
+  opt.admission = "preemptive_slo";
+  const LitmusReport report = run_litmus(opt);
   for (const LitmusCell& cell : report.cells) {
     if (cell.scheduler == SchedulerKind::kTl) continue;  // honest unfairness
     EXPECT_EQ(cell.verdict, Verdict::kPass)
@@ -124,17 +125,6 @@ TEST(PreemptiveLitmus, OversubscribedCellsTerminateForFairSchedulers) {
     EXPECT_EQ(s.broken_cells, 0) << scheduler_name(s.scheduler);
     EXPECT_EQ(s.expected_hangs, 0) << scheduler_name(s.scheduler);
   }
-}
-
-TEST(PreemptiveLitmus, MatrixIsBitIdenticalAcrossJobs) {
-  LitmusOptions opt;
-  opt.tests = {"tb_tree_barrier", "ticket_lock"};
-  opt.jobs = 1;
-  const std::string serial = litmus_report_to_json(run_litmus_preemptive(opt));
-  opt.jobs = 4;
-  const std::string parallel =
-      litmus_report_to_json(run_litmus_preemptive(opt));
-  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

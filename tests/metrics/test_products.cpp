@@ -171,7 +171,7 @@ TEST(ObservabilityProducts, UnwritablePathIsReportedPerCell) {
   lit.tests = {"intra_tb_flag"};
   lit.obs.events_jsonl = missing;
   for (const litmus::LitmusReport& report :
-       {litmus::run_litmus_bg(lit), litmus::run_litmus_preemptive(lit)}) {
+       {litmus::run_litmus(lit), litmus::run_litmus_bg(lit)}) {
     ASSERT_FALSE(report.cells.empty());
     for (const litmus::LitmusCell& cell : report.cells) {
       EXPECT_NE(cell.write_error.find(dir.string()), std::string::npos)

@@ -219,8 +219,8 @@ TEST_P(TraceSinks, WindowCsvMatchesRecordedWindows) {
 INSTANTIATE_TEST_SUITE_P(Schedulers, TraceSinks,
                          ::testing::Values(SchedulerKind::kLrr,
                                            SchedulerKind::kPro),
-                         [](const auto& info) {
-                           return std::string(scheduler_name(info.param));
+                         [](const auto& p) {
+                           return std::string(scheduler_name(p.param));
                          });
 
 /// Whether the SMs of a fresh Gpu run the per-warp state pass once
