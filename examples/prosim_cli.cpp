@@ -1,16 +1,17 @@
 // Full command-line driver: run any Table II workload (or a .sasm file)
 // under any scheduler with configuration overrides, and emit reports in
-// table, CSV, or chrome-trace form.
+// table, CSV, JSON or chrome-trace form. The run is a one-cell sweep
+// (runner/runner.hpp), so the observability products are written as
+// every other single-kernel run writes them.
 //
 //   $ ./examples/prosim_cli --kernel render --scheduler PRO
-//   $ ./examples/prosim_cli --kernel bfs_kernel --scheduler TL \
-//         --sms 8 --threshold 500 --csv
+//   $ ./examples/prosim_cli --kernel bfs_kernel --scheduler TL --sms 8 --csv
 //   $ ./examples/prosim_cli --asm my_kernel.sasm --scheduler GTO
-//   $ ./examples/prosim_cli --kernel GPU_laplace3d --trace warps:out.json
+//   $ ./examples/prosim_cli --kernel GPU_laplace3d --warp-lanes out.json
+//   $ ./examples/prosim_cli --kernel GPU_laplace3d --tb-timeline tbs.json
 //   $ ./examples/prosim_cli --kernel scalarProdGPU --stall-report
 //   $ ./examples/prosim_cli --list
 //
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,44 +21,17 @@
 #include "common/build_info.hpp"
 #include "common/table.hpp"
 #include "gpu/admission.hpp"
-#include "gpu/gpu.hpp"
 #include "gpu/report.hpp"
 #include "gpu/result_io.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "gpu/trace_export.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/registry.hpp"
-#include "metrics/metrics.hpp"
+#include "runner/runner.hpp"
 
 using namespace prosim;
 
 namespace {
-
-/// What --trace asked for: a mode plus an output path. A bare path (no
-/// "mode:" prefix) keeps the legacy meaning, the TB chrome-trace.
-enum class TraceMode { kNone, kTb, kWarps, kWindows };
-
-bool parse_trace_arg(const std::string& value, TraceMode& mode,
-                     std::string& path) {
-  const std::size_t colon = value.find(':');
-  if (colon != std::string::npos) {
-    const std::string prefix = value.substr(0, colon);
-    if (prefix == "tb") {
-      mode = TraceMode::kTb;
-    } else if (prefix == "warps") {
-      mode = TraceMode::kWarps;
-    } else if (prefix == "windows") {
-      mode = TraceMode::kWindows;
-    } else {
-      return false;
-    }
-    path = value.substr(colon + 1);
-    return !path.empty();
-  }
-  mode = TraceMode::kTb;  // legacy: --trace FILE meant the TB timeline
-  path = value;
-  return !path.empty();
-}
 
 void print_stall_report(std::ostream& os, const SmStats& totals, bool csv) {
   Table t({"cause", "legacy_class", "sched_cycles"});
@@ -100,7 +74,7 @@ int main(int argc, char** argv) {
   bool list = false;
   bool disasm = false;
   bool stall_report = false;
-  std::string trace_arg;
+  std::string tb_timeline_path;
   std::int64_t metrics_interval = 0;
   ObservabilityOptions oopts;
 
@@ -135,10 +109,8 @@ int main(int argc, char** argv) {
   parser.add_flag("--no-watchdog", &no_watchdog,
                   "disable the forward-progress watchdog");
   parser.add_section("output");
-  parser.add_string("--trace", &trace_arg, "MODE:FILE",
-                    "trace export: tb:F (chrome TB timeline), warps:F "
-                    "(chrome warp lanes), windows:F (wait-window CSV); "
-                    "bare FILE means tb:FILE");
+  parser.add_string("--tb-timeline", &tb_timeline_path, "FILE",
+                    "write the chrome-trace TB timeline");
   parser.add_flag("--stall-report", &stall_report,
                   "print the per-cause stall attribution");
   add_observability_flags(parser, oopts, metrics_interval);
@@ -168,14 +140,6 @@ int main(int argc, char** argv) {
     std::cerr << "--max-cycles must be positive\n";
     return 2;
   }
-  TraceMode trace_mode = TraceMode::kNone;
-  std::string trace_path;
-  if (!trace_arg.empty() &&
-      !parse_trace_arg(trace_arg, trace_mode, trace_path)) {
-    std::cerr << "bad --trace value '" << trace_arg
-              << "' (want tb:FILE, warps:FILE, windows:FILE, or FILE)\n";
-    return 2;
-  }
   if (!check_observability_flags(parser, metrics_interval, oopts)) return 2;
 
   if (list) {
@@ -189,9 +153,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Resolve the program + input data.
-  Program program;
-  std::function<void(GlobalMemory&)> init;
+  // Resolve the workload: the registry's, or the assembled program with
+  // no input data.
+  runner::SweepJob job;
   if (!asm_path.empty()) {
     std::ifstream in(asm_path);
     if (!in) {
@@ -206,8 +170,8 @@ int main(int argc, char** argv) {
                 << error->message << "\n";
       return 1;
     }
-    program = std::get<Program>(std::move(result));
-    init = [](GlobalMemory&) {};
+    job.workload.program = std::get<Program>(std::move(result));
+    job.workload.kernel = job.workload.program.info.name;
   } else {
     bool known = false;
     for (const Workload& w : all_workloads())
@@ -216,14 +180,13 @@ int main(int argc, char** argv) {
       std::cerr << "unknown kernel '" << kernel << "' (use --list)\n";
       return 1;
     }
-    const Workload& w = find_workload(kernel);
-    program = w.program;
-    init = w.init;
+    job.workload = find_workload(kernel);
   }
+  const Program& program = job.workload.program;
 
   if (disasm) std::cout << program.disassemble_all() << "\n";
 
-  GpuConfig cfg;
+  GpuConfig& cfg = job.config;
   cfg.scheduler.kind = sched_info->kind;
   if (num_sms > 0) cfg.num_sms = num_sms;
   if (threshold > 0) {
@@ -239,31 +202,20 @@ int main(int argc, char** argv) {
   if (max_cycles > 0) cfg.max_cycles = static_cast<Cycle>(max_cycles);
   cfg.watchdog.enabled = !no_watchdog;
 
-  oopts.warp_lanes = trace_mode == TraceMode::kWarps;
-  oopts.windows = trace_mode == TraceMode::kWindows;
-  ObservabilitySession obs(oopts);
-
-  GlobalMemory mem;
-  init(mem);
-  const auto wall_start = std::chrono::steady_clock::now();
-  Expected<GpuResult> checked = simulate_checked(cfg, program, mem, &obs);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  if (!checked.has_value()) {
+  runner::SweepOptions sweep;
+  sweep.obs = oopts;
+  runner::SweepCell cell = std::move(runner::run_sweep({job}, sweep).cells[0]);
+  if (!cell.ok()) {
     // Structured diagnosis of the stuck simulation: JSON on stdout when
     // asked, the human-readable report on stderr otherwise.
     if (json) {
-      checked.error().write_json(std::cout);
+      cell.error->write_json(std::cout);
     } else {
-      std::cerr << checked.error().to_string() << "\n";
+      std::cerr << cell.error->to_string() << "\n";
     }
     return 3;
   }
-  GpuResult r = std::move(checked.value());
-  r.throughput =
-      SimThroughput::measure(wall_seconds, r.cycles, r.totals.warp_insts);
+  const GpuResult& r = *cell.result;
 
   Table t({"kernel", "scheduler", "cycles", "ipc", "issued", "idle",
            "scoreboard", "pipeline", "l1_hits", "l1_misses", "l2_misses",
@@ -290,31 +242,17 @@ int main(int argc, char** argv) {
   }
   if (stall_report && !json) print_stall_report(std::cout, r.totals, csv);
 
-  TraceFiles trace;
-  if (trace_mode == TraceMode::kWarps) trace.warp_lanes = trace_path;
-  if (trace_mode == TraceMode::kWindows) {
-    trace.windows = trace_path;
-    trace.windows_hist = trace_path + ".hist.csv";
-  }
-  std::string obs_error;
-  if (!obs.write({program.info.name}, obs_error, trace)) {
-    std::cerr << obs_error << "\n";
+  if (!cell.write_error.empty()) {
+    std::cerr << cell.write_error << "\n";
     return 1;
   }
-
-  if (trace_mode == TraceMode::kTb) {
-    std::ofstream out(trace_path);
+  if (!tb_timeline_path.empty()) {
+    std::ofstream out(tb_timeline_path);
     if (!out) {
-      std::cerr << "cannot write " << trace_path << "\n";
+      std::cerr << "cannot write " << tb_timeline_path << "\n";
       return 1;
     }
     write_chrome_trace(out, r);
-  }
-  if (trace_mode == TraceMode::kWindows) {
-    std::cerr << "wrote " << trace_path << " and " << trace.windows_hist
-              << "\n";
-  } else if (trace_mode != TraceMode::kNone) {
-    std::cerr << "wrote " << trace_path << "\n";
   }
   return 0;
 }

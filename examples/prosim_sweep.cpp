@@ -6,7 +6,7 @@
 //   $ prosim-sweep --matrix sweep.json --csv results.csv
 //   $ prosim-sweep --workloads scalarProdGPU,bfs_kernel --schedulers LRR,PRO
 //   $ prosim-sweep --fig4 --cache-dir .prosim-cache --expect-cached
-//   $ prosim-sweep --workloads scalarProdGPU --trace-dir traces/
+//   $ prosim-sweep --workloads scalarProdGPU --warp-lanes traces/lanes.json
 //
 // One failed cell does not kill the sweep: the failure is recorded as a
 // structured-error artifact in the output and the exit code becomes 4.
@@ -48,7 +48,6 @@ struct Options {
   std::string cache_dir;
   std::uint64_t fault_seed = 0;
   bool have_fault_seed = false;
-  std::string trace_dir;
   std::string out_path;
   std::string csv_path;
   bool quiet = false;
@@ -302,8 +301,8 @@ int main(int argc, char** argv) {
                   "fail (exit 5) if any cell had to simulate — asserts a "
                   "warm cache, e.g. in CI");
   parser.add_section(
-      "observability (per simulated cell: the cache key is inserted before "
-      "each FILE's extension; relative FILEs land in --trace-dir when set)");
+      "observability (per simulated cell; with several cells the cache key "
+      "is inserted before each FILE's extension)");
   add_observability_flags(parser, opt.obs, opt.metrics_interval);
   parser.add_flag("--profile", &opt.profile,
                   "profile the simulator itself (fast-forward spans, SM and "
@@ -313,9 +312,6 @@ int main(int argc, char** argv) {
   parser.add_flag("--progress", &opt.progress_line,
                   "single live progress line (cells done, cache hits, "
                   "ETA) instead of per-cell lines");
-  parser.add_string("--trace-dir", &opt.trace_dir, "DIR",
-                    "write per-cell warp-lane + wait-window trace "
-                    "artifacts into DIR (created if missing)");
   parser.add_string("--out", &opt.out_path, "FILE",
                     "full results as JSON ('-' = stdout)");
   parser.add_string("--csv", &opt.csv_path, "FILE",
@@ -349,9 +345,7 @@ int main(int argc, char** argv) {
   SweepOptions sweep_opt;
   sweep_opt.jobs = opt.jobs;
   sweep_opt.cache_dir = opt.cache_dir;
-  sweep_opt.trace_dir = opt.trace_dir;
   sweep_opt.obs = opt.obs;
-  sweep_opt.obs.warp_lanes = sweep_opt.obs.windows = !opt.trace_dir.empty();
   const auto progress_t0 = std::chrono::steady_clock::now();
   if (opt.progress_line) {
     auto cache_hits = std::make_shared<int>(0);

@@ -6,7 +6,7 @@
 //
 //   $ ./examples/tb_timeline [kernel-name] [scheduler]
 //   $ ./examples/tb_timeline GPU_laplace3d PRO
-//   $ ./examples/tb_timeline GPU_laplace3d PRO --trace lanes.json
+//   $ ./examples/tb_timeline GPU_laplace3d PRO --warp-lanes lanes.json
 //
 #include <algorithm>
 #include <fstream>
@@ -18,7 +18,7 @@
 #include "gpu/gpu.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "kernels/registry.hpp"
-#include "metrics/metrics.hpp"
+#include "trace/warp_lane_trace.hpp"
 
 using namespace prosim;
 
@@ -46,7 +46,7 @@ char state_char(WarpState s) {
 int main(int argc, char** argv) {
   std::string name = "GPU_laplace3d";
   std::string sched = "PRO";
-  std::string trace_path;
+  std::string lanes_path;
 
   ArgParser parser("tb_timeline",
                    "TB execution intervals plus a warp-lane view of SM 0.");
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
                         "Table II workload (default GPU_laplace3d)");
   parser.add_positional("scheduler", &sched,
                         "warp scheduler (default PRO)");
-  parser.add_string("--trace", &trace_path, "FILE",
+  parser.add_string("--warp-lanes", &lanes_path, "FILE",
                     "also write the chrome://tracing warp-lane JSON");
   parser.set_epilog(list_schedulers());
   switch (parser.parse(argc, argv)) {
@@ -76,10 +76,12 @@ int main(int argc, char** argv) {
   GpuConfig cfg;
   cfg.scheduler.kind = info->kind;
 
-  ObservabilityOptions oopts;
-  oopts.warp_lanes = true;
-  ObservabilitySession session(oopts);
-  GpuResult r = simulate(cfg, w.program, mem, &session);
+  // The lanes are rendered below whether or not they go to a file, so
+  // the sink is attached directly rather than through a session.
+  WarpLaneTraceSink lanes_sink;
+  Gpu gpu(cfg, w.program, mem);
+  gpu.set_trace_sink(&lanes_sink);
+  const GpuResult r = gpu.run();
 
   std::cout << "kernel " << w.kernel << " under " << info->name << ": "
             << r.cycles << " cycles\n\n";
@@ -117,15 +119,14 @@ int main(int argc, char** argv) {
   // column ~(cycles/kWidth) cycles, showing the state that covered most
   // of that column's span (last writer wins at this resolution).
   int max_warp = -1;
-  for (const WarpLaneTraceSink::Slice& s : session.warp_lanes()->slices()) {
+  for (const WarpLaneTraceSink::Slice& s : lanes_sink.slices()) {
     if (s.sm == 0) max_warp = std::max(max_warp, s.warp);
   }
   if (max_warp >= 0) {
     std::vector<std::string> lanes(
         static_cast<std::size_t>(max_warp + 1),
         std::string(static_cast<std::size_t>(kWidth), ' '));
-    for (const WarpLaneTraceSink::Slice& s :
-         session.warp_lanes()->slices()) {
+    for (const WarpLaneTraceSink::Slice& s : lanes_sink.slices()) {
       if (s.sm != 0) continue;
       const int from = static_cast<int>(s.start * scale);
       const int to = std::max(from + 1, static_cast<int>(s.end * scale));
@@ -143,13 +144,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!trace_path.empty()) {
-    std::string error;
-    if (!session.write({w.kernel}, error, {trace_path, {}, {}})) {
-      std::cerr << error << "\n";
+  if (!lanes_path.empty()) {
+    std::ofstream out(lanes_path);
+    lanes_sink.write(out);
+    if (!out) {
+      std::cerr << "cannot write " << lanes_path << "\n";
       return 1;
     }
-    std::cout << "\nwrote " << trace_path << "\n";
+    std::cout << "\nwrote " << lanes_path << "\n";
   }
   return 0;
 }

@@ -6,8 +6,9 @@ Checks any subset of the products an observability session writes
 
   * stall report     - prosim_cli --json --stall-report: the per-cause
                        cycles reconcile with the legacy stall classes
-  * warp lanes       - --trace warps:F, Chrome Trace Event JSON slices
-  * wait windows     - --trace windows:F and its F.hist.csv histogram
+  * warp lanes       - --warp-lanes F, Chrome Trace Event JSON slices
+  * wait windows     - --windows F and its histogram (.hist before F's
+                       extension: waits.csv -> waits.hist.csv)
   * metrics CSV      - long format, well-typed rows, nondecreasing cycles
   * metrics JSON     - prosim-metrics-v1 schema, samples mirror the CSV
   * event journal    - JSONL rows, known kinds, lifecycle invariants
@@ -65,6 +66,14 @@ def check_lanes(path):
     print(f"{path}: {len(events)} events, {len(slices)} warp-state slices ok")
 
 
+def suffixed_path(path, key):
+    """metrics.hpp's suffixed_path: `.key` before the final extension."""
+    slash, dot = path.rfind("/"), path.rfind(".")
+    if dot < 0 or dot < slash:
+        return f"{path}.{key}"
+    return f"{path[:dot]}.{key}{path[dot:]}"
+
+
 def check_windows(path):
     rows = list(csv.reader(open(path, newline="")))
     if rows[0] != ["kind", "sm", "warp", "start", "end", "length"]:
@@ -72,7 +81,7 @@ def check_windows(path):
     for row in rows[1:]:
         if len(row) != 6 or int(row[4]) <= int(row[3]):
             fail(f"{path}: bad window {row}")
-    hist_path = path + ".hist.csv"
+    hist_path = suffixed_path(path, "hist")
     hist = list(csv.reader(open(hist_path, newline="")))
     if hist[0] != ["kind", "bin_lo", "bin_hi", "count"]:
         fail(f"{hist_path}: bad header {hist[0]}")
@@ -191,7 +200,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--report", help="prosim_cli --json --stall-report")
     ap.add_argument("--lanes")
-    ap.add_argument("--windows", help="window CSV; F.hist.csv is read too")
+    ap.add_argument("--windows", help="window CSV; its histogram is read too")
     ap.add_argument("--metrics-csv")
     ap.add_argument("--metrics-json")
     ap.add_argument("--events")

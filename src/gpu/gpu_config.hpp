@@ -25,10 +25,6 @@ enum class SchedulerKind {
 
 const char* scheduler_name(SchedulerKind kind);
 
-/// Inverse of scheduler_name ("LRR", "GTO", "TL", "PRO", "PRO-A", "CAWS",
-/// "OWL"); returns false on an unknown name.
-bool scheduler_from_name(const std::string& name, SchedulerKind& out);
-
 /// Which policy to instantiate per SM, plus its parameters.
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kLrr;

@@ -98,13 +98,6 @@ const char* scheduler_name(SchedulerKind kind) {
   return scheduler_info(kind).name;
 }
 
-bool scheduler_from_name(const std::string& name, SchedulerKind& out) {
-  const SchedulerInfo* info = find_scheduler(name);
-  if (info == nullptr) return false;
-  out = info->kind;
-  return true;
-}
-
 std::unique_ptr<SchedulerPolicy> make_policy(const SchedulerSpec& spec) {
   return scheduler_info(spec.kind).factory(spec);
 }

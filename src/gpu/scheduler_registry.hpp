@@ -3,8 +3,8 @@
 // Every place that maps between SchedulerKind, its CLI name, and a policy
 // instance (CLIs, sweep runner, paper report, tests) goes through this table;
 // adding a scheduler means adding one SchedulerInfo row here. The legacy
-// entry points scheduler_name() / scheduler_from_name() (gpu_config.hpp)
-// and make_policy() (gpu.hpp) are thin wrappers over the registry.
+// entry points scheduler_name() (gpu_config.hpp) and make_policy()
+// (gpu.hpp) are thin wrappers over the registry.
 #pragma once
 
 #include <memory>

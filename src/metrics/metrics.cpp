@@ -1,7 +1,6 @@
 #include "metrics/metrics.hpp"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -227,8 +226,9 @@ std::string suffixed_path(const std::string& path, const std::string& key) {
 ObservabilityOptions ObservabilityOptions::for_cell(
     const std::string& key) const {
   ObservabilityOptions cell = *this;
-  for (std::string* path : {&cell.metrics_csv, &cell.metrics_json,
-                            &cell.events_jsonl, &cell.kernel_timeline}) {
+  for (std::string* path :
+       {&cell.warp_lanes, &cell.windows, &cell.metrics_csv, &cell.metrics_json,
+        &cell.events_jsonl, &cell.kernel_timeline}) {
     if (!path->empty()) *path = suffixed_path(*path, key);
   }
   return cell;
@@ -238,6 +238,11 @@ void add_observability_flags(ArgParser& parser, ObservabilityOptions& options,
                              std::int64_t& interval) {
   parser.add_i64("--metrics-interval", &interval, "N",
                  "sample time-series metrics every N cycles (default off)");
+  parser.add_string("--warp-lanes", &options.warp_lanes, "FILE",
+                    "write the Chrome-trace warp-lane timeline");
+  parser.add_string("--windows", &options.windows, "FILE",
+                    "write the barrier/finish wait-window CSV (histogram "
+                    "in FILE with .hist before the extension)");
   parser.add_string("--metrics", &options.metrics_csv, "FILE",
                     "write sampled metrics as long-format CSV");
   parser.add_string("--metrics-json", &options.metrics_json, "FILE",
@@ -254,9 +259,14 @@ bool check_observability_flags(const ArgParser& parser, std::int64_t interval,
     std::cerr << "--metrics-interval must be >= 1\n";
     return false;
   }
-  if ((parser.seen("--metrics") || parser.seen("--metrics-json")) &&
-      interval == 0) {
+  const bool metrics_file =
+      parser.seen("--metrics") || parser.seen("--metrics-json");
+  if (metrics_file && interval == 0) {
     std::cerr << "--metrics/--metrics-json need --metrics-interval N\n";
+    return false;
+  }
+  if (parser.seen("--metrics-interval") && !metrics_file) {
+    std::cerr << "--metrics-interval needs --metrics or --metrics-json\n";
     return false;
   }
   options.metrics_interval = static_cast<Cycle>(interval);
@@ -266,10 +276,10 @@ bool check_observability_flags(const ArgParser& parser, std::int64_t interval,
 ObservabilitySession::ObservabilitySession(
     const ObservabilityOptions& options)
     : options_(options) {
-  if (options_.warp_lanes) {
+  if (!options_.warp_lanes.empty()) {
     warp_lanes_ = std::make_unique<WarpLaneTraceSink>();
   }
-  if (options_.windows) windows_ = std::make_unique<WindowCsvSink>();
+  if (!options_.windows.empty()) windows_ = std::make_unique<WindowCsvSink>();
   if (options_.metrics_enabled()) {
     metrics_ = std::make_unique<MetricsCollector>(options_.metrics_interval);
   }
@@ -279,22 +289,18 @@ ObservabilitySession::ObservabilitySession(
 }
 
 bool ObservabilitySession::write(const std::vector<std::string>& kernel_names,
-                                 std::string& error, const TraceFiles& trace,
-                                 const std::string& dir) const {
-  // The one place product paths are resolved: std::filesystem::path's
-  // operator/ keeps an absolute `path` as it is.
+                                 std::string& error) const {
   auto write_file = [&](bool collected, const std::string& path,
                         auto&& emit) {
     if (!collected || path.empty()) return true;
-    const std::string full = (std::filesystem::path(dir) / path).string();
-    std::ofstream os(full);
+    std::ofstream os(path);
     if (!os) {
-      error = "cannot open " + full;
+      error = "cannot open " + path;
       return false;
     }
     emit(os);
     if (!os) {
-      error = "write failed: " + full;
+      error = "write failed: " + path;
       return false;
     }
     return true;
@@ -315,11 +321,12 @@ bool ObservabilitySession::write(const std::vector<std::string>& kernel_names,
                     [&](std::ostream& os) {
                       j->write_kernel_timeline(os, kernel_names);
                     }) &&
-         write_file(lanes != nullptr, trace.warp_lanes,
+         write_file(lanes != nullptr, options_.warp_lanes,
                     [lanes](std::ostream& os) { lanes->write(os); }) &&
-         write_file(windows != nullptr, trace.windows,
+         write_file(windows != nullptr, options_.windows,
                     [windows](std::ostream& os) { windows->write_csv(os); }) &&
-         write_file(windows != nullptr, trace.windows_hist,
+         write_file(windows != nullptr,
+                    suffixed_path(options_.windows, "hist"),
                     [windows](std::ostream& os) {
                       windows->write_histograms_csv(os);
                     });

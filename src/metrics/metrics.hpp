@@ -20,8 +20,8 @@
 //     track view (pid = kernel, tid = SM) derived from the sm_bind spans.
 //
 //   * ObservabilitySession — owns these and the trace/ sinks (warp lanes,
-//     wait windows) selected by one ObservabilityOptions, attaches them to
-//     a Gpu and writes every product.
+//     wait windows) selected by one ObservabilityOptions, one output path
+//     per product, attaches them to a Gpu and writes every product.
 //
 //   * SimProfile (gpu_result.hpp) — simulator self-profiling; filled by
 //     the Gpu, never serialized into canonical results.
@@ -147,11 +147,15 @@ class EventJournal final : public TraceSink {
   std::vector<SimEvent> events_;
 };
 
-/// Which observability products one run collects. Everything is off by
-/// default; the CLIs fill the file paths from add_observability_flags.
+/// Which observability products one run collects: a product is collected
+/// exactly when its path is set (metrics also need an interval).
+/// Everything is off by default; the CLIs fill the paths from
+/// add_observability_flags.
 struct ObservabilityOptions {
-  bool warp_lanes = false;      ///< Chrome-trace warp timeline
-  bool windows = false;         ///< barrier/finish wait-window CSV
+  std::string warp_lanes;       ///< --warp-lanes FILE (Chrome trace)
+  /// --windows FILE: barrier/finish wait-window CSV, plus its histogram
+  /// at suffixed_path(windows, "hist").
+  std::string windows;
   Cycle metrics_interval = 0;   ///< 0 = sampling off
   std::string metrics_csv;      ///< --metrics FILE
   std::string metrics_json;     ///< --metrics-json FILE
@@ -164,7 +168,8 @@ struct ObservabilityOptions {
   }
   /// True when any output path is set (for_cell suffixes each one).
   bool has_output_path() const {
-    return !metrics_csv.empty() || !metrics_json.empty() || journal_enabled();
+    return !warp_lanes.empty() || !windows.empty() || !metrics_csv.empty() ||
+           !metrics_json.empty() || journal_enabled();
   }
 
   /// Copy with every output path suffixed for one cell of a multi-cell
@@ -179,8 +184,9 @@ struct ObservabilityOptions {
 std::string suffixed_path(const std::string& path, const std::string& key);
 
 /// The CLIs' shared observability flags: --metrics-interval (into
-/// `interval`, validated by check_observability_flags), --metrics,
-/// --metrics-json, --events and --kernel-timeline (into `options`).
+/// `interval`, validated by check_observability_flags), --warp-lanes,
+/// --windows, --metrics, --metrics-json, --events and --kernel-timeline
+/// (into `options`).
 void add_observability_flags(ArgParser& parser, ObservabilityOptions& options,
                              std::int64_t& interval);
 
@@ -203,14 +209,6 @@ bool print_write_errors(std::ostream& os, const Cells& cells) {
   return failed;
 }
 
-/// Where ObservabilitySession::write puts the trace products; an empty
-/// path skips that file.
-struct TraceFiles {
-  std::string warp_lanes;    ///< Chrome-trace warp-lane JSON
-  std::string windows;       ///< wait-window CSV
-  std::string windows_hist;  ///< wait-window histogram CSV
-};
-
 /// Owns the observers selected by ObservabilityOptions, attaches them to
 /// a Gpu and writes their products. Accessors return nullptr for products
 /// that were not requested (pay-for-use: a session with nothing requested
@@ -229,13 +227,11 @@ class ObservabilitySession {
   const WarpLaneTraceSink* warp_lanes() const { return warp_lanes_.get(); }
   const WindowCsvSink* windows() const { return windows_.get(); }
 
-  /// Writes every requested product that has a path: the metrics and
-  /// journal files of the options (`kernel_names` labels the timeline's
-  /// process tracks) and the trace files of `trace`. Relative paths
-  /// resolve against `dir`, absolute ones stay as they are. Returns false
-  /// and fills `error` with the failing path on the first failure.
-  bool write(const std::vector<std::string>& kernel_names, std::string& error,
-             const TraceFiles& trace = {}, const std::string& dir = {}) const;
+  /// Writes every requested product to its path in the options, as given
+  /// (`kernel_names` labels the kernel timeline's process tracks). Returns
+  /// false and fills `error` with the failing path on the first failure.
+  bool write(const std::vector<std::string>& kernel_names,
+             std::string& error) const;
 
  private:
   ObservabilityOptions options_;

@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "common/json.hpp"
+#include "gpu/scheduler_registry.hpp"
 
 namespace prosim::runner {
 
@@ -109,11 +110,11 @@ Expected<std::vector<SweepJob>> jobs_from_spec(std::string_view json_text) {
     std::vector<SchedulerKind> kinds;
     if (const JsonValue* scheds = spec.find("schedulers")) {
       for (const JsonValue& name : scheds->items()) {
-        SchedulerKind kind;
-        if (!scheduler_from_name(name.as_string(), kind)) {
+        const SchedulerInfo* info = find_scheduler(name.as_string());
+        if (info == nullptr) {
           return spec_error("unknown scheduler \"" + name.as_string() + "\"");
         }
-        kinds.push_back(kind);
+        kinds.push_back(info->kind);
       }
     } else {
       kinds = paper_schedulers();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,18 +37,19 @@ namespace {
 
 /// Runs one cell start to finish. All SimErrors (including config/program
 /// validation at Gpu construction) surface as the cell's error artifact.
+/// `multi_cell` suffixes the product paths with the cell's cache key.
 SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
-                   const SweepOptions& options) {
+                   const SweepOptions& options, bool multi_cell) {
   SweepCell cell;
   cell.label = job.label;
   cell.kernel = job.workload.kernel;
   cell.app = job.workload.app;
   cell.scheduler = scheduler_name(job.config.scheduler.kind);
   // The key re-runs the workload's init() and hashes its input image, so
-  // it is computed only where the cache or a product path reads it.
-  const bool keyed = cache != nullptr || !options.trace_dir.empty() ||
-                     options.obs.has_output_path();
-  const std::string key = keyed ? job.cache_key() : std::string();
+  // it is computed only where the cache or a suffixed path reads it.
+  const bool suffixed = multi_cell && options.obs.has_output_path();
+  const std::string key =
+      cache != nullptr || suffixed ? job.cache_key() : std::string();
 
   if (cache != nullptr) {
     if (std::optional<GpuResult> hit = cache->load(key)) {
@@ -60,9 +60,10 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
   }
 
   // One session per cell: sinks are single-threaded by design; each
-  // worker observes only its own cell. Product paths get the cache key so
-  // concurrent cells never collide.
-  ObservabilitySession obs(options.obs.for_cell(key));
+  // worker observes only its own cell. With several cells, product paths
+  // get the cache key so concurrent cells never collide.
+  ObservabilitySession obs(suffixed ? options.obs.for_cell(key)
+                                    : options.obs);
 
   GlobalMemory mem;
   if (job.workload.init) job.workload.init(mem);
@@ -79,13 +80,7 @@ SweepCell run_cell(const SweepJob& job, const ResultCache* cache,
     // it (result_io skips SimThroughput), so cache bytes stay run-stable.
     cell.result->throughput = SimThroughput::measure(
         wall_seconds, cell.result->cycles, cell.result->totals.warp_insts);
-    TraceFiles trace;
-    if (!options.trace_dir.empty()) {
-      trace = {key + ".trace.json", key + ".windows.csv",
-               key + ".windows.hist.csv"};
-    }
-    obs.write({job.workload.kernel}, cell.write_error, trace,
-              options.trace_dir);
+    obs.write({job.workload.kernel}, cell.write_error);
     if (cache != nullptr) cache->store(key, *cell.result);
   } else {
     cell.error = std::move(outcome.error());
@@ -103,15 +98,11 @@ SweepReport run_sweep(const std::vector<SweepJob>& jobs,
   std::unique_ptr<ResultCache> cache;
   if (!options.cache_dir.empty())
     cache = std::make_unique<ResultCache>(options.cache_dir);
-  if (!options.trace_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options.trace_dir, ec);
-  }
 
   const int total = static_cast<int>(jobs.size());
   const auto run_one = [&](int i) {
     const auto slot = static_cast<std::size_t>(i);
-    report.cells[slot] = run_cell(jobs[slot], cache.get(), options);
+    report.cells[slot] = run_cell(jobs[slot], cache.get(), options, total > 1);
   };
   const auto on_done = [&](int i, int completed) {
     const SweepCell* cell = &report.cells[static_cast<std::size_t>(i)];

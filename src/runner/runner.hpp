@@ -79,17 +79,12 @@ struct SweepOptions {
   /// Invoked after every cell completes, serialized by run_cells (safe to
   /// print from); `completed` reads 1, 2, ..., total in delivery order.
   std::function<void(const SweepProgress&)> progress;
-  /// Directory for per-cell observability products, created if missing:
-  /// <cache_key>.trace.json (warp lanes), <cache_key>.windows.csv and
-  /// <cache_key>.windows.hist.csv (wait windows), and the relative
-  /// metrics/journal paths of `obs`. Empty keeps the trace products
-  /// in-memory only.
-  std::string trace_dir;
   /// Observability products collected for every cell that actually
   /// simulates (cache hits return the stored result unobserved — run
-  /// with cache_dir empty to observe every cell). Metrics/journal output
-  /// paths are suffixed with the cell's cache key
-  /// (ObservabilityOptions::for_cell).
+  /// with cache_dir empty to observe every cell). With more than one job
+  /// every output path is suffixed with the cell's cache key
+  /// (ObservabilityOptions::for_cell); a one-job sweep writes the paths
+  /// as given.
   ObservabilityOptions obs;
 };
 

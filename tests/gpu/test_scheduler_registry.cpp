@@ -36,12 +36,10 @@ TEST(SchedulerRegistry, EveryKindHasExactlyOneRow) {
 TEST(SchedulerRegistry, LegacyWrappersRoundTrip) {
   for (const SchedulerInfo& info : scheduler_registry()) {
     EXPECT_STREQ(scheduler_name(info.kind), info.name);
-    SchedulerKind kind;
-    ASSERT_TRUE(scheduler_from_name(info.name, kind)) << info.name;
-    EXPECT_EQ(kind, info.kind);
+    const SchedulerInfo* found = find_scheduler(info.name);
+    ASSERT_NE(found, nullptr) << info.name;
+    EXPECT_EQ(found->kind, info.kind);
   }
-  SchedulerKind kind;
-  EXPECT_FALSE(scheduler_from_name("NOPE", kind));
   EXPECT_EQ(find_scheduler("NOPE"), nullptr);
 }
 

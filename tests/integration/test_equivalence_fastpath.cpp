@@ -125,8 +125,8 @@ TEST(EquivalenceFastpath, TracingIsBitIdentical) {
     GpuConfig cfg;
     cfg.scheduler.kind = cell.kind;
     ObservabilityOptions opts;
-    opts.warp_lanes = true;
-    opts.windows = true;
+    opts.warp_lanes = "unused.json";
+    opts.windows = "unused.csv";
     ObservabilitySession session(opts);
     const std::uint64_t actual =
         result_fingerprint(find_workload(cell.kernel), cfg, &session);

@@ -1,6 +1,6 @@
 // End-to-end tests of the observability products as the runners write
 // them: byte-identity against recorded digests, write-error reporting and
-// product path resolution.
+// the per-cell suffix rule of multi-cell runs.
 //
 // The digests are FNV-1a hashes of every product file of two cells,
 // recorded from the implementation that predates the single observability
@@ -8,6 +8,7 @@
 // sink fan-out). Any reordered, dropped or duplicated event changes them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -64,22 +65,33 @@ serving::ServingOptions serving_cell(const fs::path& dir) {
   return options;
 }
 
-/// One single-kernel PRO cell through run_sweep with every product on.
-runner::SweepJob sweep_job() {
+/// One single-kernel cell of a small kernel (PRO unless `kind` says
+/// otherwise).
+runner::SweepJob sweep_job(SchedulerKind kind = SchedulerKind::kPro) {
   GpuConfig config = GpuConfig::test_config();
-  config.scheduler.kind = SchedulerKind::kPro;
+  config.scheduler.kind = kind;
   return runner::SweepJob::make(find_workload("mergeHistogram64Kernel"),
                                 config);
 }
 
-runner::SweepReport sweep_cell(const fs::path& dir,
-                               const ObservabilityOptions& obs) {
+/// Every product of a run_sweep cell, at paths in `dir`.
+ObservabilityOptions every_product(const fs::path& dir) {
+  ObservabilityOptions obs;
+  obs.warp_lanes = (dir / "lanes.json").string();
+  obs.windows = (dir / "w.csv").string();
+  obs.metrics_interval = 500;
+  obs.metrics_csv = (dir / "m.csv").string();
+  obs.metrics_json = (dir / "m.json").string();
+  obs.events_jsonl = (dir / "e.jsonl").string();
+  obs.kernel_timeline = (dir / "k.json").string();
+  return obs;
+}
+
+runner::SweepReport sweep(const std::vector<runner::SweepJob>& jobs,
+                          const ObservabilityOptions& obs) {
   runner::SweepOptions options;
-  options.trace_dir = dir.string();
   options.obs = obs;
-  options.obs.warp_lanes = true;
-  options.obs.windows = true;
-  return runner::run_sweep({sweep_job()}, options);
+  return runner::run_sweep(jobs, options);
 }
 
 TEST(ObservabilityProducts, ServingCellMatchesRecordedDigests) {
@@ -97,50 +109,53 @@ TEST(ObservabilityProducts, ServingCellMatchesRecordedDigests) {
   }
 }
 
+// A one-cell sweep writes every product at its path as given.
 TEST(ObservabilityProducts, SingleKernelCellMatchesRecordedDigests) {
   const fs::path dir = scratch_dir("sweep_digests");
-  ObservabilityOptions obs;
-  obs.metrics_interval = 500;
-  obs.metrics_csv = "m.csv";
-  obs.metrics_json = "m.json";
-  obs.events_jsonl = "e.jsonl";
-  obs.kernel_timeline = "k.json";
-  const runner::SweepReport report = sweep_cell(dir, obs);
+  const runner::SweepReport report = sweep({sweep_job()}, every_product(dir));
   ASSERT_EQ(report.cells.size(), 1u);
   ASSERT_TRUE(report.cells[0].ok());
   EXPECT_EQ(report.cells[0].write_error, "");
   const SmStats& totals = report.cells[0].result->totals;
   EXPECT_EQ(totals.cause_cycles[static_cast<int>(StallCause::kIssued)],
             totals.issued);
-  const std::string key = sweep_job().cache_key();
-  const std::pair<std::string, const char*> want[] = {
-      {"m." + key + ".csv", "91c9e5f39e0c8eb5"},
-      {"m." + key + ".json", "70313bef1722a325"},
-      {"e." + key + ".jsonl", "1d696ca54ee31a42"},
-      {"k." + key + ".json", "b8ae01a2f0e0e1f7"},
-      {key + ".trace.json", "9302ce59c4060a0d"},
-      {key + ".windows.csv", "aa2142f0b8687b46"},
-      {key + ".windows.hist.csv", "7cdb0853b029bc01"}};
+  const std::pair<const char*, const char*> want[] = {
+      {"m.csv", "91c9e5f39e0c8eb5"},      {"m.json", "70313bef1722a325"},
+      {"e.jsonl", "1d696ca54ee31a42"},    {"k.json", "b8ae01a2f0e0e1f7"},
+      {"lanes.json", "9302ce59c4060a0d"}, {"w.csv", "aa2142f0b8687b46"},
+      {"w.hist.csv", "7cdb0853b029bc01"}};
   for (const auto& [file, digest] : want) {
     EXPECT_EQ(file_digest(dir / file), digest) << file;
   }
 }
 
-// Relative product paths land in trace_dir; absolute ones stay where
-// they point.
-TEST(ObservabilityProducts, AbsolutePathsIgnoreTraceDir) {
-  const fs::path dir = scratch_dir("abs_paths");
-  const fs::path elsewhere = scratch_dir("abs_paths_elsewhere");
-  ObservabilityOptions obs;
-  obs.events_jsonl = (elsewhere / "e.jsonl").string();
-  obs.kernel_timeline = "k.json";
-  const runner::SweepReport report = sweep_cell(dir, obs);
-  ASSERT_TRUE(report.cells[0].ok());
-  EXPECT_EQ(report.cells[0].write_error, "");
-  const std::string key = sweep_job().cache_key();
-  EXPECT_TRUE(fs::exists(elsewhere / ("e." + key + ".jsonl")));
-  EXPECT_TRUE(fs::exists(dir / ("k." + key + ".json")));
-  EXPECT_TRUE(fs::exists(dir / (key + ".trace.json")));
+// With more than one cell, each product path carries the cell's cache key
+// before its extension, and nothing else is written.
+TEST(ObservabilityProducts, MultiCellPathsCarryTheCacheKey) {
+  const fs::path dir = scratch_dir("multi_cell");
+  const std::vector<runner::SweepJob> jobs = {
+      sweep_job(), sweep_job(SchedulerKind::kGto)};
+  const runner::SweepReport report = sweep(jobs, every_product(dir));
+  std::vector<fs::path> want;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(report.cells[i].ok());
+    EXPECT_EQ(report.cells[i].write_error, "");
+    const std::string key = jobs[i].cache_key();
+    for (const char* file : {"lanes.json", "w.csv", "w.hist.csv", "m.csv",
+                             "m.json", "e.jsonl", "k.json"}) {
+      const std::string name = file;
+      const std::size_t dot = name.find('.');
+      want.push_back(dir / (name.substr(0, dot) + "." + key +
+                            name.substr(dot)));
+    }
+  }
+  std::vector<fs::path> written;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    written.push_back(entry.path());
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(written.begin(), written.end());
+  EXPECT_EQ(written, want);
 }
 
 // A product that cannot be written is reported per cell with its path,
@@ -160,10 +175,9 @@ TEST(ObservabilityProducts, UnwritablePathIsReportedPerCell) {
 
   ObservabilityOptions obs;
   obs.events_jsonl = missing;
-  const runner::SweepReport swept = sweep_cell(dir, obs);
+  const runner::SweepReport swept = sweep({sweep_job()}, obs);
   ASSERT_TRUE(swept.cells[0].ok());
-  EXPECT_NE(swept.cells[0].write_error.find("e." + sweep_job().cache_key()),
-            std::string::npos)
+  EXPECT_NE(swept.cells[0].write_error.find(missing), std::string::npos)
       << swept.cells[0].write_error;
 
   litmus::LitmusOptions lit;

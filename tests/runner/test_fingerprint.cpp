@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/gpu_config.hpp"
+#include "gpu/scheduler_registry.hpp"
 #include "kernels/registry.hpp"
 #include "sweep_test_util.hpp"
 
@@ -97,14 +98,12 @@ TEST(ConfigFingerprint, SchedulerNameRoundTrips) {
        {SchedulerKind::kLrr, SchedulerKind::kGto, SchedulerKind::kTl,
         SchedulerKind::kPro, SchedulerKind::kProAdaptive, SchedulerKind::kCaws,
         SchedulerKind::kOwl}) {
-    SchedulerKind parsed;
-    ASSERT_TRUE(scheduler_from_name(scheduler_name(kind), parsed))
-        << scheduler_name(kind);
-    EXPECT_EQ(parsed, kind);
+    const SchedulerInfo* parsed = find_scheduler(scheduler_name(kind));
+    ASSERT_NE(parsed, nullptr) << scheduler_name(kind);
+    EXPECT_EQ(parsed->kind, kind);
   }
-  SchedulerKind parsed;
-  EXPECT_FALSE(scheduler_from_name("FIFO", parsed));
-  EXPECT_FALSE(scheduler_from_name("", parsed));
+  EXPECT_EQ(find_scheduler("FIFO"), nullptr);
+  EXPECT_EQ(find_scheduler(""), nullptr);
 }
 
 TEST(ProConfigFingerprint, KnobsDistinct) {

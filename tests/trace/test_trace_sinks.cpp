@@ -44,8 +44,8 @@ Program tiny_two_tb_kernel() {
 class TraceSinks : public ::testing::TestWithParam<SchedulerKind> {
  protected:
   void SetUp() override {
-    opts_.warp_lanes = true;
-    opts_.windows = true;
+    opts_.warp_lanes = "unused.json";
+    opts_.windows = "unused.csv";
     session_ = std::make_unique<ObservabilitySession>(opts_);
     GpuConfig cfg = GpuConfig::test_config();
     cfg.scheduler.kind = GetParam();
@@ -258,7 +258,7 @@ TEST(TraceSession, AttributionOnlySkipsWarpStates) {
 
 TEST(TraceSession, WarpLanesWantWarpStates) {
   ObservabilityOptions opts;
-  opts.warp_lanes = true;
+  opts.warp_lanes = "unused.json";
   ObservabilitySession session(opts);
   EXPECT_EQ(warp_states_after_attach(session), true);
 }
