@@ -1,6 +1,19 @@
-// Shared random structured-program generator for property tests. Emits
-// only schedule-independent constructs; see test_random_programs.cpp for
-// the full catalogue.
+// Shared random structured-program generator for property tests. Its
+// programs leave identical architectural state on the timing simulator,
+// under every scheduler and machine shape, and on the scalar golden-model
+// interpreter, because it emits only schedule-independent constructs:
+//  - every ALU/SFU opcode (register and immediate src1 forms) and s2r of
+//    every special register, over the whole register file,
+//  - global loads from a read-only input region (addresses masked+aligned),
+//  - global stores to a per-thread output slot,
+//  - global atomic adds (commutative, result discarded),
+//  - global CAS/exchange and shared CAS on per-thread private slots
+//    (non-commutative, so the old value must be race-free to stay
+//    deterministic; the returned value feeds the register comparison),
+//  - shared-memory load/store restricted to the thread's own slot,
+//  - nested if/else on thread-varying predicates (divergence),
+//  - loops with uniform trip counts (so barriers inside them are legal),
+//  - barriers outside divergent regions.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +22,7 @@
 
 #include "common/rng.hpp"
 #include "isa/builder.hpp"
+#include "mem/global_memory.hpp"
 
 namespace prosim {
 namespace fuzz {
@@ -18,6 +32,14 @@ constexpr std::int64_t kInputMask = 0x1FF8;
 constexpr Addr kAtomicBase = 512u << 10;
 constexpr Addr kCasBase = 768u << 10;  // per-thread CAS/exchange slots
 constexpr Addr kOutputBase = 1u << 20;
+
+/// Writes the fixed input image the loads read into a fresh memory.
+inline void init_input(GlobalMemory& mem) {
+  Rng data(0xDA7A);
+  for (Addr a = kInputBase; a <= static_cast<Addr>(kInputMask); a += 8) {
+    mem.store(a, static_cast<RegValue>(data.next_below(1u << 20)));
+  }
+}
 
 class ProgramFuzzer {
  public:

@@ -1,102 +1,29 @@
-// Timing-fault invariance: injected faults (response delays, MSHR
-// exhaustion bursts, DRAM backpressure, TB-launch starvation) are pure
-// timing perturbations, so under any fault seed every scheduler must still
-// drain, match the golden-model interpreter bit-for-bit, and never trip the
-// forward-progress watchdog — while the cycle count proves the faults
-// actually disturbed the machine.
+// Fault injection is deterministic and not a no-op. That injected faults
+// (response delays, MSHR exhaustion bursts, DRAM backpressure, TB-launch
+// starvation) never alter results under any scheduler or machine shape is
+// a property of every fault trial of SimProperty
+// (test_sim_property.cpp).
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "gpu/gpu.hpp"
-#include "isa/builder.hpp"
-#include "isa/interpreter.hpp"
 #include "program_fuzzer.hpp"
 
 namespace prosim {
 namespace {
 
-void init_memory(GlobalMemory& mem) {
-  Rng data(0xDA7A);
-  for (Addr a = 0; a < 0x2000; a += 8) {
-    mem.store(a, static_cast<RegValue>(data.next_below(1u << 20)));
-  }
-}
-
-class FaultInjection : public ::testing::TestWithParam<int> {};
-
-TEST_P(FaultInjection, ChaosFaultsPreserveResultsUnderAllSchedulers) {
-  const std::uint64_t program_seed =
-      0xFA17 + static_cast<std::uint64_t>(GetParam());
-  fuzz::ProgramFuzzer fuzzer(program_seed);
-  const Program p = fuzzer.generate();
-  ASSERT_EQ(p.validate(), "") << p.disassemble_all();
-
-  GlobalMemory ref;
-  init_memory(ref);
-  InterpreterOptions opts;
-  opts.max_steps_per_tb = 10'000'000;
-  const InterpreterResult golden = interpret(p, ref, opts);
-
-  for (SchedulerKind kind :
-       {SchedulerKind::kLrr, SchedulerKind::kGto, SchedulerKind::kTl,
-        SchedulerKind::kPro, SchedulerKind::kProAdaptive,
-        SchedulerKind::kCaws, SchedulerKind::kOwl}) {
-    // Fault-free baseline for this scheduler.
-    GpuConfig cfg = GpuConfig::test_config();
-    cfg.scheduler.kind = kind;
-    GlobalMemory baseline_mem;
-    init_memory(baseline_mem);
-    const GpuResult baseline = simulate(cfg, p, baseline_mem);
-
-    bool any_seed_changed_timing = false;
-    for (std::uint64_t fault_seed : {11u, 22u, 33u}) {
-      GpuConfig fcfg = cfg;
-      fcfg.faults = FaultConfig::chaos(fault_seed);
-      GlobalMemory mem;
-      init_memory(mem);
-      Expected<GpuResult> r = simulate_checked(fcfg, p, mem);
-
-      // Drains: no watchdog trip, no max_cycles overrun.
-      ASSERT_TRUE(r.has_value())
-          << "program seed " << program_seed << " fault seed " << fault_seed
-          << " scheduler " << scheduler_name(kind) << "\n"
-          << r.error().to_string();
-
-      // Faults actually fired...
-      EXPECT_GT(r->faults_injected, 0u)
-          << "fault seed " << fault_seed << " " << scheduler_name(kind);
-      if (r->cycles != baseline.cycles) any_seed_changed_timing = true;
-
-      // ...but never altered architectural state.
-      EXPECT_TRUE(mem == ref)
-          << "program seed " << program_seed << " fault seed " << fault_seed
-          << " scheduler " << scheduler_name(kind) << "\n"
-          << p.disassemble_all();
-      EXPECT_EQ(r->totals.thread_insts, golden.instructions_executed)
-          << "fault seed " << fault_seed << " " << scheduler_name(kind);
-    }
-    // Timing-only, not no-op: at least one chaos seed must perturb the
-    // cycle count relative to the fault-free run.
-    EXPECT_TRUE(any_seed_changed_timing)
-        << "program seed " << program_seed << " scheduler "
-        << scheduler_name(kind);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FaultInjection, ::testing::Range(0, 4));
-
 TEST(FaultInjection, FaultFreeRunReportsZeroFaults) {
   fuzz::ProgramFuzzer fuzzer(0xFA17);
   const Program p = fuzzer.generate();
   GlobalMemory mem;
-  init_memory(mem);
+  fuzz::init_input(mem);
   const GpuResult r = simulate(GpuConfig::test_config(), p, mem);
   EXPECT_EQ(r.faults_injected, 0u);
 }
 
 TEST(FaultInjection, DeterministicAcrossRuns) {
   // Same program, same fault seed -> bit-identical cycle count and fault
-  // tally on repeat runs.
+  // tally on repeat runs; faults fire and move the cycle count off the
+  // fault-free run's.
   fuzz::ProgramFuzzer fuzzer(0xFA18);
   const Program p = fuzzer.generate();
   GpuConfig cfg = GpuConfig::test_config();
@@ -104,14 +31,19 @@ TEST(FaultInjection, DeterministicAcrossRuns) {
   cfg.faults = FaultConfig::chaos(99);
 
   GlobalMemory mem_a;
-  init_memory(mem_a);
+  fuzz::init_input(mem_a);
   const GpuResult a = simulate(cfg, p, mem_a);
   GlobalMemory mem_b;
-  init_memory(mem_b);
+  fuzz::init_input(mem_b);
   const GpuResult b = simulate(cfg, p, mem_b);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_GT(a.faults_injected, 0u);
+
+  cfg.faults = FaultConfig{};
+  GlobalMemory mem_clean;
+  fuzz::init_input(mem_clean);
+  EXPECT_NE(simulate(cfg, p, mem_clean).cycles, a.cycles);
 }
 
 }  // namespace

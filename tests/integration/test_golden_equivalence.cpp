@@ -186,9 +186,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          SchedulerKind::kGto,
                                          SchedulerKind::kTl,
                                          SchedulerKind::kPro)),
-    [](const auto& info) {
-      return std::string(kScenarios[std::get<0>(info.param)].name) + "_" +
-             scheduler_name(std::get<1>(info.param));
+    [](const auto& p) {
+      return std::string(kScenarios[std::get<0>(p.param)].name) + "_" +
+             scheduler_name(std::get<1>(p.param));
     });
 
 }  // namespace

@@ -1,25 +1,13 @@
 // Property-based testing: randomly generated structured programs must
 // produce identical architectural state on the timing simulator (under
-// every scheduler) and the scalar golden-model interpreter.
-//
-// The generator emits only schedule-independent constructs:
-//  - every ALU/SFU opcode (register and immediate src1 forms) and s2r of
-//    every special register, over the whole register file,
-//  - global loads from a read-only input region (addresses masked+aligned),
-//  - global stores to a per-thread output slot,
-//  - global atomic adds (commutative, result discarded),
-//  - global CAS/exchange and shared CAS on per-thread private slots
-//    (non-commutative, so the old value must be race-free to stay
-//    deterministic; the returned value feeds the register comparison),
-//  - shared-memory load/store restricted to the thread's own slot,
-//  - nested if/else on thread-varying predicates (divergence),
-//  - loops with uniform trip counts (so barriers inside them are legal),
-//  - barriers outside divergent regions.
+// every scheduler) and the scalar golden-model interpreter, on one fixed
+// machine. The generator emits only schedule-independent constructs; see
+// program_fuzzer.hpp for the catalogue. SimProperty draws the same programs
+// over random machines, admissions and faults; this suite pins every
+// scheduler on every program.
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "gpu/gpu.hpp"
-#include "isa/builder.hpp"
 #include "isa/interpreter.hpp"
 #include "program_fuzzer.hpp"
 
@@ -34,15 +22,8 @@ TEST_P(RandomPrograms, TimingSimMatchesGoldenModelUnderAllSchedulers) {
   const Program p = fuzzer.generate();
   ASSERT_EQ(p.validate(), "") << p.disassemble_all();
 
-  auto init = [](GlobalMemory& mem) {
-    Rng data(0xDA7A);
-    for (Addr a = 0; a < 0x2000; a += 8) {
-      mem.store(a, static_cast<RegValue>(data.next_below(1u << 20)));
-    }
-  };
-
   GlobalMemory ref;
-  init(ref);
+  fuzz::init_input(ref);
   InterpreterOptions opts;
   opts.max_steps_per_tb = 10'000'000;
   const InterpreterResult golden = interpret(p, ref, opts);
@@ -52,7 +33,7 @@ TEST_P(RandomPrograms, TimingSimMatchesGoldenModelUnderAllSchedulers) {
         SchedulerKind::kPro, SchedulerKind::kProAdaptive,
         SchedulerKind::kCaws, SchedulerKind::kOwl}) {
     GlobalMemory mem;
-    init(mem);
+    fuzz::init_input(mem);
     GpuConfig cfg = GpuConfig::test_config();
     cfg.scheduler.kind = kind;
     cfg.record_registers = true;

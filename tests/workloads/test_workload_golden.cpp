@@ -54,14 +54,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          SchedulerKind::kGto,
                                          SchedulerKind::kTl,
                                          SchedulerKind::kPro)),
-    [](const auto& info) {
+    [](const auto& p) {
       std::string name =
-          all_workloads()[static_cast<std::size_t>(std::get<0>(info.param))]
+          all_workloads()[static_cast<std::size_t>(std::get<0>(p.param))]
               .kernel;
       for (char& c : name) {
         if (c == '+') c = 'p';
       }
-      return name + "_" + scheduler_name(std::get<1>(info.param));
+      return name + "_" + scheduler_name(std::get<1>(p.param));
     });
 
 }  // namespace
