@@ -1,5 +1,6 @@
-// prosim-sweep: parallel experiment-sweep driver over the workload x
-// scheduler x config x fault-seed matrix, with a persistent result cache.
+// prosim-sweep: the simulator's driver. It runs a matrix of workload x
+// scheduler x config x fault-seed cells in parallel, with a persistent
+// result cache; one kernel under one scheduler is a one-cell matrix.
 //
 //   $ prosim-sweep --fig4 --jobs 8 --cache-dir .prosim-cache --out fig4.json
 //   $ prosim-sweep --paper --jobs 4 --cache-dir .prosim-cache > paper.txt
@@ -7,6 +8,11 @@
 //   $ prosim-sweep --workloads scalarProdGPU,bfs_kernel --schedulers LRR,PRO
 //   $ prosim-sweep --fig4 --cache-dir .prosim-cache --expect-cached
 //   $ prosim-sweep --workloads scalarProdGPU --warp-lanes traces/lanes.json
+//   $ prosim-sweep --workloads bfs_kernel --schedulers TL --sms 8 --csv -
+//   $ prosim-sweep --asm my_kernel.sasm --schedulers GTO --out -
+//   $ prosim-sweep --workloads scalarProdGPU --schedulers PRO --stall-report
+//   $ prosim-sweep --workloads GPU_laplace3d --tb-timeline tbs.json
+//   $ prosim-sweep --list
 //
 // One failed cell does not kill the sweep: the failure is recorded as a
 // structured-error artifact in the output and the exit code becomes 4.
@@ -29,6 +35,8 @@
 #include "gpu/admission.hpp"
 #include "gpu/result_io.hpp"
 #include "gpu/scheduler_registry.hpp"
+#include "gpu/trace_export.hpp"
+#include "isa/assembler.hpp"
 #include "runner/matrix.hpp"
 #include "runner/paper.hpp"
 #include "runner/runner.hpp"
@@ -43,13 +51,27 @@ struct Options {
   bool paper = false;
   bool fig4 = false;
   std::vector<std::string> workloads;
+  std::string asm_path;
   std::vector<std::string> schedulers;
+  // Machine overrides of the --workloads cells (0 / false = Table I's).
+  int sms = 0;
+  std::int64_t threshold = 0;
+  std::int64_t max_cycles = 0;
+  bool no_barrier = false;
+  bool no_finish = false;
+  bool no_l1 = false;
+  bool fcfs_dram = false;
+  bool no_watchdog = false;
   int jobs = 0;        // 0 = hardware concurrency
   std::string cache_dir;
   std::uint64_t fault_seed = 0;
   bool have_fault_seed = false;
   std::string out_path;
   std::string csv_path;
+  std::string tb_timeline_path;
+  bool list = false;
+  bool disasm = false;
+  bool stall_report = false;
   bool quiet = false;
   bool expect_cached = false;
   std::int64_t metrics_interval = 0;
@@ -58,56 +80,107 @@ struct Options {
   bool progress_line = false;
 };
 
-/// Rejects a second matrix selection (--fig4 is the default one) and
-/// flags the selection does not use, after printing the reason.
+/// The flags that shape only the cells of the --workloads selection.
+constexpr const char* kWorkloadsFlags[] = {
+    "--schedulers", "--disasm",      "--sms",        "--threshold",
+    "--no-barrier", "--no-finish",   "--no-l1",      "--fcfs-dram",
+    "--max-cycles", "--no-watchdog"};
+
+/// Rejects a second matrix selection (--fig4 is the default one), flags
+/// the selection does not use, and --stall-report over a cache, after
+/// printing the reason.
 bool check_selection(const ArgParser& parser) {
   std::string chosen;
-  for (const char* flag : {"--paper", "--fig4", "--workloads", "--matrix"}) {
+  for (const char* flag :
+       {"--paper", "--fig4", "--workloads", "--asm", "--matrix"}) {
     if (!parser.seen(flag)) continue;
-    if (!chosen.empty()) {
+    // --asm adds its kernel to the --workloads selection.
+    const std::string selection =
+        std::string(flag) == "--asm" ? "--workloads" : flag;
+    if (!chosen.empty() && chosen != selection) {
       std::cerr << chosen << " and " << flag
                 << " are both matrix selections; choose one\n";
       return false;
     }
-    chosen = flag;
+    chosen = selection;
   }
   if (chosen.empty()) chosen = "--fig4";
-  const char* unused = nullptr;
-  if (parser.seen("--schedulers") && chosen != "--workloads") {
-    unused = "--schedulers";
-  } else if (parser.seen("--fault-seed") &&
-             (chosen == "--paper" || chosen == "--fig4")) {
+  std::string unused;
+  if (chosen != "--workloads") {
+    for (const char* flag : kWorkloadsFlags) {
+      if (unused.empty() && parser.seen(flag)) unused = flag;
+    }
+  }
+  if (unused.empty() && parser.seen("--fault-seed") &&
+      (chosen == "--paper" || chosen == "--fig4")) {
     unused = "--fault-seed";
   }
-  if (unused != nullptr) {
+  if (!unused.empty()) {
     std::cerr << unused << " does not apply to " << chosen << "\n";
+    return false;
   }
-  return unused == nullptr;
+  // The result cache stores no per-cause cycles (gpu/result_io.hpp), so a
+  // cache hit would report every cause as zero.
+  if (parser.seen("--stall-report") && parser.seen("--cache-dir")) {
+    std::cerr << "--stall-report does not apply to --cache-dir: a cached "
+                 "cell carries no stall causes\n";
+    return false;
+  }
+  return true;
+}
+
+/// Reads `path` whole; prints the reason and returns false when it cannot.
+bool read_file(const std::string& path, std::string& text) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "cannot open " << path << "\n";
+    return false;
+  }
+  std::ostringstream os;
+  os << in.rdbuf();
+  text = os.str();
+  return true;
+}
+
+/// The Table I machine with the machine flags applied: the base config of
+/// every --workloads cell.
+GpuConfig machine_config(const Options& opt) {
+  GpuConfig cfg;
+  if (opt.sms > 0) cfg.num_sms = opt.sms;
+  if (opt.threshold > 0) {
+    cfg.scheduler.pro.sort_threshold = static_cast<Cycle>(opt.threshold);
+    cfg.scheduler.adaptive.base.sort_threshold =
+        static_cast<Cycle>(opt.threshold);
+  }
+  cfg.scheduler.pro.handle_barriers = !opt.no_barrier;
+  cfg.scheduler.pro.handle_finish = !opt.no_finish;
+  cfg.sm.l1_enabled = !opt.no_l1;
+  if (opt.fcfs_dram) cfg.mem.dram.scheduler = DramSchedulerKind::kFcfs;
+  if (opt.max_cycles > 0) cfg.max_cycles = static_cast<Cycle>(opt.max_cycles);
+  cfg.watchdog.enabled = !opt.no_watchdog;
+  return cfg;
 }
 
 /// Builds the job list from whichever selection mechanism was used.
 /// `keys` receives the jobs' cache keys where building them computed them.
-bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs,
-                std::vector<std::string>& keys) {
+/// Returns 0, or the exit code after printing the reason: 2 for an unknown
+/// kernel or scheduler name, 1 for an unreadable or invalid file.
+int build_jobs(const Options& opt, std::vector<SweepJob>& jobs,
+               std::vector<std::string>& keys) {
   if (opt.paper) {
     PaperCells cells = paper_cells();
     jobs = std::move(cells.jobs);
     keys = std::move(cells.keys);
   } else if (!opt.matrix_path.empty()) {
-    std::ifstream in(opt.matrix_path);
-    if (!in) {
-      std::cerr << "cannot open " << opt.matrix_path << "\n";
-      return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    Expected<std::vector<SweepJob>> expanded = jobs_from_spec(text.str());
+    std::string text;
+    if (!read_file(opt.matrix_path, text)) return 1;
+    Expected<std::vector<SweepJob>> expanded = jobs_from_spec(text);
     if (!expanded.has_value()) {
       std::cerr << opt.matrix_path << ": " << expanded.error().message << "\n";
-      return false;
+      return 1;
     }
     jobs = std::move(expanded.value());
-  } else if (!opt.workloads.empty()) {
+  } else if (!opt.workloads.empty() || !opt.asm_path.empty()) {
     std::vector<Workload> workloads;
     for (const std::string& kernel : opt.workloads) {
       bool found = false;
@@ -118,8 +191,28 @@ bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs,
         }
       }
       if (!found) {
-        std::cerr << "unknown kernel '" << kernel << "'\n";
-        return false;
+        std::cerr << "unknown kernel '" << kernel << "' (see --list)\n";
+        return 2;
+      }
+    }
+    if (!opt.asm_path.empty()) {
+      // An assembled kernel runs with no input data.
+      std::string text;
+      if (!read_file(opt.asm_path, text)) return 1;
+      AssembleResult assembled = assemble(text);
+      if (const auto* error = std::get_if<AssemblerError>(&assembled)) {
+        std::cerr << opt.asm_path << ":" << error->line << ": "
+                  << error->message << "\n";
+        return 1;
+      }
+      Workload w;
+      w.program = std::get<Program>(std::move(assembled));
+      w.kernel = w.program.info.name;
+      workloads.push_back(std::move(w));
+    }
+    if (opt.disasm) {
+      for (const Workload& w : workloads) {
+        std::cout << w.program.disassemble_all() << "\n";
       }
     }
     std::vector<SchedulerKind> kinds;
@@ -132,12 +225,12 @@ bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs,
         if (info == nullptr) {
           std::cerr << "unknown scheduler '" << name << "'\n"
                     << list_schedulers();
-          return false;
+          return 2;
         }
         kinds.push_back(info->kind);
       }
     }
-    jobs = cross_matrix(workloads, kinds, {});
+    jobs = cross_matrix(workloads, kinds, {}, true, machine_config(opt));
   } else {
     jobs = fig4_matrix();
   }
@@ -154,7 +247,7 @@ bool build_jobs(const Options& opt, std::vector<SweepJob>& jobs,
     }
     jobs = std::move(faulted);
   }
-  return true;
+  return 0;
 }
 
 /// `num_sms` and `num_partitions` turn the ticked SM- and partition-cycles
@@ -224,6 +317,33 @@ void write_results_json(std::ostream& os, const SweepReport& report,
   os << "  ]\n}\n";
 }
 
+/// Scheduler-cycles per stall cause, with the legacy class each sums into.
+void print_stall_report(std::ostream& os, const SmStats& totals) {
+  Table t({"cause", "legacy_class", "sched_cycles"});
+  for (int c = 0; c < kNumStallCauses; ++c) {
+    const auto cause = static_cast<StallCause>(c);
+    const char* cls = "?";
+    switch (legacy_stall_class(cause)) {
+      case LegacyStallClass::kIssued: cls = "issued"; break;
+      case LegacyStallClass::kIdle: cls = "idle"; break;
+      case LegacyStallClass::kScoreboard: cls = "scoreboard"; break;
+      case LegacyStallClass::kPipeline: cls = "pipeline"; break;
+    }
+    t.add_row(
+        {stall_cause_name(cause), cls, Table::fmt(totals.cause_cycles[c])});
+  }
+  t.print(os);
+}
+
+void print_workloads(std::ostream& os) {
+  Table t({"Kernel", "Suite", "App", "TBs", "Block"});
+  for (const Workload& w : all_workloads()) {
+    t.add_row({w.kernel, w.suite, w.app, Table::fmt(w.program.info.grid_dim),
+               Table::fmt(w.program.info.block_dim)});
+  }
+  t.print(os);
+}
+
 void write_results_csv(std::ostream& os, const SweepReport& report) {
   Table t({"kernel", "app", "scheduler", "label", "from_cache", "ok",
            "cycles", "ipc", "issued", "idle", "scoreboard", "pipeline",
@@ -274,8 +394,8 @@ int main(int argc, char** argv) {
   Options opt;
 
   ArgParser parser("prosim-sweep",
-                   "Parallel experiment sweeps with a persistent result "
-                   "cache.");
+                   "Cycle-level GPU simulation: one kernel or a parallel "
+                   "sweep, with a persistent result cache.");
   parser.add_section("matrix selection (choose one; default --fig4)");
   parser.add_flag("--paper", &opt.paper,
                   "every cell of the paper's tables and figures; prints "
@@ -286,9 +406,28 @@ int main(int argc, char** argv) {
                   "all 25 Table II kernels x {LRR,GTO,TL,PRO}");
   parser.add_string_list("--workloads", &opt.workloads, "A,B,...",
                          "explicit kernel list");
+  parser.add_string("--asm", &opt.asm_path, "FILE",
+                    "add an assembly-file kernel to the --workloads cells");
+  parser.add_flag("--list", &opt.list, "list the Table II workloads and exit");
+  parser.add_section("--workloads cells (with --workloads or --asm)");
   parser.add_string_list("--schedulers", &opt.schedulers, "S,...",
-                         "scheduler list (only with --workloads; default "
-                         "the paper's four)");
+                         "scheduler list (default the paper's four)");
+  parser.add_flag("--disasm", &opt.disasm,
+                  "print each kernel's disassembly before running");
+  parser.add_int("--sms", &opt.sms, "N", "number of SMs (default 14)");
+  parser.add_i64("--threshold", &opt.threshold, "N",
+                 "PRO sort threshold in cycles (default 1000)");
+  parser.add_flag("--no-barrier", &opt.no_barrier,
+                  "disable PRO barrier handling");
+  parser.add_flag("--no-finish", &opt.no_finish,
+                  "disable PRO finish handling");
+  parser.add_flag("--no-l1", &opt.no_l1, "bypass the L1 data cache");
+  parser.add_flag("--fcfs-dram", &opt.fcfs_dram,
+                  "plain FCFS DRAM scheduling (default FR-FCFS)");
+  parser.add_i64("--max-cycles", &opt.max_cycles, "N",
+                 "fail a cell with a livelock report after N cycles");
+  parser.add_flag("--no-watchdog", &opt.no_watchdog,
+                  "disable the forward-progress watchdog");
   parser.add_section("execution");
   parser.add_int("--jobs", &opt.jobs, "N",
                  "worker threads (default: hardware concurrency)");
@@ -316,6 +455,12 @@ int main(int argc, char** argv) {
                     "full results as JSON ('-' = stdout)");
   parser.add_string("--csv", &opt.csv_path, "FILE",
                     "per-cell headline stats as CSV ('-' = stdout)");
+  parser.add_flag("--stall-report", &opt.stall_report,
+                  "print each cell's per-cause stall attribution (not "
+                  "with --cache-dir)");
+  parser.add_string("--tb-timeline", &opt.tb_timeline_path, "FILE",
+                    "write each cell's chrome-trace TB timeline (suffixed "
+                    "like the observability FILEs)");
   parser.add_flag("--quiet", &opt.quiet, "no per-cell progress on stderr");
   parser.set_epilog(list_schedulers() + "\n" + list_admissions() +
                     "\nexit: 0 ok | 2 usage | 1 I/O or spec error | "
@@ -332,15 +477,27 @@ int main(int argc, char** argv) {
     std::cerr << "--jobs must be >= 0\n";
     return 2;
   }
+  if (parser.seen("--sms") && opt.sms <= 0) {
+    std::cerr << "--sms must be positive\n";
+    return 2;
+  }
+  if (parser.seen("--max-cycles") && opt.max_cycles <= 0) {
+    std::cerr << "--max-cycles must be positive\n";
+    return 2;
+  }
   if (!check_observability_flags(parser, opt.metrics_interval, opt.obs)) {
     return 2;
   }
   if (!check_selection(parser)) return 2;
+  if (opt.list) {
+    print_workloads(std::cout);
+    return 0;
+  }
   opt.have_fault_seed = parser.seen("--fault-seed");
 
   std::vector<SweepJob> jobs;
   std::vector<std::string> keys;
-  if (!build_jobs(opt, jobs, keys)) return 1;
+  if (const int rc = build_jobs(opt, jobs, keys); rc != 0) return rc;
 
   SweepOptions sweep_opt;
   sweep_opt.jobs = opt.jobs;
@@ -392,7 +549,10 @@ int main(int argc, char** argv) {
             << " cache hits, " << report.failures << " failures, "
             << static_cast<std::uint64_t>(wall_ms) << " ms\n";
 
-  if (!opt.out_path.empty() && keys.empty()) {
+  // With several cells the TB timelines take the product-path suffix.
+  const bool suffix_timelines =
+      !opt.tb_timeline_path.empty() && jobs.size() > 1;
+  if ((!opt.out_path.empty() || suffix_timelines) && keys.empty()) {
     for (const SweepJob& job : jobs) keys.push_back(job.cache_key());
   }
   if (!opt.out_path.empty() &&
@@ -409,6 +569,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (print_write_errors(std::cerr, report.cells)) return 1;
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    const SweepCell& cell = report.cells[i];
+    if (!cell.ok()) continue;
+    if (opt.stall_report) {
+      if (report.cells.size() > 1) std::cout << cell.label << "\n";
+      print_stall_report(std::cout, cell.result->totals);
+    }
+    const std::string tb_path =
+        suffix_timelines ? suffixed_path(opt.tb_timeline_path, keys[i])
+                         : opt.tb_timeline_path;
+    if (!tb_path.empty() &&
+        !write_to(tb_path, "TB timeline", [&](std::ostream& os) {
+          write_chrome_trace(os, *cell.result);
+        })) {
+      return 1;
+    }
+  }
 
   if (opt.paper && report.failures == 0) {
     std::map<std::string, const GpuResult*> results;

@@ -4,8 +4,6 @@
 Checks any subset of the products an observability session writes
 (docs/OBSERVABILITY.md):
 
-  * stall report     - prosim_cli --json --stall-report: the per-cause
-                       cycles reconcile with the legacy stall classes
   * warp lanes       - --warp-lanes F, Chrome Trace Event JSON slices
   * wait windows     - --windows F and its histogram (.hist before F's
                        extension: waits.csv -> waits.hist.csv)
@@ -28,29 +26,11 @@ EVENT_KINDS = {
     "kernel_finish", "slo_met", "slo_missed", "sim_end",
 }
 SCOPES = {"gpu", "sm", "kernel"}
-# Stall causes that are not idle, by legacy class (docs/OBSERVABILITY.md).
-LEGACY_CLASS = {"issued": "issued", "fu_busy": "pipeline",
-                "scoreboard_mem": "scoreboard",
-                "scoreboard_alu": "scoreboard", "spin_wait": "scoreboard"}
 
 
 def fail(msg):
     print(f"check_observability: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def check_stall_report(path):
-    r = json.load(open(path))
-    by_class = {"issued": 0, "idle": 0, "scoreboard": 0, "pipeline": 0}
-    for cause, cycles in r["stall_causes"].items():
-        by_class[LEGACY_CLASS.get(cause, "idle")] += cycles
-    if by_class["issued"] != r["issued"]:
-        fail(f"{path}: issued {by_class['issued']} != {r['issued']}")
-    for k in ("idle", "scoreboard", "pipeline"):
-        if by_class[k] != r["stalls"][k]:
-            fail(f"{path}: {k} causes {by_class[k]} != {r['stalls'][k]}")
-    print(f"{path}: {len(r['stall_causes'])} causes reconcile with the "
-          "legacy stall classes")
 
 
 def check_lanes(path):
@@ -198,7 +178,6 @@ def check_timeline(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--report", help="prosim_cli --json --stall-report")
     ap.add_argument("--lanes")
     ap.add_argument("--windows", help="window CSV; its histogram is read too")
     ap.add_argument("--metrics-csv")
@@ -208,8 +187,6 @@ def main():
     args = ap.parse_args()
     if not any(vars(args).values()):
         fail("nothing to check (pass at least one artifact)")
-    if args.report:
-        check_stall_report(args.report)
     if args.lanes:
         check_lanes(args.lanes)
     if args.windows:

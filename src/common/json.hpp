@@ -4,8 +4,7 @@
 // need exact integer round trips (cycle counters are uint64). Numbers are
 // therefore kept as their source token and converted on access — writing a
 // uint64 and parsing it back is lossless, with no double-precision detour.
-// The writer escapes strings the same way gpu/report.cpp historically did
-// (that code now calls write_json_string from here).
+// write_json_string is the one string escaper every JSON writer calls.
 #pragma once
 
 #include <cstdint>

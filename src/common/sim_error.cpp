@@ -1,8 +1,9 @@
 #include "common/sim_error.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "common/json.hpp"
 
 namespace prosim {
 
@@ -68,36 +69,11 @@ std::string SimError::to_string() const {
   return os.str();
 }
 
-namespace {
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void SimError::write_json(std::ostream& os) const {
   os << "{\n";
   os << "  \"error\": \"" << prosim::to_string(category) << "\",\n";
   os << "  \"message\": ";
-  json_string(os, message);
+  write_json_string(os, message);
   os << ",\n";
   os << "  \"cycle\": " << cycle << ",\n";
   os << "  \"sm\": " << sm_id << ",\n";

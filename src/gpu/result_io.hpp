@@ -1,7 +1,7 @@
 // Lossless GpuResult <-> JSON conversion.
 //
-// Unlike gpu/report.hpp (a human-curated export for plotting pipelines),
-// this serializer covers EVERY field of GpuResult bit-exactly — it is the
+// The serializer covers every field of GpuResult bit-exactly except the
+// per-cause stall cycles and the wall-clock measurements — it is the
 // storage format of the runner's on-disk result cache, and the determinism
 // tests compare sweeps by these strings. Integers round-trip exactly
 // (common/json.hpp keeps number tokens); there are no floating-point

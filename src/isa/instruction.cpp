@@ -6,24 +6,33 @@ namespace prosim {
 
 namespace {
 
+/// Appends every part to `out` in order. The disassembly is built by
+/// appending to one named string throughout: `"lit" + std::string&&`
+/// inserts at the front of the temporary, which GCC's -Wrestrict flags in
+/// optimized builds.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (out += ... += parts);
+}
+
 std::string reg(std::uint8_t r) {
-  return r == kNoReg ? std::string("r?") : "r" + std::to_string(r);
+  std::string out = "r";
+  out += r == kNoReg ? std::string("?") : std::to_string(r);
+  return out;
 }
 
 std::string mem_operand(const Instruction& inst) {
-  std::string out = "[" + reg(inst.src0);
-  if (inst.imm >= 0) {
-    out += "+" + std::to_string(inst.imm);
-  } else {
-    out += std::to_string(inst.imm);
-  }
-  out += "]";
+  std::string out = "[";
+  append(out, reg(inst.src0), inst.imm >= 0 ? "+" : "",
+         std::to_string(inst.imm), "]");
   return out;
 }
 
 std::string src1_or_imm(const Instruction& inst) {
-  if (inst.src1_is_imm) return "#" + std::to_string(inst.imm);
-  return reg(inst.src1);
+  if (!inst.src1_is_imm) return reg(inst.src1);
+  std::string out = "#";
+  out += std::to_string(inst.imm);
+  return out;
 }
 
 }  // namespace
@@ -33,13 +42,11 @@ std::string disassemble(const Instruction& inst) {
   std::string out;
 
   if (inst.op == Opcode::kBra && inst.pred != kNoReg) {
-    out += "@";
-    if (inst.pred_invert) out += "!";
-    out += reg(inst.pred) + " ";
+    append(out, "@", inst.pred_invert ? "!" : "", reg(inst.pred), " ");
   }
 
-  out += std::string(info.mnemonic);
-  if (inst.op == Opcode::kSetp) out += "." + std::string(cmp_name(inst.cmp));
+  out += info.mnemonic;
+  if (inst.op == Opcode::kSetp) append(out, ".", cmp_name(inst.cmp));
 
   switch (inst.op) {
     case Opcode::kNop:
@@ -47,64 +54,60 @@ std::string disassemble(const Instruction& inst) {
     case Opcode::kExit:
       break;
     case Opcode::kMovi:
-      out += " " + reg(inst.dst) + ", " + std::to_string(inst.imm);
+      append(out, " ", reg(inst.dst), ", ", std::to_string(inst.imm));
       break;
     case Opcode::kMov:
-      out += " " + reg(inst.dst) + ", " + reg(inst.src0);
+      append(out, " ", reg(inst.dst), ", ", reg(inst.src0));
       break;
     case Opcode::kS2r:
-      out += " " + reg(inst.dst) + ", %" + std::string(sreg_name(inst.sreg));
+      append(out, " ", reg(inst.dst), ", %", sreg_name(inst.sreg));
       break;
     case Opcode::kRsqrt:
     case Opcode::kFsin:
     case Opcode::kFexp:
     case Opcode::kFlog:
-      out += " " + reg(inst.dst) + ", " + reg(inst.src0);
+      append(out, " ", reg(inst.dst), ", ", reg(inst.src0));
       break;
     case Opcode::kImad:
     case Opcode::kFfma:
-      out += " " + reg(inst.dst) + ", " + reg(inst.src0) + ", " +
-             src1_or_imm(inst) + ", " + reg(inst.src2);
+      append(out, " ", reg(inst.dst), ", ", reg(inst.src0), ", ",
+             src1_or_imm(inst), ", ", reg(inst.src2));
       break;
     case Opcode::kSel:
-      out += " " + reg(inst.dst) + ", " + reg(inst.src0) + ", " +
-             reg(inst.src1) + ", " + reg(inst.src2);
+      append(out, " ", reg(inst.dst), ", ", reg(inst.src0), ", ",
+             reg(inst.src1), ", ", reg(inst.src2));
       break;
     case Opcode::kLdg:
     case Opcode::kLds:
     case Opcode::kLdc:
-      out += " " + reg(inst.dst) + ", " + mem_operand(inst);
+      append(out, " ", reg(inst.dst), ", ", mem_operand(inst));
       break;
     case Opcode::kStg:
     case Opcode::kSts:
-      out += " " + mem_operand(inst) + ", " + reg(inst.src1);
+      append(out, " ", mem_operand(inst), ", ", reg(inst.src1));
       break;
     case Opcode::kAtomGAdd:
     case Opcode::kAtomSAdd:
     case Opcode::kAtomGExch:
-      if (inst.dst != kNoReg) {
-        out += " " + reg(inst.dst) + ", " + mem_operand(inst) + ", " +
-               reg(inst.src1);
-      } else {
-        out += " " + mem_operand(inst) + ", " + reg(inst.src1);
-      }
+      if (inst.dst != kNoReg) append(out, " ", reg(inst.dst), ",");
+      append(out, " ", mem_operand(inst), ", ", reg(inst.src1));
       break;
     case Opcode::kAtomGCas:
     case Opcode::kAtomSCas:
       // atom.cas [dst,] [rA+off], rCmp, rNew
-      if (inst.dst != kNoReg) out += " " + reg(inst.dst) + ",";
-      out += " " + mem_operand(inst) + ", " + reg(inst.src1) + ", " +
-             reg(inst.src2);
+      if (inst.dst != kNoReg) append(out, " ", reg(inst.dst), ",");
+      append(out, " ", mem_operand(inst), ", ", reg(inst.src1), ", ",
+             reg(inst.src2));
       break;
     case Opcode::kBra:
-      out += " @" + std::to_string(inst.target);
+      append(out, " @", std::to_string(inst.target));
       // Unconditional branches carry no reconvergence point.
-      if (inst.reconv >= 0) out += " !@" + std::to_string(inst.reconv);
+      if (inst.reconv >= 0) append(out, " !@", std::to_string(inst.reconv));
       break;
     default:
       // Two-source ALU ops.
-      out += " " + reg(inst.dst) + ", " + reg(inst.src0) + ", " +
-             src1_or_imm(inst);
+      append(out, " ", reg(inst.dst), ", ", reg(inst.src0), ", ",
+             src1_or_imm(inst));
       break;
   }
   return out;

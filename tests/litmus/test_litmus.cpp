@@ -141,7 +141,7 @@ TEST(Litmus, JsonCarriesSchemaAndBalances) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-/// One harness, two axes: the three (tenant, admission) matrices.
+/// One harness, two axes: the four (tenant, admission) matrices.
 struct Mode {
   const char* name;
   bool tenant;
@@ -158,6 +158,10 @@ constexpr Mode kModes[] = {
     {"base", false, "", "0c333898aa4ba263"},
     {"background", true, "", "00406aff0fd67230"},
     {"preemptive", false, "preemptive_slo", "ca2f7a2dcb2240f4"},
+    // With a co-resident tenant, preemptive_slo's yield-resume rotation
+    // rescues every cross-TB wait: all 60 non-TL cells pass and those
+    // six schedulers reach `terminates`; TL keeps `unfair_livelocks`.
+    {"background_preemptive", true, "preemptive_slo", "653460522852526e"},
 };
 
 class LitmusModes : public ::testing::TestWithParam<Mode> {
