@@ -35,11 +35,11 @@
 #include "gpu/admission.hpp"
 #include "gpu/result_io.hpp"
 #include "gpu/scheduler_registry.hpp"
-#include "gpu/trace_export.hpp"
 #include "isa/assembler.hpp"
 #include "runner/matrix.hpp"
 #include "runner/paper.hpp"
 #include "runner/runner.hpp"
+#include "trace/trace_event_writer.hpp"
 
 using namespace prosim;
 using namespace prosim::runner;
@@ -581,7 +581,7 @@ int main(int argc, char** argv) {
                          : opt.tb_timeline_path;
     if (!tb_path.empty() &&
         !write_to(tb_path, "TB timeline", [&](std::ostream& os) {
-          write_chrome_trace(os, *cell.result);
+          write_tb_timeline(os, cell.result->timelines);
         })) {
       return 1;
     }

@@ -4,13 +4,14 @@
 Checks any subset of the products an observability session writes
 (docs/OBSERVABILITY.md):
 
-  * warp lanes       - --warp-lanes F, Chrome Trace Event JSON slices
+  * Trace Event documents (trace/trace_event_writer.hpp), one check for
+    each view: the warp lanes (--warp-lanes F), the kernel timeline
+    (--kernel-timeline F) and prosim-sweep's TB timeline (--tb-timeline F)
   * wait windows     - --windows F and its histogram (.hist before F's
                        extension: waits.csv -> waits.hist.csv)
   * metrics CSV      - long format, well-typed rows, nondecreasing cycles
   * metrics JSON     - prosim-metrics-v1 schema, samples mirror the CSV
   * event journal    - JSONL rows, known kinds, lifecycle invariants
-  * kernel timeline  - Chrome Trace Event JSON loadable by Perfetto
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -33,17 +34,36 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_lanes(path):
+def check_trace_events(path):
+    """A Trace Event JSON array: every event has ph and pid, every slice
+    has dur > 0 on a named pid, and no two slices overlap on one track."""
     events = json.load(open(path))
     if not isinstance(events, list) or not events:
-        fail(f"{path}: empty trace")
-    slices = [e for e in events if e.get("ph") == "X"]
-    if not slices:
-        fail(f"{path}: no warp-state slices")
-    for e in slices:
-        if e["dur"] <= 0 or e["ts"] < 0:
-            fail(f"{path}: degenerate slice {e}")
-    print(f"{path}: {len(events)} events, {len(slices)} warp-state slices ok")
+        fail(f"{path}: not a non-empty Trace Event array")
+    named = set()
+    tracks = {}
+    for e in events:
+        if "ph" not in e or "pid" not in e:
+            fail(f"{path}: event without ph or pid {e}")
+        if e["ph"] == "M" and e["name"] == "process_name":
+            named.add(e["pid"])
+        elif e["ph"] == "X":
+            if e["dur"] <= 0 or e["ts"] < 0:
+                fail(f"{path}: degenerate slice {e}")
+            tracks.setdefault((e["pid"], e["tid"]), []).append(
+                (e["ts"], e["ts"] + e["dur"]))
+    if not tracks:
+        fail(f"{path}: no slices")
+    for (pid, tid), spans in tracks.items():
+        if pid not in named:
+            fail(f"{path}: slices on unnamed pid {pid}")
+        spans.sort()
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            if start < end:
+                fail(f"{path}: overlapping slices on pid {pid} tid {tid}")
+    slices = sum(len(spans) for spans in tracks.values())
+    print(f"{path}: {len(events)} events, {slices} slices on "
+          f"{len(tracks)} tracks ok")
 
 
 def suffixed_path(path, key):
@@ -155,40 +175,21 @@ def check_events(path):
     print(f"{path}: {n} events ok ({counts})")
 
 
-def check_timeline(path):
-    doc = json.load(open(path))
-    events = doc["traceEvents"]
-    if not isinstance(events, list) or not events:
-        fail(f"{path}: empty traceEvents")
-    named = set()
-    slices = 0
-    for e in events:
-        if e.get("ph") == "M" and e.get("name") == "process_name":
-            named.add(e["pid"])
-        elif e.get("ph") == "X":
-            slices += 1
-            if e["dur"] <= 0 or e["ts"] < 0:
-                fail(f"{path}: degenerate slice {e}")
-            if e["pid"] not in named:
-                fail(f"{path}: slice for unnamed pid {e['pid']}")
-    if not slices:
-        fail(f"{path}: no kernel slices")
-    print(f"{path}: {slices} slices across {len(named)} kernels ok")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lanes")
+    ap.add_argument("--timeline", help="kernel timeline")
+    ap.add_argument("--tb-timeline")
     ap.add_argument("--windows", help="window CSV; its histogram is read too")
     ap.add_argument("--metrics-csv")
     ap.add_argument("--metrics-json")
     ap.add_argument("--events")
-    ap.add_argument("--timeline")
     args = ap.parse_args()
     if not any(vars(args).values()):
         fail("nothing to check (pass at least one artifact)")
-    if args.lanes:
-        check_lanes(args.lanes)
+    for trace in (args.lanes, args.timeline, args.tb_timeline):
+        if trace:
+            check_trace_events(trace)
     if args.windows:
         check_windows(args.windows)
     csv_samples = None
@@ -198,8 +199,6 @@ def main():
         check_metrics_json(args.metrics_json, csv_samples)
     if args.events:
         check_events(args.events)
-    if args.timeline:
-        check_timeline(args.timeline)
     print("observability artifacts ok")
 
 

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -146,15 +145,6 @@ struct GpuResult {
   /// Empty — and absent from the serialized document — for single-kernel
   /// runs.
   std::vector<KernelSlice> kernel_slices;
-
-  /// Forward compatibility: top-level JSON members of a parsed
-  /// `prosim-result-v1` document that this build does not understand,
-  /// preserved as (key, canonical JSON text) in document order. result_io
-  /// re-emits them verbatim after every known field, so a newer writer's
-  /// optional blocks survive a parse → serialize round trip through an
-  /// older reader losslessly. Always empty for results produced by
-  /// simulation in this build.
-  std::vector<std::pair<std::string, std::string>> extra_blocks;
 
   /// Final per-thread registers, [ctaid][tid][reg] flattened; only filled
   /// when record_registers was set.

@@ -174,13 +174,6 @@ void write_gpu_result_json(std::ostream& os, const GpuResult& r) {
     }
     os << "]}";
   }
-  // Unknown optional blocks captured by the parser ride through verbatim
-  // (forward compatibility — see GpuResult::extra_blocks).
-  for (const auto& [key, text] : r.extra_blocks) {
-    os << ",";
-    write_json_string(os, key);
-    os << ":" << text;
-  }
   os << "}";
 }
 
@@ -248,10 +241,7 @@ Expected<GpuResult> gpu_result_from_json(std::string_view text) {
     }
     r.regs_per_thread = int_field(doc, "regs_per_thread");
     r.block_dim = int_field(doc, "block_dim");
-    // Optional blocks: "serving" is the one this build understands; any
-    // other unknown top-level key is preserved as canonical text in
-    // extra_blocks so the document round-trips losslessly (forward
-    // compatibility with newer writers).
+    // The one optional block: "serving".
     if (const JsonValue* serving = doc.find("serving")) {
       PROSIM_REQUIRE(serving->is_object(), field_error("bad serving block"));
       const JsonValue* serving_schema = serving->find("schema");
@@ -289,18 +279,11 @@ Expected<GpuResult> gpu_result_from_json(std::string_view text) {
         r.kernel_slices.push_back(std::move(slice));
       }
     }
-    static constexpr const char* kKnownKeys[] = {
-        "schema",     "cycles",          "totals",
-        "per_sm",     "timelines",       "tb_order_sm0",
-        "faults_injected", "l1_hits",    "l1_misses",
-        "l2_hits",    "l2_misses",       "dram_row_hits",
-        "dram_row_misses", "registers",  "regs_per_thread",
-        "block_dim",  "serving"};
-    for (const auto& [key, value] : doc.members()) {
-      bool known = false;
-      for (const char* k : kKnownKeys) known = known || key == k;
-      if (!known) r.extra_blocks.emplace_back(key, json_to_string(value));
-    }
+    // The 16 members read above and "serving" are all there is: any
+    // other means a document this build would not write, so no cache hit.
+    const std::size_t members = doc.find("serving") != nullptr ? 17 : 16;
+    PROSIM_REQUIRE(doc.members().size() == members,
+                   field_error("unknown top-level member"));
     return r;
   } catch (const SimException& e) {
     return e.error();

@@ -30,9 +30,8 @@ inline constexpr const char* kGpuResultSchema = "prosim-result-v1";
 /// policy), in which case the block upgrades to v2 with per-kernel tenant
 /// specs and demotion/resumption/preempted-cycle counters — so every
 /// legacy-admission document stays byte-identical to PR 7's. The reader
-/// accepts both tags. Readers preserve unknown optional blocks verbatim
-/// (GpuResult::extra_blocks), so older binaries round-trip newer
-/// documents losslessly (tests/runner/test_result_io.cpp pins this).
+/// accepts both tags and rejects any other top-level member, so a cache
+/// entry is either a document this build writes or a miss.
 inline constexpr const char* kServingSchema = "prosim-serving-v1";
 inline constexpr const char* kServingSchemaV2 = "prosim-serving-v2";
 
@@ -42,9 +41,9 @@ void write_gpu_result_json(std::ostream& os, const GpuResult& result);
 std::string gpu_result_to_json(const GpuResult& result);
 
 /// Parses a document produced by write_gpu_result_json. Malformed input,
-/// a schema mismatch, or missing fields come back as a SimError
-/// (category kInvariant) rather than aborting: cache files are external
-/// state that may be truncated or stale.
+/// a schema mismatch, missing fields or an unknown member come back as a
+/// SimError (category kInvariant) rather than aborting: cache files are
+/// external state that may be truncated, stale or foreign.
 Expected<GpuResult> gpu_result_from_json(std::string_view text);
 
 }  // namespace prosim

@@ -10,6 +10,7 @@
 #include "common/argparse.hpp"
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "trace/trace_event_writer.hpp"
 
 namespace prosim {
 
@@ -114,11 +115,10 @@ void EventJournal::write_jsonl(std::ostream& os) const {
 void EventJournal::write_kernel_timeline(
     std::ostream& os, const std::vector<std::string>& kernel_names) const {
   auto name_of = [&kernel_names](int kernel) {
-    if (kernel >= 0 && kernel < static_cast<int>(kernel_names.size()) &&
-        !kernel_names[static_cast<std::size_t>(kernel)].empty()) {
-      return kernel_names[static_cast<std::size_t>(kernel)];
-    }
-    return "kernel " + std::to_string(kernel);
+    const auto k = static_cast<std::size_t>(kernel);
+    return kernel >= 0 && k < kernel_names.size() && !kernel_names[k].empty()
+               ? kernel_names[k]
+               : "kernel " + std::to_string(kernel);
   };
 
   // Rebuild each SM's binding spans from the sm_bind stream; everything
@@ -129,15 +129,9 @@ void EventJournal::write_kernel_timeline(
     Cycle start;
     Cycle end;
   };
-  struct Instant {
-    const char* name;
-    int kernel;
-    int sm;
-    Cycle at;
-  };
   std::map<int, std::pair<int, Cycle>> open;  // sm -> (kernel, since)
   std::vector<Slice> slices;
-  std::vector<Instant> instants;
+  std::vector<const SimEvent*> instants;
   std::map<int, std::set<int>> tracks;  // kernel -> SMs seen
   Cycle end = 0;
   for (const SimEvent& e : events_) {
@@ -160,9 +154,8 @@ void EventJournal::write_kernel_timeline(
       case SimEventKind::kSloMissed:
       case SimEventKind::kKernelFinish:
         if (e.kernel >= 0) {
-          instants.push_back({sim_event_kind_name(e.kind), e.kernel,
-                              e.sm >= 0 ? e.sm : 0, e.cycle});
-          tracks[e.kernel].insert(e.sm >= 0 ? e.sm : 0);
+          instants.push_back(&e);
+          tracks[e.kernel].insert(std::max(e.sm, 0));
         }
         break;
       default:
@@ -175,42 +168,22 @@ void EventJournal::write_kernel_timeline(
     }
   }
 
-  // One simulated cycle renders as one microsecond, like the warp-lane
-  // view, so both traces line up when loaded together in Perfetto.
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&os, &first] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+  TraceEventWriter trace(os);
   for (const auto& [kernel, sms] : tracks) {
-    sep();
-    os << R"({"name":"process_name","ph":"M","pid":)" << kernel
-       << R"(,"args":{"name":)";
-    write_json_string(os, name_of(kernel));
-    os << "}}";
-    sep();
-    os << R"({"name":"process_sort_index","ph":"M","pid":)" << kernel
-       << R"(,"args":{"sort_index":)" << kernel << "}}";
+    trace.process_name(kernel, name_of(kernel));
+    trace.process_sort_index(kernel, kernel);
     for (const int sm : sms) {
-      sep();
-      os << R"({"name":"thread_name","ph":"M","pid":)" << kernel
-         << R"(,"tid":)" << sm << R"(,"args":{"name":"SM )" << sm << R"("}})";
+      trace.thread_name(kernel, sm, "SM " + std::to_string(sm));
     }
   }
   for (const Slice& s : slices) {
-    sep();
-    os << R"({"name":)";
-    write_json_string(os, name_of(s.kernel));
-    os << R"(,"ph":"X","pid":)" << s.kernel << R"(,"tid":)" << s.sm
-       << R"(,"ts":)" << s.start << R"(,"dur":)" << s.end - s.start << "}";
+    trace.slice(name_of(s.kernel), s.kernel, s.sm, s.start, s.end - s.start);
   }
-  for (const Instant& i : instants) {
-    sep();
-    os << R"({"name":")" << i.name << R"(","ph":"i","pid":)" << i.kernel
-       << R"(,"tid":)" << i.sm << R"(,"ts":)" << i.at << R"(,"s":"t"})";
+  for (const SimEvent* e : instants) {
+    trace.instant(sim_event_kind_name(e->kind),
+                  TraceEventWriter::Scope::kThread, e->kernel,
+                  std::max(e->sm, 0), e->cycle);
   }
-  os << "]}\n";
 }
 
 std::string suffixed_path(const std::string& path, const std::string& key) {

@@ -134,11 +134,11 @@ class EventJournal final : public TraceSink {
   /// {"cycle":N,"event":"tb_launch","kernel":0,"sm":1,"tb":5}.
   void write_jsonl(std::ostream& os) const;
 
-  /// Chrome-trace / Perfetto kernel timeline derived from the sm_bind
-  /// spans: pid = kernel (process-named from `kernel_names`), tid = SM,
-  /// one "X" slice per binding span, with instant markers for
-  /// checkpoints, resumes and SLO misses. ts renders simulated cycles
-  /// as microseconds, like the PR 4 warp-lane view.
+  /// Kernel-timeline view of the Trace Event writer
+  /// (trace/trace_event_writer.hpp), derived from the sm_bind spans:
+  /// pid = kernel (process-named from `kernel_names`), tid = SM, one
+  /// slice per binding span, with instant markers for checkpoints,
+  /// resumes, yield requests, finishes and SLO verdicts.
   void write_kernel_timeline(std::ostream& os,
                              const std::vector<std::string>& kernel_names)
       const;

@@ -16,6 +16,17 @@ namespace prosim::runner {
 SweepJob SweepJob::make(Workload w, GpuConfig cfg) {
   SweepJob job;
   job.label = w.kernel + "/" + cfg.fingerprint_key();
+  // Any departure from the Table I machine beyond the key's scheduler,
+  // SMs and faults (--no-l1, --threshold, ...) adds a fingerprint.
+  GpuConfig plain;
+  plain.num_sms = cfg.num_sms;
+  plain.scheduler.kind = cfg.scheduler.kind;
+  plain.faults = cfg.faults;
+  Fingerprint fp;
+  cfg.hash_into(fp);
+  if (fp.hash() != plain.fingerprint()) {
+    job.label += ".cfg" + fp.hex().substr(0, 8);
+  }
   job.workload = std::move(w);
   job.config = std::move(cfg);
   return job;

@@ -34,7 +34,8 @@ namespace prosim::runner {
 struct SweepJob {
   Workload workload;
   GpuConfig config;
-  /// Display name; build_label() default is "<kernel>/<config key>".
+  /// Display name "<kernel>/<config key>" ("bfs_kernel/PRO.sms14"), plus
+  /// ".cfg<8 hex>" for a config the key does not describe (see make()).
   std::string label;
 
   static SweepJob make(Workload w, GpuConfig cfg);

@@ -75,12 +75,6 @@ struct SmStats {
   }
 };
 
-struct TbTimelineEntry {
-  int ctaid = -1;
-  Cycle start = 0;
-  Cycle end = 0;
-};
-
 /// Architectural snapshot of one resident TB, taken at a yield point
 /// (preemptive admission, docs/SERVING.md): SIMT stacks, registers, shared
 /// memory, and progress counters — everything needed to re-launch the TB

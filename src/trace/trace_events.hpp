@@ -122,6 +122,13 @@ struct SimEvent {
   std::uint64_t aux = 0;  ///< kind-specific payload (e.g. SLO deadline)
 };
 
+/// One TB's execution interval [start, end) on an SM (GpuResult::timelines).
+struct TbTimelineEntry {
+  int ctaid = -1;
+  Cycle start = 0;
+  Cycle end = 0;
+};
+
 /// Receiver of observability events. All hooks default to no-ops so sinks
 /// implement only what they consume. One sink instance observes the whole
 /// GPU (events carry the SM id); sinks are invoked from the single

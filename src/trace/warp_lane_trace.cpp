@@ -1,7 +1,9 @@
 #include "trace/warp_lane_trace.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <string>
+
+#include "trace/trace_event_writer.hpp"
 
 namespace prosim {
 
@@ -31,7 +33,6 @@ void WarpLaneTraceSink::on_warp_state(int sm, int warp, WarpState prev,
                                       Cycle since, WarpState next, Cycle now) {
   max_sm_ = std::max(max_sm_, sm);
   max_warp_ = std::max(max_warp_, warp);
-  sim_end_ = std::max(sim_end_, now);
   (void)next;
   if (prev == WarpState::kUnallocated || since == now) return;
   slices_.push_back({sm, warp, prev, since, now});
@@ -53,56 +54,33 @@ void WarpLaneTraceSink::on_pro_sort(int sm, Cycle now) {
   sorts_.push_back({sm, -1, now, false});
 }
 
-void WarpLaneTraceSink::on_sim_event(const SimEvent& event) {
-  if (event.kind == SimEventKind::kSimEnd) {
-    sim_end_ = std::max(sim_end_, event.cycle);
-  }
-}
-
 void WarpLaneTraceSink::write(std::ostream& os) const {
   // The TB-event/re-sort marker track sits above the warp tracks.
   const int marker_tid = max_warp_ + 1;
-  os << "[\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+  TraceEventWriter trace(os);
   for (int sm = 0; sm <= max_sm_; ++sm) {
-    sep();
-    os << R"({"name":"process_name","ph":"M","pid":)" << sm
-       << R"(,"args":{"name":"SM )" << sm << R"("}})";
-    os << ",\n"
-       << R"({"name":"thread_name","ph":"M","pid":)" << sm
-       << R"(,"tid":)" << marker_tid << R"(,"args":{"name":"TB events"}})";
+    trace.process_name(sm, "SM " + std::to_string(sm));
+    trace.thread_name(sm, marker_tid, "TB events");
   }
   for (int warp = 0; warp <= max_warp_; ++warp) {
     for (int sm = 0; sm <= max_sm_; ++sm) {
-      sep();
-      os << R"({"name":"thread_name","ph":"M","pid":)" << sm
-         << R"(,"tid":)" << warp << R"(,"args":{"name":"warp )" << warp
-         << R"("}})";
+      trace.thread_name(sm, warp, "warp " + std::to_string(warp));
     }
   }
   for (const Slice& s : slices_) {
-    sep();
-    os << R"({"name":")" << warp_state_name(s.state) << R"(","ph":"X","pid":)"
-       << s.sm << R"(,"tid":)" << s.warp << R"(,"ts":)" << s.start
-       << R"(,"dur":)" << (s.end - s.start) << R"(,"cname":")"
-       << state_cname(s.state) << R"("})";
+    trace.slice(warp_state_name(s.state), s.sm, s.warp, s.start,
+                s.end - s.start, state_cname(s.state));
   }
   for (const Marker& m : markers_) {
-    sep();
-    os << R"({"name":"TB )" << m.ctaid << (m.retire ? " retire" : " launch")
-       << R"(","ph":"i","s":"t","pid":)" << m.sm << R"(,"tid":)" << marker_tid
-       << R"(,"ts":)" << m.at << R"(,"args":{"ctaid":)" << m.ctaid << "}}";
+    trace.instant("TB " + std::to_string(m.ctaid) +
+                      (m.retire ? " retire" : " launch"),
+                  TraceEventWriter::Scope::kThread, m.sm, marker_tid, m.at,
+                  {"ctaid", m.ctaid});
   }
   for (const Marker& m : sorts_) {
-    sep();
-    os << R"({"name":"PRO re-sort","ph":"i","s":"p","pid":)" << m.sm
-       << R"(,"tid":)" << marker_tid << R"(,"ts":)" << m.at << "}";
+    trace.instant("PRO re-sort", TraceEventWriter::Scope::kProcess, m.sm,
+                  marker_tid, m.at);
   }
-  os << "\n]\n";
 }
 
 }  // namespace prosim

@@ -1,10 +1,8 @@
-// Warp-lane Chrome-trace writer: the per-warp companion of
-// gpu/trace_export.hpp's TB-level view. Each SM is a process row, each
+// Warp-lane view of the Trace Event writer (trace/trace_event_writer.hpp):
+// the per-warp companion of the TB view. Each SM is a process row, each
 // warp slot a track, and each colored slice one WarpState interval — the
 // paper's Figure 3/7 view of warp de-synchronization. TB launch/retire
-// and PRO re-sort events appear as instant markers. Open the JSON in
-// chrome://tracing or Perfetto (timestamps are simulated cycles, rendered
-// as microseconds).
+// and PRO re-sort events appear as instant markers.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +14,7 @@
 namespace prosim {
 
 /// TraceSink that records warp-state slices and markers in memory, then
-/// serializes them as a Trace Event Format JSON array.
+/// writes them as a Trace Event document.
 class WarpLaneTraceSink final : public TraceSink {
  public:
   struct Slice {
@@ -32,12 +30,10 @@ class WarpLaneTraceSink final : public TraceSink {
   void on_tb_launch(int sm, int ctaid, Cycle now) override;
   void on_tb_retire(int sm, int ctaid, Cycle start, Cycle end) override;
   void on_pro_sort(int sm, Cycle now) override;
-  void on_sim_event(const SimEvent& event) override;
 
   void write(std::ostream& os) const;
 
-  std::size_t num_slices() const { return slices_.size(); }
-  /// Recorded slices in emission order (ASCII renderers, tests).
+  /// Recorded slices in emission order.
   const std::vector<Slice>& slices() const { return slices_; }
 
  private:
@@ -53,7 +49,6 @@ class WarpLaneTraceSink final : public TraceSink {
   std::vector<Marker> sorts_;
   int max_sm_ = -1;
   int max_warp_ = -1;
-  Cycle sim_end_ = 0;
 };
 
 }  // namespace prosim

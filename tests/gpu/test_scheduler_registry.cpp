@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
-#include "core/pro_scheduler.hpp"
 #include "gpu/gpu.hpp"  // make_policy
-#include "sched/lrr.hpp"
 
 namespace prosim {
 namespace {
@@ -44,14 +43,21 @@ TEST(SchedulerRegistry, LegacyWrappersRoundTrip) {
 }
 
 TEST(SchedulerRegistry, FactoriesHonorTheSpec) {
-  SchedulerSpec spec;
-  spec.kind = SchedulerKind::kLrr;
-  auto lrr = make_policy(spec);
-  EXPECT_NE(dynamic_cast<LrrPolicy*>(lrr.get()), nullptr);
-
-  spec.kind = SchedulerKind::kPro;
-  auto pro = make_policy(spec);
-  EXPECT_NE(dynamic_cast<ProPolicy*>(pro.get()), nullptr);
+  // Every row's factory builds the policy its kind names.
+  const std::map<SchedulerKind, std::string> policy_names = {
+      {SchedulerKind::kLrr, "lrr"},
+      {SchedulerKind::kGto, "gto"},
+      {SchedulerKind::kTl, "tl"},
+      {SchedulerKind::kPro, "pro"},
+      {SchedulerKind::kProAdaptive, "pro-adaptive"},
+      {SchedulerKind::kCaws, "caws"},
+      {SchedulerKind::kOwl, "owl"}};
+  for (const SchedulerInfo& info : scheduler_registry()) {
+    SchedulerSpec spec;
+    spec.kind = info.kind;
+    EXPECT_EQ(make_policy(spec)->name(), policy_names.at(info.kind))
+        << info.name;
+  }
 }
 
 TEST(SchedulerRegistry, ListingNamesEveryScheduler) {

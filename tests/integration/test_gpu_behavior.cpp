@@ -46,21 +46,6 @@ TEST(GpuBehavior, DeterministicAcrossRuns) {
   EXPECT_TRUE(m1 == m2);
 }
 
-TEST(GpuBehavior, StallAccountingHoldsForEveryScheduler) {
-  Program p = mixed_kernel(10);
-  for (SchedulerKind kind : {SchedulerKind::kLrr, SchedulerKind::kGto,
-                             SchedulerKind::kTl, SchedulerKind::kPro}) {
-    GlobalMemory mem;
-    GpuConfig cfg = GpuConfig::test_config();
-    cfg.scheduler.kind = kind;
-    GpuResult r = simulate(cfg, p, mem);
-    EXPECT_EQ(r.totals.issued + r.totals.idle_stalls +
-                  r.totals.scoreboard_stalls + r.totals.pipeline_stalls,
-              r.totals.sched_cycles)
-        << scheduler_name(kind);
-  }
-}
-
 TEST(GpuBehavior, AllTbsExecuteExactlyOnce) {
   Program p = mixed_kernel(23);  // odd count, > residency
   GlobalMemory mem;
@@ -166,25 +151,6 @@ TEST(GpuBehavior, OrderTraceRequestIgnoredForNonPro) {
   cfg.record_tb_order_sm0 = true;
   GpuResult r = simulate(cfg, p, mem);
   EXPECT_TRUE(r.tb_order_sm0.empty());
-}
-
-TEST(GpuBehavior, SchedulerNamesResolve) {
-  EXPECT_STREQ(scheduler_name(SchedulerKind::kLrr), "LRR");
-  EXPECT_STREQ(scheduler_name(SchedulerKind::kGto), "GTO");
-  EXPECT_STREQ(scheduler_name(SchedulerKind::kTl), "TL");
-  EXPECT_STREQ(scheduler_name(SchedulerKind::kPro), "PRO");
-}
-
-TEST(GpuBehavior, MakePolicyProducesRequestedPolicy) {
-  SchedulerSpec spec;
-  spec.kind = SchedulerKind::kTl;
-  EXPECT_EQ(make_policy(spec)->name(), "tl");
-  spec.kind = SchedulerKind::kPro;
-  EXPECT_EQ(make_policy(spec)->name(), "pro");
-  spec.kind = SchedulerKind::kGto;
-  EXPECT_EQ(make_policy(spec)->name(), "gto");
-  spec.kind = SchedulerKind::kLrr;
-  EXPECT_EQ(make_policy(spec)->name(), "lrr");
 }
 
 }  // namespace

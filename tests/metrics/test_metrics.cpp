@@ -1,16 +1,15 @@
 // Tests for the metrics registry, event journal, and observability
 // session (docs/OBSERVABILITY.md, "Metrics & event journal").
 //
-// The load-bearing checks are the reconciliation contracts: sampled
-// stall-cause deltas must telescope bit-exactly to the SMs' cause
-// counters, and the journal's demotion accounting must reproduce the
-// pinned preemptive counters from test_litmus_preemptive —
-// all while the canonical GpuResult bytes stay identical to an unobserved
-// run.
+// The load-bearing checks are the reconciliation contracts: per-kernel
+// series telescope to the slice counters, and the journal's demotion
+// accounting must reproduce the pinned preemptive counters from
+// test_litmus_preemptive — all while the canonical GpuResult bytes stay
+// identical to an unobserved run. Seeds/SimProperty.Holds (property 5)
+// telescopes the per-SM stall-cause series in every trial.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +21,7 @@
 #include "kernels/registry.hpp"
 #include "litmus/litmus.hpp"
 #include "metrics/metrics.hpp"
+#include "../trace/trace_checks.hpp"
 
 namespace prosim {
 namespace {
@@ -105,52 +105,6 @@ TEST(ObservabilitySession, PayForUseProducts) {
   ObservabilitySession on(journal_only);
   EXPECT_EQ(on.metrics(), nullptr);
   EXPECT_NE(on.journal(), nullptr);
-}
-
-// ---------------------------------------------------------------------
-// Stall reconciliation: per-interval stall-cause deltas summed over the
-// whole run equal the cause counters of an independent unobserved run,
-// per SM and per cause, bit-exactly (the final partial sample closes
-// every series).
-
-TEST(MetricsReconciliation, StallDeltasSumToAttributionTotals) {
-  const Workload& w = find_workload("GPU_laplace3d");
-  GpuConfig cfg;
-  cfg.scheduler.kind = SchedulerKind::kPro;
-
-  GlobalMemory mem;
-  if (w.init) w.init(mem);
-  ObservabilityOptions sampled;
-  sampled.metrics_interval = 500;
-  ObservabilitySession metrics(sampled);
-  const GpuResult observed = simulate(cfg, w.program, mem, &metrics);
-
-  GlobalMemory mem2;
-  if (w.init) w.init(mem2);
-  const GpuResult want = simulate(cfg, w.program, mem2);
-  EXPECT_EQ(gpu_result_to_json(observed), gpu_result_to_json(want));
-
-  // Sum each stall series over all samples.
-  std::map<std::pair<int, std::string>, double> sums;
-  for (const MetricSample& s : metrics.metrics()->registry().samples()) {
-    if (s.scope == MetricScope::kSm && s.metric.rfind("stall.", 0) == 0) {
-      sums[{s.id, s.metric}] += s.value;
-    }
-  }
-  ASSERT_FALSE(sums.empty());
-  for (std::size_t sm = 0; sm < want.per_sm.size(); ++sm) {
-    for (int c = 0; c < kNumStallCauses; ++c) {
-      const std::string metric =
-          std::string("stall.") +
-          stall_cause_name(static_cast<StallCause>(c));
-      const auto it = sums.find({static_cast<int>(sm), metric});
-      const double got = it == sums.end() ? 0.0 : it->second;
-      EXPECT_EQ(static_cast<std::uint64_t>(got),
-                want.per_sm[sm].cause_cycles[c])
-          << "sm " << sm << " " << metric
-          << ": sampled deltas do not reconcile with the cause counters";
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -265,7 +219,7 @@ TEST(EventJournal, AttachOrderKeepsRows) {
 TEST(EventJournal, JsonlAndTimelineSerializeValidly) {
   const GpuConfig cfg = litmus::litmus_config(SchedulerKind::kLrr);
   EventJournal journal;
-  run_slo_scenario(cfg, nullptr, &journal);
+  const GpuResult r = run_slo_scenario(cfg, nullptr, &journal);
 
   std::ostringstream jsonl;
   journal.write_jsonl(jsonl);
@@ -291,12 +245,10 @@ TEST(EventJournal, JsonlAndTimelineSerializeValidly) {
   std::ostringstream timeline;
   journal.write_kernel_timeline(
       timeline, {"tb_tree_barrier", "background_tenant"});
-  const JsonParseResult doc = parse_json(timeline.str());
-  ASSERT_TRUE(doc.ok()) << doc.error->message;
-  const JsonValue& events = doc.value->at("traceEvents");
+  const JsonValue events = expect_valid_trace(timeline.str(), r.cycles);
   ASSERT_TRUE(events.is_array());
-  // Process-name metadata for both kernels plus at least one "X" slice
-  // per kernel (every kernel gets SM time in this scenario).
+  // Both kernels are named and get at least one binding slice (every
+  // kernel gets SM time in this scenario).
   bool named[2] = {false, false};
   bool sliced[2] = {false, false};
   for (const JsonValue& e : events.items()) {

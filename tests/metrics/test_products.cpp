@@ -6,6 +6,8 @@
 // recorded from the implementation that predates the single observability
 // session (separate trace and metrics sessions, the journal outside the
 // sink fan-out). Any reordered, dropped or duplicated event changes them.
+// The two k.json digests were re-recorded when the kernel timeline moved
+// to the Trace Event writer's array form; its events are unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,7 +105,7 @@ TEST(ObservabilityProducts, ServingCellMatchesRecordedDigests) {
   EXPECT_EQ(report.cells[0].write_error, "");
   const std::pair<const char*, const char*> want[] = {
       {"m.csv", "e10caaa865607031"}, {"m.json", "7ece85a3ac80ecb4"},
-      {"e.jsonl", "03265348d82f5265"}, {"k.json", "cbff52e9baaffc35"}};
+      {"e.jsonl", "03265348d82f5265"}, {"k.json", "b508a66e2b4a8af9"}};
   for (const auto& [file, digest] : want) {
     EXPECT_EQ(file_digest(dir / file), digest) << file;
   }
@@ -121,7 +123,7 @@ TEST(ObservabilityProducts, SingleKernelCellMatchesRecordedDigests) {
             totals.issued);
   const std::pair<const char*, const char*> want[] = {
       {"m.csv", "91c9e5f39e0c8eb5"},      {"m.json", "70313bef1722a325"},
-      {"e.jsonl", "1d696ca54ee31a42"},    {"k.json", "b8ae01a2f0e0e1f7"},
+      {"e.jsonl", "1d696ca54ee31a42"},    {"k.json", "6ebf8549a829e8bf"},
       {"lanes.json", "9302ce59c4060a0d"}, {"w.csv", "aa2142f0b8687b46"},
       {"w.hist.csv", "7cdb0853b029bc01"}};
   for (const auto& [file, digest] : want) {

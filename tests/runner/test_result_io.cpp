@@ -2,6 +2,8 @@
 // cache. The round trip must be bit-exact (serialize → parse → serialize
 // yields the same bytes), including the optional heavyweight fields
 // (timelines, registers, PRO TB-order samples) and fault counters.
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,10 +11,13 @@
 #include "gpu/gpu.hpp"
 #include "gpu/result_io.hpp"
 #include "mem/global_memory.hpp"
+#include "runner/result_cache.hpp"
 #include "sweep_test_util.hpp"
 
 namespace prosim {
 namespace {
+
+namespace fs = std::filesystem;
 
 GpuResult simulate_workload(const Workload& w, const GpuConfig& cfg) {
   GlobalMemory mem;
@@ -215,33 +220,28 @@ TEST(ResultIo, ServingSchemaMismatchIsRejected) {
       << parsed.error().message;
 }
 
-// Forward compatibility: a newer writer may append optional top-level
-// blocks this build has never heard of. The reader must not reject them —
-// and must carry them through a parse → serialize round trip losslessly,
-// so an old binary rewriting a cache entry cannot destroy newer data.
-TEST(ResultIo, UnknownOptionalBlockRoundTripsLosslessly) {
+// A document this build would not write, such as one with an unknown
+// top-level member, is rejected, and the result cache treats it as a miss:
+// a cache hit always re-serializes to the bytes it was read from.
+TEST(ResultIo, UnknownTopLevelMemberIsRejected) {
   const Workload w = runner_test::make_alu_workload("future", 1);
   const GpuResult original =
       simulate_workload(w, runner_test::sweep_test_config());
   std::string json = gpu_result_to_json(original);
   ASSERT_EQ(json.back(), '}');
-  const std::string block =
-      ",\"future_block\":{\"schema\":\"prosim-future-v9\",\"data\":[1,2,3],"
-      "\"deep\":{\"flag\":true,\"label\":\"x\\ny\"}}"
-      ",\"another\":null";
-  json.insert(json.size() - 1, block);
+  json.insert(json.size() - 1,
+              ",\"future_block\":{\"schema\":\"prosim-future-v9\"}");
 
   Expected<GpuResult> parsed = gpu_result_from_json(json);
-  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
-  ASSERT_EQ(parsed.value().extra_blocks.size(), 2u);
-  EXPECT_EQ(parsed.value().extra_blocks[0].first, "future_block");
-  EXPECT_EQ(parsed.value().extra_blocks[1].first, "another");
-  // Known fields are untouched by the unknown company.
-  EXPECT_EQ(parsed.value().cycles, original.cycles);
-  EXPECT_EQ(parsed.value().totals.issued, original.totals.issued);
-  // The full document — including both unknown blocks — survives
-  // re-serialization byte for byte.
-  EXPECT_EQ(gpu_result_to_json(parsed.value()), json);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_NE(parsed.error().message.find("unknown"), std::string::npos)
+      << parsed.error().message;
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "prosim_unknown";
+  fs::remove_all(dir);
+  const runner::ResultCache cache(dir.string());
+  std::ofstream(cache.path_for("future")) << json << "\n";
+  EXPECT_FALSE(cache.load("future").has_value());
 }
 
 TEST(ResultIo, SchemaMismatchIsRejected) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/result_io.hpp"
+#include "kernels/registry.hpp"
 #include "runner/matrix.hpp"
 #include "runner/runner.hpp"
 #include "sweep_test_util.hpp"
@@ -166,6 +167,21 @@ TEST(Sweep, ConfigChangeMissesTheCache) {
   changed.scheduler.kind = SchedulerKind::kPro;
   jobs[0] = SweepJob::make(runner_test::make_alu_workload("inval", 2), changed);
   EXPECT_EQ(run_sweep(jobs, opts).simulated, 1u);
+}
+
+// A cell whose config differs from the default in more than the
+// scheduler, SM count and faults carries a config fingerprint in its label.
+TEST(Sweep, LabelsTellConfigsApart) {
+  const Workload& w = find_workload("bfs_kernel");
+  GpuConfig plain;
+  plain.scheduler.kind = SchedulerKind::kPro;
+  GpuConfig no_l1 = plain;
+  no_l1.sm.l1_enabled = false;
+  const std::string label = SweepJob::make(w, plain).label;
+  const std::string no_l1_label = SweepJob::make(w, no_l1).label;
+  EXPECT_EQ(label, "bfs_kernel/PRO.sms14");
+  EXPECT_NE(no_l1_label, label);
+  EXPECT_EQ(no_l1_label.rfind(label + ".cfg", 0), 0u) << no_l1_label;
 }
 
 // The cache key runs the workload's init() a second time to hash the input
