@@ -27,6 +27,7 @@
 #include "common/table.hpp"
 #include "gpu/scheduler_registry.hpp"
 #include "kernels/registry.hpp"
+#include "mem/interconnect.hpp"
 #include "serving/serving.hpp"
 
 using namespace prosim;
@@ -155,7 +156,15 @@ int main(int argc, char** argv) {
     }
   }
   opt.base = GpuConfig::test_config();
-  if (sms > 0) {
+  if (parser.seen("--sms")) {
+    if (sms <= 0) {
+      std::cerr << "--sms must be positive\n";
+      return 2;
+    }
+    if (sms > Interconnect::kMaxSms) {
+      std::cerr << "--sms must be at most " << Interconnect::kMaxSms << "\n";
+      return 2;
+    }
     opt.base.num_sms = sms;
   }
   if (scheds.empty()) {

@@ -1,6 +1,7 @@
 #include "gpu/gpu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <string>
 
@@ -38,6 +39,18 @@ void accumulate_stats(SmStats& into, const SmStats& s) {
 /// Kernel 0 (and therefore every single-kernel run) gets salt 0.
 Addr stream_addr_salt(int kernel_id) {
   return static_cast<Addr>(kernel_id) << 40;
+}
+
+/// The Gpu keeps its SM sets in one-word masks.
+const GpuConfig& require_sm_count(const GpuConfig& config) {
+  PROSIM_REQUIRE(config.num_sms >= 1 &&
+                     config.num_sms <= Interconnect::kMaxSms,
+                 SimError::make(ErrorCategory::kInvariant,
+                                "num_sms must be in [1, " +
+                                    std::to_string(Interconnect::kMaxSms) +
+                                    "], got " +
+                                    std::to_string(config.num_sms)));
+  return config;
 }
 
 }  // namespace
@@ -80,7 +93,7 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
 
 Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
          std::unique_ptr<AdmissionPolicy> admission, bool per_kernel_report)
-    : config_(config),
+    : config_(require_sm_count(config)),
       admission_(std::move(admission)),
       faults_(config.faults.enabled
                   ? std::make_unique<FaultInjector>(
@@ -139,13 +152,14 @@ Gpu::Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
   sms_.resize(n);
   wake_at_.assign(n, 0);
   synced_.assign(n, 0);
-  dirty_.assign(n, 1);
-  eval_.assign(n, 0);
+  all_sms_ = ~0ull >> (Interconnect::kMaxSms - config_.num_sms);
+  dirty_ = all_sms_;
   bound_sms_.assign(streams_.size(), 0);
   unfinished_ = static_cast<int>(streams_.size());
   // Every SM starts bound to the earliest-arrival kernel (stream 0).
   for (int s = 0; s < config_.num_sms; ++s) bind_sm(s, 0);
   // Cycle-0 arrivals precede every attach, which retro-emits them.
+  next_arrival_cycle_ = streams_[0]->launch.arrival;
   note_arrivals();
 }
 
@@ -180,7 +194,7 @@ void Gpu::bind_sm(int s, int k) {
   binding_[s] = k;
   ++bound_sms_[k];
   synced_[s] = now_;
-  wake_at_[s] = now_;
+  wake_now(s);
   mark_dirty(s);
   view_stale_ = true;
   emit({now_, SimEventKind::kSmBind, k, s});
@@ -236,14 +250,14 @@ void Gpu::harvest_yields() {
   // Quiescent yield victims checkpoint into their stream's parked queue;
   // the freed slot is available to this same cycle's launch loop. A victim
   // turns quiescent only in a cycle that did work, which marks it.
-  for (std::size_t s = 0; s < sms_.size(); ++s) {
-    if (!eval_[s]) continue;
+  for (std::uint64_t scan = eval_; scan != 0; scan &= scan - 1) {
+    const int s = std::countr_zero(scan);
     if (sms_[s]->yield_pending() < 0 || !sms_[s]->yield_quiescent()) continue;
     Stream& st = *streams_[binding_[s]];
-    touch_sm(static_cast<int>(s));
+    touch_sm(s);
     st.parked.push_back(sms_[s]->take_yield_checkpoint(now_));
     ++st.demotions;
-    emit({now_, SimEventKind::kTbCheckpoint, binding_[s], static_cast<int>(s),
+    emit({now_, SimEventKind::kTbCheckpoint, binding_[s], s,
           st.parked.back().ctaid});
   }
 }
@@ -251,13 +265,13 @@ void Gpu::harvest_yields() {
 void Gpu::request_yields() {
   const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
                            static_cast<int>(streams_.size())};
-  for (std::size_t s = 0; s < sms_.size(); ++s) {
-    // Also the SMs this cycle's launch loop touched: their state changed.
-    if (!eval_[s] && !dirty_[s]) continue;
+  // Also the SMs this cycle's launch loop touched: their state changed.
+  for (std::uint64_t scan = eval_ | dirty_; scan != 0; scan &= scan - 1) {
+    const int s = std::countr_zero(scan);
     if (sms_[s]->yield_pending() >= 0 || sms_[s]->resident_tbs() == 0)
       continue;
-    const int k = binding_[static_cast<std::size_t>(s)];
-    const int focus = admission_->preempt_focus(static_cast<int>(s), view);
+    const int k = binding_[s];
+    const int focus = admission_->preempt_focus(s, view);
     if (focus < 0) continue;
     const Stream& bound = *streams_[k];
     // Yielding only ever helps an SM whose every resident TB is spin-stuck:
@@ -270,9 +284,9 @@ void Gpu::request_yields() {
                         (bound.tbs.has_waiting() || !bound.parked.empty());
     if ((focus != k || rotate) && sms_[s]->all_resident_spin_stuck()) {
       const int slot = sms_[s]->oldest_tb_slot();
-      touch_sm(static_cast<int>(s));
+      touch_sm(s);
       sms_[s]->request_yield(slot);
-      emit({now_, SimEventKind::kYieldRequest, k, static_cast<int>(s),
+      emit({now_, SimEventKind::kYieldRequest, k, s,
             sms_[s]->resident_ctaid(slot)});
     }
   }
@@ -280,32 +294,37 @@ void Gpu::request_yields() {
 
 void Gpu::assign_tbs() {
   if (faults_ != nullptr && faults_->tb_launch_blocked(now_)) return;
-  const int n = static_cast<int>(sms_.size());
   // One TB per SM per cycle, round-robin over SMs starting one further
   // each cycle: the global work distribution engine refilling an SM as
   // soon as a resident TB retires.
   const int first = next_sm_;
-  next_sm_ = (next_sm_ + 1) % n;
+  next_sm_ = (next_sm_ + 1) % num_sms();
   // This cycle evaluates the SMs marked since the last evaluation; marks
   // made from here on are for the next cycle.
-  eval_.swap(dirty_);
-  if (tick_all_) std::fill(eval_.begin(), eval_.end(), 1);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
+  eval_ = tick_all_ ? all_sms_ : dirty_;
+  dirty_ = 0;
   admission_due_ = false;
+  // No SM marked and no stream event: every decision would repeat.
+  if (eval_ == 0 && !view_stale_) return;
 
   const bool preemptive = admission_->preemptive();
   if (preemptive) harvest_yields();
 
-  if (refresh_view()) std::fill(eval_.begin(), eval_.end(), 1);
+  if (refresh_view()) eval_ = all_sms_;
   // With no TB waiting or parked, no SM can launch, resume or rebind, and
   // no policy has a focus to yield to.
   if (waiting_.empty()) return;
   const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
                            static_cast<int>(streams_.size())};
 
-  for (int i = 0; i < n; ++i) {
-    const int s = (first + i) % n;
-    if (!eval_[s]) continue;
+  // The rotation: the marked SMs from `first` up, then those below it.
+  const std::uint64_t below = (1ull << first) - 1;
+  std::uint64_t high = eval_ & ~below;
+  std::uint64_t low = eval_ & below;
+  while ((high | low) != 0) {
+    std::uint64_t& scan = high != 0 ? high : low;
+    const int s = std::countr_zero(scan);
+    scan &= scan - 1;
     ++admission_evals_;
     // A full SM still holds work: it can neither take a TB nor rebind.
     if (!sms_[s]->can_accept_tb() && !sms_[s]->drained()) continue;
@@ -362,8 +381,8 @@ void Gpu::assign_tbs() {
     // the yield decisions see the rebuilt view, and a changed view makes
     // every SM due for evaluation again next cycle.
     if (refresh_view()) {
-      std::fill(eval_.begin(), eval_.end(), 1);
-      std::fill(dirty_.begin(), dirty_.end(), 1);
+      eval_ = all_sms_;
+      dirty_ = all_sms_;
       admission_due_ = true;
     }
     request_yields();
@@ -371,13 +390,15 @@ void Gpu::assign_tbs() {
 }
 
 void Gpu::note_arrivals() {
-  const std::size_t first = next_arrival_;
+  if (now_ < next_arrival_cycle_) return;
   while (next_arrival_ < streams_.size() &&
          streams_[next_arrival_]->launch.arrival <= now_) {
     const KernelLaunch& l = streams_[next_arrival_++]->launch;
     emit({l.arrival, SimEventKind::kKernelArrival, l.kernel_id});
   }
-  if (next_arrival_ == first) return;
+  next_arrival_cycle_ = next_arrival_ < streams_.size()
+                            ? streams_[next_arrival_]->launch.arrival
+                            : kNoCycle;
   view_stale_ = true;
   admission_due_ = true;
 }
@@ -426,7 +447,7 @@ void Gpu::sync_all() {
 
 void Gpu::touch_sm(int s) {
   sync_sm(s);
-  wake_at_[s] = now_;
+  wake_now(s);
   mark_dirty(s);
   view_stale_ = true;
   streams_check_ = true;
@@ -434,12 +455,79 @@ void Gpu::touch_sm(int s) {
 
 void Gpu::wake_bound(int k) {
   for (int s = 0; s < num_sms(); ++s) {
-    if (binding_[s] == k) wake_at_[s] = std::min(wake_at_[s], now_);
+    if (binding_[s] == k) wake_now(s);
   }
+}
+
+void Gpu::wake_now(int s) {
+  // A sleeper's wake time is never before the executed cycle, and an awake
+  // SM's is the executed cycle itself.
+  awake_ |= 1ull << s;
+  wake_at_[s] = now_;
+}
+
+void Gpu::wake_sleepers() {
+  if (now_ < sleep_min_) return;
+  Cycle next = kNoCycle;
+  for (std::uint64_t scan = all_sms_ & ~awake_; scan != 0; scan &= scan - 1) {
+    const int s = std::countr_zero(scan);
+    if (wake_at_[s] <= now_) {
+      awake_ |= 1ull << s;
+    } else {
+      next = std::min(next, wake_at_[s]);
+    }
+  }
+  sleep_min_ = next;
+}
+
+Cycle Gpu::earliest_sm_wake() {
+  Cycle t;
+  if (awake_ != 0) {
+    t = wake_at_[std::countr_zero(awake_)];  // every awake SM's is equal
+  } else {
+    // Every SM sleeps: the lower bound becomes exact.
+    sleep_min_ = *std::min_element(wake_at_.begin(), wake_at_.end());
+    t = sleep_min_;
+  }
+  const Interconnect& icnt = mem_.interconnect();
+  for (std::uint64_t scan = icnt.response_ports(); scan != 0;
+       scan &= scan - 1) {
+    t = std::min(t, icnt.response_head_ready(std::countr_zero(scan)));
+  }
+  return t;
+}
+
+void Gpu::tick_due_sms() {
+  if (tick_all_) {
+    for (int s = 0; s < num_sms(); ++s) tick_sm(s);
+    return;
+  }
+  wake_sleepers();
+  const Interconnect& icnt = mem_.interconnect();
+  std::uint64_t due = awake_;
+  for (std::uint64_t scan = icnt.response_ports() & ~due; scan != 0;
+       scan &= scan - 1) {
+    const int s = std::countr_zero(scan);
+    if (icnt.response_head_ready(s) <= now_) due |= 1ull << s;
+  }
+  // Waiters on a request port popped this cycle; a lower SM may refill the
+  // freed slot before a waiter's turn, so each looks when it comes.
+  const std::uint64_t woken = icnt.woken() & ~due;
+#ifdef PROSIM_DEBUG_CHECKS
+  check_due_set(due, woken);
+#endif
+  for (std::uint64_t scan = due | woken; scan != 0; scan &= scan - 1) {
+    const int s = std::countr_zero(scan);
+    if ((due >> s & 1) != 0 || sms_[s]->ldst_slot_free()) tick_sm(s);
+  }
+#ifdef PROSIM_DEBUG_CHECKS
+  check_wakes();
+#endif
 }
 
 bool Gpu::tick_sm(int s) {
   sync_sm(s);
+  wake_now(s);  // no longer a sleeper
   SmCore& sm = *sms_[s];
   const bool active = sm.cycle(now_);
   ++sm_cycles_ticked_;
@@ -454,9 +542,39 @@ bool Gpu::tick_sm(int s) {
     if (sm.drained()) streams_check_ = true;
   } else {
     wake_at_[s] = sm.next_event(now_);
+    awake_ &= ~(1ull << s);
+    sleep_min_ = std::min(sleep_min_, wake_at_[s]);
   }
   return active;
 }
+
+#ifdef PROSIM_DEBUG_CHECKS
+void Gpu::check_due_set(std::uint64_t due, std::uint64_t woken) const {
+  for (int s = 0; s < num_sms(); ++s) {
+    const bool sm_due = wake_at_[s] <= now_ || sms_[s]->external_wakeup();
+    const bool got = (due >> s & 1) != 0 ||
+                     ((woken >> s & 1) != 0 && sms_[s]->ldst_slot_free());
+    PROSIM_CHECK(sm_due == got);
+    PROSIM_CHECK(((awake_ >> s & 1) != 0) == (wake_at_[s] <= now_));
+  }
+}
+
+void Gpu::check_wakes() {
+  const Interconnect& icnt = mem_.interconnect();
+  Cycle sm_wake = kNoCycle;
+  for (int s = 0; s < num_sms(); ++s) {
+    sm_wake = std::min({sm_wake, wake_at_[s], icnt.response_head_ready(s)});
+    PROSIM_CHECK(((icnt.response_ports() >> s & 1) != 0) ==
+                 (icnt.response_head_ready(s) != kNoCycle));
+  }
+  PROSIM_CHECK(earliest_sm_wake() == sm_wake);
+  Cycle partition_wake = kNoCycle;
+  for (const MemoryPartition& p : mem_.partitions()) {
+    partition_wake = std::min(partition_wake, p.wake_at());
+  }
+  PROSIM_CHECK(mem_.next_event() == partition_wake);
+}
+#endif
 
 void Gpu::check_progress() {
   if (watchdog_.due(now_)) {
@@ -472,9 +590,9 @@ void Gpu::check_progress() {
   }
 }
 
-Cycle Gpu::next_step(Cycle sm_wake) const {
-  if (admission_due_) return now_;
-  Cycle target = std::min(sm_wake, mem_.next_event());
+Cycle Gpu::next_step() {
+  if (admission_due_ || awake_ != 0) return now_;
+  Cycle target = std::min(earliest_sm_wake(), mem_.next_event());
   if (target <= now_) return now_;
   // Never skip past a watchdog window boundary or the max_cycles backstop:
   // both checks must observe the same cycles they would under ticking.
@@ -487,9 +605,7 @@ Cycle Gpu::next_step(Cycle sm_wake) const {
     target = std::min(target, metrics_->next_sample_cycle());
   }
   // A kernel arrival is a stream event: its cycle executes.
-  if (next_arrival_ < streams_.size()) {
-    target = std::min(target, streams_[next_arrival_]->launch.arrival);
-  }
+  target = std::min(target, next_arrival_cycle_);
   return std::max(target, now_);
 }
 
@@ -497,12 +613,7 @@ bool Gpu::step() {
   note_arrivals();
   assign_tbs();
   mem_.cycle(now_);
-  const Interconnect& icnt = mem_.interconnect();
-  Cycle sm_wake = kNoCycle;
-  for (int s = 0; s < num_sms(); ++s) {
-    if (sm_due(s)) tick_sm(s);
-    sm_wake = std::min({sm_wake, wake_at_[s], icnt.response_head_ready(s)});
-  }
+  tick_due_sms();
 
   const Cycle executed = now_;
   ++now_;
@@ -514,7 +625,7 @@ bool Gpu::step() {
 
   // Advance the clock to the next cycle anything is due: every cycle in
   // between would have repeated the executed one verbatim.
-  const Cycle target = running && !tick_all_ ? next_step(sm_wake) : now_;
+  const Cycle target = running && !tick_all_ ? next_step() : now_;
   if (target > now_) {
     const Cycle skipped = target - now_;
     ++ff_spans_;

@@ -173,15 +173,32 @@ class Gpu {
   Gpu(const GpuConfig& config, std::vector<KernelLaunch> launches,
       std::unique_ptr<AdmissionPolicy> admission, bool per_kernel_report);
 
-  /// One executed cycle of SM `s`, when it is due (see sm_due): catches
-  /// up its skipped cycles, cycles it and caches its next wake time.
-  /// Returns true when the cycle did any work.
+  /// Ticks the SMs due at now_, in ascending order: those whose wake time
+  /// has come, those with a response at their port head, and those whose
+  /// blocked LDST line finds a free slot in the request port it waits on
+  /// (SmCore::external_wakeup). Every SM under tick_all_.
+  void tick_due_sms();
+  /// One executed cycle of SM `s`: catches up its skipped cycles, cycles it
+  /// and caches its next wake time. Returns true when the cycle did any
+  /// work.
   bool tick_sm(int s);
-  /// True when SM `s` must execute cycle now_ — its cached wake time has
-  /// come, or something outside it changed (SmCore::external_wakeup).
-  bool sm_due(int s) const {
-    return tick_all_ || wake_at_[s] <= now_ || sms_[s]->external_wakeup();
-  }
+  /// Makes SM `s` due at now_ (wake_at_ and awake_).
+  void wake_now(int s);
+  /// Moves the sleepers whose wake time has come into awake_ and makes
+  /// sleep_min_ exact; nothing to walk while now_ < sleep_min_.
+  void wake_sleepers();
+  /// The earliest cycle an SM must execute on its own or has a response
+  /// ready: the minimum over SMs of wake_at_ and the response-port heads.
+  Cycle earliest_sm_wake();
+#ifdef PROSIM_DEBUG_CHECKS
+  /// PROSIM_CHECKs the due set (`due`, plus the `woken` SMs whose port
+  /// still has a free slot) against a full scan of every SM's wake time
+  /// and SmCore::external_wakeup.
+  void check_due_set(std::uint64_t due, std::uint64_t woken) const;
+  /// PROSIM_CHECKs earliest_sm_wake() and the memory's next_event()
+  /// against full scans of every SM, response port and partition.
+  void check_wakes();
+#endif
   /// Accounts the cycles SM `s` slept through, [synced_[s], now_), with
   /// skip_cycles. Must run before anything reads its counters or mutates
   /// it; every sleeping cycle repeated the SM's last executed one.
@@ -192,18 +209,18 @@ class Gpu {
   void touch_sm(int s);
   /// Marks SM `s` for admission re-evaluation next cycle.
   void mark_dirty(int s) {
-    dirty_[s] = 1;
+    dirty_ |= 1ull << s;
     admission_due_ = true;
   }
   /// Makes every SM bound to stream `k` due at now_: its TB queue just
   /// emptied, which PRO's phase check observes in begin_cycle.
   void wake_bound(int k);
   /// The cycle the step after the one just executed (now_ - 1) must run:
-  /// the earliest of `sm_wake` (the SMs' cached wake times and response
-  /// heads), the partitions' wake times and a pending admission, capped by
-  /// the watchdog window, max_cycles, the next metrics sample and the next
+  /// now_ when admission is due or an SM ticked active, else the earliest
+  /// of earliest_sm_wake() and the partitions' wake times, capped by the
+  /// watchdog window, max_cycles, the next metrics sample and the next
   /// kernel arrival. Every cycle before it would repeat the executed one.
-  Cycle next_step(Cycle sm_wake) const;
+  Cycle next_step();
   /// Raises the watchdog's verdict when a check window closes at now_,
   /// and the max_cycles overrun.
   void check_progress();
@@ -279,6 +296,15 @@ class Gpu {
   /// cycle its counters do not yet account.
   std::vector<Cycle> wake_at_;
   std::vector<Cycle> synced_;
+  /// SMs due at the next executed cycle: ticked active in the last one, or
+  /// touched, rebound or woken since. Every other SM sleeps until its
+  /// wake_at_, and sleep_min_ is a lower bound on those: an SM going to
+  /// sleep lowers it, and wake_sleepers and earliest_sm_wake make it
+  /// exact.
+  std::uint64_t awake_ = 0;
+  Cycle sleep_min_ = kNoCycle;
+  /// One bit per SM.
+  std::uint64_t all_sms_ = 0;
 
   // -- event-driven admission ------------------------------------------------
   /// The AdmissionView lists, rebuilt only after a stream event (arrival,
@@ -286,19 +312,21 @@ class Gpu {
   std::vector<int> active_;
   std::vector<int> waiting_;
   bool view_stale_ = true;
-  /// Per SM: ticked with work, touched or rebound since its last admission
+  /// SMs ticked with work, touched or rebound since their last admission
   /// evaluation, or under a view that changed since (dirty_); and the set
   /// this cycle's admission evaluates (eval_).
-  std::vector<char> dirty_;
-  std::vector<char> eval_;
+  std::uint64_t dirty_ = 0;
+  std::uint64_t eval_ = 0;
   /// Admission has something to evaluate next cycle.
   bool admission_due_ = true;
   /// An SM drained or was touched: a stream may have finished.
   bool streams_check_ = false;
   /// Per stream: SMs bound to it.
   std::vector<int> bound_sms_;
-  /// Index of the first stream whose arrival is still ahead.
+  /// Index of the first stream whose arrival is still ahead, and its
+  /// arrival cycle (kNoCycle once every stream arrived).
   std::size_t next_arrival_ = 0;
+  Cycle next_arrival_cycle_ = 0;
   /// Streams not yet finished.
   int unfinished_ = 0;
 

@@ -21,16 +21,16 @@ MemorySubsystem::MemorySubsystem(const MemConfig& config, int num_sms,
   }
 }
 
-void MemorySubsystem::cycle(Cycle now) {
-  now_ = now;
-  icnt_.begin_cycle(now);
+void MemorySubsystem::tick_partitions(Cycle now) {
+  Cycle next = kNoCycle;
   for (auto& partition : partitions_) {
     if (tick_all_ || partition.wake_at() <= now) {
       partition.cycle(now, icnt_);
       ++partition_cycles_ticked_;
     }
+    next = std::min(next, partition.wake_at());
   }
-  if (faults_ != nullptr) divert_responses(now);
+  next_partition_ = next;
 }
 
 void MemorySubsystem::divert_responses(Cycle now) {
@@ -49,8 +49,10 @@ void MemorySubsystem::divert_responses(Cycle now) {
 }
 
 MemResponse MemorySubsystem::take_response(int sm_id) {
-  for (auto& partition : partitions_) {
-    if (partition.credit_wait_sm() == sm_id) partition.wake_by(now_ + 1);
+  for (int p = 0; p < config_.num_partitions; ++p) {
+    if (partitions_[static_cast<std::size_t>(p)].credit_wait_sm() == sm_id) {
+      wake_partition(p, now_ + 1);
+    }
   }
   return icnt_.pop_response(sm_id);
 }

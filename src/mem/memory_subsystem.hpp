@@ -11,9 +11,12 @@
 // cost of one pointer test.
 //
 // cycle() ticks only the partitions that are due (MemoryPartition::wake_at);
-// a sleeping partition's cycles would repeat its last one verbatim. Under
-// fault injection, or after set_tick_all(true), every partition ticks every
-// cycle: that is the reference the event-driven path must match.
+// a sleeping partition's cycles would repeat its last one verbatim. The
+// earliest partition wake is kept where wake times change (a tick, an
+// inject, a freed response credit), so a cycle with no partition due and
+// next_event() walk no partition. Under fault injection, or after
+// set_tick_all(true), every partition ticks every cycle: that is the
+// reference the event-driven path must match.
 #pragma once
 
 #include <algorithm>
@@ -44,8 +47,7 @@ class MemorySubsystem {
   void inject(const MemRequest& request, Cycle now) {
     icnt_.send_request(request, now);
     const int p = icnt_.partition_of(request.line_addr);
-    MemoryPartition& partition = partitions_[static_cast<std::size_t>(p)];
-    partition.wake_by(now + config_.icnt_latency);
+    wake_partition(p, now + config_.icnt_latency);
   }
 
   bool has_response(int sm_id) const {
@@ -57,7 +59,12 @@ class MemorySubsystem {
 
   /// Advances the interconnect and every due partition by one cycle. Call
   /// once per executed core cycle, before the SMs.
-  void cycle(Cycle now);
+  void cycle(Cycle now) {
+    now_ = now;
+    icnt_.begin_cycle(now);
+    if (tick_all_ || next_partition_ <= now) tick_partitions(now);
+    if (faults_ != nullptr) divert_responses(now);
+  }
 
   /// Ticks every partition every cycle (the reference mode).
   void set_tick_all(bool tick_all) {
@@ -71,13 +78,7 @@ class MemorySubsystem {
   /// <= the current cycle (a partition is due); kNoCycle when all sleep.
   /// The responses already in flight toward an SM are not covered (see
   /// Interconnect::response_head_ready).
-  Cycle next_event() const {
-    Cycle t = kNoCycle;
-    for (const auto& partition : partitions_) {
-      t = std::min(t, partition.wake_at());
-    }
-    return t;
-  }
+  Cycle next_event() const { return next_partition_; }
 
   /// Partition-cycles actually executed (SimProfile).
   std::uint64_t partition_cycles_ticked() const {
@@ -88,6 +89,13 @@ class MemorySubsystem {
     return partitions_;
   }
   const Interconnect& interconnect() const { return icnt_; }
+  /// The SM loop's request-port wakeups (see Interconnect::woken).
+  void wait_request_slot(int partition, int sm_id) {
+    icnt_.wait_request_slot(partition, sm_id);
+  }
+  void cancel_request_wait(int partition, int sm_id) {
+    icnt_.cancel_request_wait(partition, sm_id);
+  }
 
   // Aggregate accounting.
   std::uint64_t l2_hits() const;
@@ -101,7 +109,15 @@ class MemorySubsystem {
     MemResponse response;
   };
 
+  /// Ticks the due partitions (every partition under tick_all_) and
+  /// recomputes next_partition_.
+  void tick_partitions(Cycle now);
   void divert_responses(Cycle now);
+  /// Moves partition `p`'s wake time up to `cycle` when that is earlier.
+  void wake_partition(int p, Cycle cycle) {
+    partitions_[static_cast<std::size_t>(p)].wake_by(cycle);
+    next_partition_ = std::min(next_partition_, cycle);
+  }
   /// Pops SM `sm_id`'s next interconnect response. The freed credit wakes
   /// a partition whose ready responses wait on it, next cycle.
   MemResponse take_response(int sm_id);
@@ -114,6 +130,8 @@ class MemorySubsystem {
   std::vector<std::deque<DelayedResponse>> delayed_;
   Cycle now_ = 0;
   bool tick_all_ = false;
+  /// Earliest MemoryPartition::wake_at over the partitions.
+  Cycle next_partition_ = 0;
   std::uint64_t partition_cycles_ticked_ = 0;
 };
 

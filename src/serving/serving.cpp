@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -101,14 +102,10 @@ std::vector<Request> closed_loop_trace(const std::vector<Request>& trace,
   return reqs;
 }
 
-ServingCell simulate_cell(const std::vector<Request>& trace,
-                          SchedulerKind scheduler,
-                          const std::string& admission,
-                          const ServingOptions& options) {
-  ServingCell cell;
-  cell.scheduler = scheduler_name(scheduler);
-  cell.admission = admission;
-
+/// The machine of every cell under `scheduler`, and of its isolated
+/// baselines.
+GpuConfig cell_config(const ServingOptions& options, SchedulerKind scheduler,
+                      std::size_t trace_size) {
   GpuConfig config = options.base;
   config.scheduler.kind = scheduler;
   // An open-loop trace can park a whole backlog behind one kernel, so a
@@ -117,22 +114,43 @@ ServingCell simulate_cell(const std::vector<Request>& trace,
   // trace depth. The zero-issue and starvation rules keep their usual
   // pace, so genuine wedges are still caught quickly.
   config.watchdog.barrier_timeout *=
-      std::max<Cycle>(1, static_cast<Cycle>(trace.size()));
+      std::max<Cycle>(1, static_cast<Cycle>(trace_size));
+  return config;
+}
+
+/// One kernel's isolated makespan under one scheduler: same machine, no
+/// co-tenants, so the slowdown denominator isolates the cost of sharing,
+/// not the cost of the scheduler itself. A baseline that threw keeps its
+/// exception for the cell that reads it.
+struct Baseline {
+  SchedulerKind scheduler;
+  std::string kernel;
+  Cycle cycles = 0;
+  std::exception_ptr error;
+};
+
+ServingCell simulate_cell(const std::vector<Request>& trace,
+                          SchedulerKind scheduler,
+                          const std::string& admission,
+                          const ServingOptions& options,
+                          const std::vector<Baseline>& baselines) {
+  ServingCell cell;
+  cell.scheduler = scheduler_name(scheduler);
+  cell.admission = admission;
+  const GpuConfig config = cell_config(options, scheduler, trace.size());
 
   // Per-tenant relative deadline: slo_factor × the kernel's isolated
   // makespan under this cell's scheduler. Computed for every admission so
   // the attainment column is comparable across policies; only the
   // preemptive policy also *acts* on it (EDF focus order).
-  std::vector<std::pair<std::string, Cycle>> isolated;
   const auto isolated_of = [&](const std::string& kernel) {
-    for (const auto& [k, c] : isolated) {
-      if (k == kernel) return c;
-    }
-    // Same scheduler, no co-tenants: the denominator isolates the cost of
-    // sharing, not the cost of the scheduler itself.
-    const Cycle c = runner::memoized_run(find_workload(kernel), config).cycles;
-    isolated.emplace_back(kernel, c);
-    return c;
+    const auto b = std::find_if(
+        baselines.begin(), baselines.end(), [&](const Baseline& x) {
+          return x.scheduler == scheduler && x.kernel == kernel;
+        });
+    PROSIM_CHECK(b != baselines.end());
+    if (b->error) std::rethrow_exception(b->error);
+    return b->cycles;
   };
   std::vector<Cycle> deadlines(trace.size(), 0);
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -272,11 +290,36 @@ ServingReport run_serving(const ServingOptions& options) {
   }
   report.cells.resize(specs.size());
 
+  // Every cell under one scheduler reads the same isolated baselines, so
+  // each (scheduler, kernel) pair is simulated once, before the cells.
+  std::vector<Baseline> baselines;
+  for (const SchedulerKind s : options.schedulers) {
+    for (const Request& req : report.trace) {
+      bool seen = false;
+      for (const Baseline& b : baselines) {
+        seen = seen || (b.scheduler == s && b.kernel == req.kernel);
+      }
+      if (!seen) baselines.push_back({s, req.kernel, 0, nullptr});
+    }
+  }
+  runner::run_cells(
+      static_cast<int>(baselines.size()), options.jobs, [&](int i) {
+        Baseline& b = baselines[static_cast<std::size_t>(i)];
+        try {
+          b.cycles = runner::memoized_run(
+                         find_workload(b.kernel),
+                         cell_config(options, b.scheduler, report.trace.size()))
+                         .cycles;
+        } catch (...) {
+          b.error = std::current_exception();
+        }
+      });
+
   const int total = static_cast<int>(specs.size());
   const auto run_one = [&](int i) {
     const CellSpec& spec = specs[static_cast<std::size_t>(i)];
     report.cells[static_cast<std::size_t>(i)] = simulate_cell(
-        report.trace, spec.scheduler, spec.admission, options);
+        report.trace, spec.scheduler, spec.admission, options, baselines);
   };
   const auto on_done = [&](int i, int completed) {
     const ServingCell* cell = &report.cells[static_cast<std::size_t>(i)];

@@ -43,7 +43,8 @@ struct TenantMetrics {
   std::string kernel;
   int requests = 0;
   /// Makespan of the kernel running alone under the cell's scheduler
-  /// (runner::memoized_run), the slowdown denominator.
+  /// (simulated once per scheduler and kernel by run_serving, through
+  /// runner::memoized_run), the slowdown denominator.
   Cycle isolated_cycles = 0;
   /// Relative deadline handed to each request of this tenant
   /// (slo_factor × isolated_cycles).

@@ -411,6 +411,10 @@ bool SmCore::cycle(Cycle now) {
   stats_.occupancy_tb_cycles += static_cast<std::uint64_t>(resident_tbs_);
   bool active = drain_responses(now);
   active |= drain_writebacks(now);
+  // The LDST line retries: it waits on no port until it is refused again.
+  if (ldst_blocked_port_ >= 0) {
+    mem_.cancel_request_wait(ldst_blocked_port_, sm_id_);
+  }
   ldst_blocked_port_ = -1;
   if (ldst_op_.valid) active |= ldst_cycle(now);
   active |= issue_cycle(now);
@@ -573,6 +577,7 @@ bool SmCore::ldst_cycle(Cycle now) {
 bool SmCore::can_inject(Addr line) {
   if (mem_.can_inject(line)) return true;
   ldst_blocked_port_ = mem_.interconnect().partition_of(line);
+  mem_.wait_request_slot(ldst_blocked_port_, sm_id_);
   return false;
 }
 

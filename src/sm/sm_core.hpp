@@ -177,9 +177,12 @@ class SmCore {
   /// Cache::access leaves the cache untouched, so nothing else can unblock
   /// the line.
   bool external_wakeup() const {
-    return mem_.has_response(sm_id_) ||
-           (ldst_blocked_port_ >= 0 &&
-            mem_.interconnect().request_free_slots(ldst_blocked_port_) > 0);
+    return mem_.has_response(sm_id_) || ldst_slot_free();
+  }
+  /// The port the LDST line waits on has a free slot.
+  bool ldst_slot_free() const {
+    return ldst_blocked_port_ >= 0 &&
+           mem_.interconnect().request_free_slots(ldst_blocked_port_) > 0;
   }
 
   int resident_tbs() const { return resident_tbs_; }
