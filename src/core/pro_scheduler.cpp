@@ -8,6 +8,7 @@
 namespace prosim {
 
 void ProPolicy::attach(const PolicyContext& ctx) {
+  PROSIM_CHECK(ctx.warps_per_tb <= kMaxWarpsPerTb);
   ctx_ = ctx;
   tbs_.assign(static_cast<std::size_t>(ctx.num_tb_slots), {});
   tb_order_.clear();
@@ -59,13 +60,13 @@ TbState ProPolicy::barrier_exit_state(const TbInfo& tb) const {
 }
 
 void ProPolicy::sort_warps(int tb_slot, bool increasing) {
-  TbInfo& tb = tbs_[tb_slot];
-  const int base = tb_slot * ctx_.warps_per_tb;
-  std::stable_sort(tb.warp_order.begin(), tb.warp_order.end(),
-                   [&](int a, int b) {
-                     const std::uint64_t pa = ctx_.warp_progress[base + a];
-                     const std::uint64_t pb = ctx_.warp_progress[base + b];
-                     return increasing ? pa < pb : pa > pb;
+  std::uint8_t* order = tbs_[tb_slot].warp_order.data();
+  const std::uint64_t* progress =
+      ctx_.warp_progress + tb_slot * ctx_.warps_per_tb;
+  std::stable_sort(order, order + ctx_.warps_per_tb,
+                   [&](std::uint8_t a, std::uint8_t b) {
+                     return increasing ? progress[a] < progress[b]
+                                       : progress[a] > progress[b];
                    });
 }
 
@@ -93,7 +94,9 @@ std::vector<int> ProPolicy::priority_list() const {
   std::vector<int> warps;
   for (int t : tb_order_) {
     const int base = t * ctx_.warps_per_tb;
-    for (int i : tbs_[t].warp_order) warps.push_back(base + i);
+    for (int i = 0; i < ctx_.warps_per_tb; ++i) {
+      warps.push_back(base + tbs_[t].warp_order[static_cast<std::size_t>(i)]);
+    }
   }
   return warps;
 }
@@ -215,8 +218,9 @@ void ProPolicy::on_tb_launch(int tb_slot) {
   // (least-progress-first) it starts at the highest.
   tb.snapshot_key = 0;
   tb.event_progress = 0;
-  tb.warp_order.resize(static_cast<std::size_t>(ctx_.warps_per_tb));
-  for (int i = 0; i < ctx_.warps_per_tb; ++i) tb.warp_order[i] = i;
+  for (int i = 0; i < ctx_.warps_per_tb; ++i) {
+    tb.warp_order[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i);
+  }
   rebuild_order();
 }
 
@@ -286,9 +290,10 @@ int ProPolicy::pick(int sched_id, std::uint64_t ready_mask, Cycle /*now*/) {
   for (int t : tb_order_) {
     const std::uint64_t tb_ready = ready & tb_warp_mask(wpt, t);
     if (tb_ready == 0) continue;
-    const int base = t * wpt;
-    for (int i : tbs_[t].warp_order) {
-      if ((tb_ready >> (base + i) & 1) != 0) return base + i;
+    const std::uint64_t in_tb = tb_ready >> (t * wpt);
+    const std::uint8_t* order = tbs_[t].warp_order.data();
+    for (int i = 0; i < wpt; ++i) {
+      if ((in_tb >> order[i] & 1) != 0) return t * wpt + order[i];
     }
   }
   // tb_order_ holds every active TB and each warp_order all of its warps,

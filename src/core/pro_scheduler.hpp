@@ -19,6 +19,7 @@
 // higher priority than the warps of a lower-priority TB".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -71,6 +72,9 @@ class ProPolicy final : public SchedulerPolicy {
   const ProConfig& config() const { return config_; }
 
  private:
+  /// Ready masks are 64-bit (SmCore), so a TB has at most 64 warps.
+  static constexpr int kMaxWarpsPerTb = 64;
+
   struct TbInfo {
     TbState state = TbState::kFree;
     int warps_at_barrier = 0;
@@ -82,8 +86,9 @@ class ProPolicy final : public SchedulerPolicy {
     /// Progress sampled at the last barrier/finish event, used as the
     /// tie-break key while in barrierWait / finishWait.
     std::int64_t event_progress = 0;
-    /// Warp indices within the TB, highest priority first.
-    std::vector<int> warp_order;
+    /// The first warps_per_tb entries: warp indices within the TB, highest
+    /// priority first. Inline, so pick() reads it beside the TB's state.
+    std::array<std::uint8_t, kMaxWarpsPerTb> warp_order{};
   };
 
   struct TbKey {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/check.hpp"
+
 namespace prosim {
 
 namespace {
@@ -76,8 +78,9 @@ class TbInterleaved final : public AdmissionPolicy {
 /// smallest id (FCFS). A kernel losing focus is demoted at TB-drain
 /// granularity; the GPU additionally yields spin-stuck resident TBs
 /// (checkpoint + re-queue) so a blocked SM frees up for the focus kernel.
-/// Stateless: every answer is a pure function of the view, so quiet cycles
-/// are trivially skippable by fast-forward.
+/// Every answer is a pure function of the view, so quiet cycles are
+/// trivially skippable by fast-forward; the focus is computed once per view
+/// generation.
 class PreemptiveSlo final : public AdmissionPolicy {
  public:
   const char* name() const override { return "preemptive_slo"; }
@@ -97,7 +100,19 @@ class PreemptiveSlo final : public AdmissionPolicy {
   }
 
  private:
-  static int focus(const AdmissionView& view) {
+  int focus(const AdmissionView& view) const {
+    if (view.generation == 0) return scan_focus(view);
+    if (view.generation != memo_generation_) {
+      memo_generation_ = view.generation;
+      memo_focus_ = scan_focus(view);
+    }
+#ifdef PROSIM_DEBUG_CHECKS
+    PROSIM_CHECK(memo_focus_ == scan_focus(view));
+#endif
+    return memo_focus_;
+  }
+
+  static int scan_focus(const AdmissionView& view) {
     constexpr Cycle kNoDeadline = std::numeric_limits<Cycle>::max();
     int best = -1;
     int best_priority = std::numeric_limits<int>::min();
@@ -124,6 +139,10 @@ class PreemptiveSlo final : public AdmissionPolicy {
     }
     return best;
   }
+
+  /// focus() of the view generation memo_generation_ (0: none yet).
+  mutable std::uint64_t memo_generation_ = 0;
+  mutable int memo_focus_ = -1;
 };
 
 template <typename Policy>

@@ -34,6 +34,7 @@
 // in admission.cpp.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -71,6 +72,10 @@ struct AdmissionView {
   const Cycle* arrivals = nullptr;
   const TenantSpec* tenants = nullptr;
   int num_kernels = 0;
+  /// Identifies the lists' contents: views with the same nonzero generation
+  /// hold the same lists, so a policy may reuse what it derived from one.
+  /// 0 (hand-built views) promises nothing.
+  std::uint64_t generation = 0;
 
   bool is_waiting(int kernel) const {
     for (const int k : waiting) {

@@ -168,6 +168,7 @@ void Gpu::bind_sm(int s, int k) {
   if (sms_[s] != nullptr) {
     sync_sm(s);
     --bound_sms_[binding_[s]];
+    note_preemption(binding_[s]);
     // Tear-down accounting: the outgoing generation's counters belong to
     // the stream it executed and to this SM slot's running totals.
     streams_[binding_[s]]->acc.add(*sms_[s]);
@@ -193,6 +194,7 @@ void Gpu::bind_sm(int s, int k) {
   if (trace_ != nullptr) sms_[s]->set_trace_sink(trace_);
   binding_[s] = k;
   ++bound_sms_[k];
+  note_preemption(k);
   synced_[s] = now_;
   wake_now(s);
   mark_dirty(s);
@@ -243,13 +245,15 @@ bool Gpu::refresh_view() {
   if (active == active_ && waiting == waiting_) return false;
   active_ = std::move(active);
   waiting_ = std::move(waiting);
+  ++view_generation_;
   return true;
 }
 
 void Gpu::harvest_yields() {
   // Quiescent yield victims checkpoint into their stream's parked queue;
   // the freed slot is available to this same cycle's launch loop. A victim
-  // turns quiescent only in a cycle that did work, which marks it.
+  // turns quiescent only in a cycle that did work, which marks it (a yield
+  // is pending).
   for (std::uint64_t scan = eval_; scan != 0; scan &= scan - 1) {
     const int s = std::countr_zero(scan);
     if (sms_[s]->yield_pending() < 0 || !sms_[s]->yield_quiescent()) continue;
@@ -264,7 +268,8 @@ void Gpu::harvest_yields() {
 
 void Gpu::request_yields() {
   const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
-                           static_cast<int>(streams_.size())};
+                           static_cast<int>(streams_.size()),
+                           view_generation_};
   // Also the SMs this cycle's launch loop touched: their state changed.
   for (std::uint64_t scan = eval_ | dirty_; scan != 0; scan &= scan - 1) {
     const int s = std::countr_zero(scan);
@@ -315,7 +320,8 @@ void Gpu::assign_tbs() {
   // no policy has a focus to yield to.
   if (waiting_.empty()) return;
   const AdmissionView view{active_, waiting_, arrivals_.data(), tenants_.data(),
-                           static_cast<int>(streams_.size())};
+                           static_cast<int>(streams_.size()),
+                           view_generation_};
 
   // The rotation: the marked SMs from `first` up, then those below it.
   const std::uint64_t below = (1ull << first) - 1;
@@ -394,6 +400,7 @@ void Gpu::note_arrivals() {
   while (next_arrival_ < streams_.size() &&
          streams_[next_arrival_]->launch.arrival <= now_) {
     const KernelLaunch& l = streams_[next_arrival_++]->launch;
+    note_preemption(l.kernel_id);
     emit({l.arrival, SimEventKind::kKernelArrival, l.kernel_id});
   }
   next_arrival_cycle_ = next_arrival_ < streams_.size()
@@ -426,13 +433,38 @@ void Gpu::update_streams() {
   }
 }
 
-void Gpu::account_preempted(Cycle executed, Cycle count) {
-  for (auto& st : streams_) {
-    if (st->finished || st->launch.arrival > executed) continue;
-    if (!st->tbs.has_waiting() && st->parked.empty()) continue;
-    if (bound_sms_[st->launch.kernel_id] == 0) st->preempted_cycles += count;
+bool Gpu::preempted(const Stream& st, Cycle at) const {
+  return !st.finished && st.launch.arrival <= at &&
+         (st.tbs.has_waiting() || !st.parked.empty()) &&
+         bound_sms_[st.launch.kernel_id] == 0;
+}
+
+void Gpu::note_preemption(int k) {
+  if (!admission_->preemptive()) return;
+  Stream& st = *streams_[k];
+  const bool now_preempted = preempted(st, now_);
+  if (now_preempted == (st.preempted_since != kNoCycle)) return;
+  if (now_preempted) {
+    st.preempted_since = now_;
+  } else {
+    st.preempted_cycles += now_ - st.preempted_since;
+    st.preempted_since = kNoCycle;
   }
 }
+
+std::uint64_t Gpu::preempted_cycles(const Stream& st) const {
+  return st.preempted_cycles +
+         (st.preempted_since != kNoCycle ? now_ - st.preempted_since : 0);
+}
+
+#ifdef PROSIM_DEBUG_CHECKS
+void Gpu::check_preempted(Cycle executed, Cycle count) {
+  for (auto& st : streams_) {
+    if (preempted(*st, executed)) st->preempted_check += count;
+    PROSIM_CHECK(preempted_cycles(*st) == st->preempted_check);
+  }
+}
+#endif
 
 void Gpu::sync_sm(int s) {
   if (synced_[s] < now_) {
@@ -525,27 +557,29 @@ void Gpu::tick_due_sms() {
 #endif
 }
 
-bool Gpu::tick_sm(int s) {
+void Gpu::tick_sm(int s) {
   sync_sm(s);
   wake_now(s);  // no longer a sleeper
   SmCore& sm = *sms_[s];
-  const bool active = sm.cycle(now_);
+  const SmCore::Tick tick = sm.cycle(now_);
   ++sm_cycles_ticked_;
   synced_[s] = now_ + 1;
-  // An active cycle may have unblocked anything (a released register, a
-  // drained response), so only a quiet one can sleep until its next event.
-  // Only an active cycle changes what admission reads from the SM (free
-  // slots, drained, yield quiescence, spin-stuck).
-  if (active) {
+  // A hot cycle may have unblocked anything (an issue, a dispatched line),
+  // so only the others can sleep until their next event.
+  const bool hot = tick == SmCore::Tick::kHot;
+  if (hot) {
     wake_at_[s] = now_ + 1;
-    mark_dirty(s);
-    if (sm.drained()) streams_check_ = true;
   } else {
     wake_at_[s] = sm.next_event(now_);
     awake_ &= ~(1ull << s);
     sleep_min_ = std::min(sleep_min_, wake_at_[s]);
   }
-  return active;
+  if (tick == SmCore::Tick::kQuiet) return;
+  // Admission reads free slots, drained(), yield quiescence and spin-stuck.
+  // A drain can change only the two that matter with a yield pending or no
+  // TB resident; the rest change only in a hot cycle.
+  if (hot || sm.yield_pending() >= 0 || sm.resident_tbs() == 0) mark_dirty(s);
+  if (sm.drained()) streams_check_ = true;
 }
 
 #ifdef PROSIM_DEBUG_CHECKS
@@ -556,6 +590,7 @@ void Gpu::check_due_set(std::uint64_t due, std::uint64_t woken) const {
                      ((woken >> s & 1) != 0 && sms_[s]->ldst_slot_free());
     PROSIM_CHECK(sm_due == got);
     PROSIM_CHECK(((awake_ >> s & 1) != 0) == (wake_at_[s] <= now_));
+    if (!sm_due) sms_[s]->check_asleep(now_);
   }
 }
 
@@ -615,7 +650,7 @@ bool Gpu::step() {
   mem_.cycle(now_);
   tick_due_sms();
 
-  const Cycle executed = now_;
+  [[maybe_unused]] const Cycle executed = now_;
   ++now_;
   if (streams_check_ || tick_all_) {
     streams_check_ = false;
@@ -634,12 +669,10 @@ bool Gpu::step() {
     next_sm_ = static_cast<int>(
         (static_cast<Cycle>(next_sm_) + skipped) % n);  // per-cycle rotation
   }
-  if (admission_->preemptive()) {
-    // Bindings, queues and parked sets are constant until the next step,
-    // so the per-cycle preemption accounting multiplies out exactly.
-    account_preempted(executed, target - executed);
-  }
   now_ = target;
+#ifdef PROSIM_DEBUG_CHECKS
+  if (admission_->preemptive()) check_preempted(executed, target - executed);
+#endif
   check_progress();
 
   if (!running) sync_all();
@@ -753,7 +786,7 @@ void Gpu::sample_metrics() {
       gauge(kKernel, k, "parked_tbs", static_cast<double>(st->parked.size()));
       counter(kKernel, k, "demotions", st->demotions);
       counter(kKernel, k, "resumptions", st->resumptions);
-      counter(kKernel, k, "preempted_cycles", st->preempted_cycles);
+      counter(kKernel, k, "preempted_cycles", preempted_cycles(*st));
     }
   }
 
@@ -861,7 +894,7 @@ GpuResult Gpu::collect() {
       slice.tenant = st->launch.tenant;
       slice.demotions = st->demotions;
       slice.resumptions = st->resumptions;
-      slice.preempted_cycles = st->preempted_cycles;
+      slice.preempted_cycles = preempted_cycles(*st);
       result.kernel_slices.push_back(std::move(slice));
     }
   }

@@ -163,8 +163,15 @@ class Gpu {
     std::deque<TbCheckpoint> parked;
     std::uint64_t demotions = 0;    ///< TB yields + rebinds away from work
     std::uint64_t resumptions = 0;  ///< parked TBs re-launched
-    /// Cycles the stream had runnable work but zero SMs bound to it.
+    /// Cycles the stream had runnable work but zero SMs bound to it, up to
+    /// preempted_since (see preempted_cycles()).
     std::uint64_t preempted_cycles = 0;
+    /// First cycle of the open preempted span, kNoCycle when none is open.
+    Cycle preempted_since = kNoCycle;
+#ifdef PROSIM_DEBUG_CHECKS
+    /// preempted_cycles() recounted by every step (check_preempted).
+    std::uint64_t preempted_check = 0;
+#endif
 
     explicit Stream(KernelLaunch l)
         : launch(std::move(l)), tbs(launch.program.info.grid_dim) {}
@@ -178,10 +185,10 @@ class Gpu {
   /// blocked LDST line finds a free slot in the request port it waits on
   /// (SmCore::external_wakeup). Every SM under tick_all_.
   void tick_due_sms();
-  /// One executed cycle of SM `s`: catches up its skipped cycles, cycles it
-  /// and caches its next wake time. Returns true when the cycle did any
-  /// work.
-  bool tick_sm(int s);
+  /// One executed cycle of SM `s`: catches up its skipped cycles, cycles it,
+  /// caches its next wake time and marks it for admission when the cycle
+  /// changed what admission reads.
+  void tick_sm(int s);
   /// Makes SM `s` due at now_ (wake_at_ and awake_).
   void wake_now(int s);
   /// Moves the sleepers whose wake time has come into awake_ and makes
@@ -193,7 +200,8 @@ class Gpu {
 #ifdef PROSIM_DEBUG_CHECKS
   /// PROSIM_CHECKs the due set (`due`, plus the `woken` SMs whose port
   /// still has a free slot) against a full scan of every SM's wake time
-  /// and SmCore::external_wakeup.
+  /// and SmCore::external_wakeup, and that every SM outside it, quiet or
+  /// drain-only sleeper, could do nothing this cycle (SmCore::check_asleep).
   void check_due_set(std::uint64_t due, std::uint64_t woken) const;
   /// PROSIM_CHECKs earliest_sm_wake() and the memory's next_event()
   /// against full scans of every SM, response port and partition.
@@ -216,7 +224,7 @@ class Gpu {
   /// emptied, which PRO's phase check observes in begin_cycle.
   void wake_bound(int k);
   /// The cycle the step after the one just executed (now_ - 1) must run:
-  /// now_ when admission is due or an SM ticked active, else the earliest
+  /// now_ when admission is due or an SM ticked hot, else the earliest
   /// of earliest_sm_wake() and the partitions' wake times, capped by the
   /// watchdog window, max_cycles, the next metrics sample and the next
   /// kernel arrival. Every cycle before it would repeat the executed one.
@@ -250,10 +258,22 @@ class Gpu {
   bool refresh_view();
   /// Records the kernel arrivals reached at now_ (stream events).
   void note_arrivals();
-  /// Adds `count` cycles to preempted_cycles of every arrived, unfinished
-  /// stream that has runnable work but no SM bound to it (preemptive only;
-  /// `executed` is the first cycle of the accounted span).
-  void account_preempted(Cycle executed, Cycle count);
+  /// Stream `st` has arrived by cycle `at`, is unfinished and has runnable
+  /// work but no SM bound to it.
+  bool preempted(const Stream& st, Cycle at) const;
+  /// Opens or closes stream `k`'s preempted span at now_ (preemptive only).
+  /// Only an SM bound to a stream changes its queues or finishes it, so the
+  /// state changes only at an arrival or a bind, the two callers; both
+  /// happen inside a step, so the spans are exact.
+  void note_preemption(int k);
+  /// Stream `st`'s preempted cycles through now_, the open span included.
+  std::uint64_t preempted_cycles(const Stream& st) const;
+#ifdef PROSIM_DEBUG_CHECKS
+  /// Adds `count` cycles to every preempted stream's preempted_check
+  /// (`executed` is the first cycle of the span), the per-step count
+  /// note_preemption replaces, and PROSIM_CHECKs the two agree at now_.
+  void check_preempted(Cycle executed, Cycle count);
+#endif
   /// Marks arrived streams whose TBs have all drained as finished (runs
   /// when an SM drained or was touched); the run ends once every stream
   /// finished and the memory subsystem is idle.
@@ -291,12 +311,12 @@ class Gpu {
   /// Every SM executes every cycle and the clock never jumps: the
   /// PROSIM_NO_FASTFORWARD reference, and the fault-injection mode.
   bool tick_all_ = false;
-  /// Per SM: the earliest cycle it must execute again (now + 1 after an
-  /// active cycle, SmCore::next_event after a quiet one), and the first
+  /// Per SM: the earliest cycle it must execute again (now + 1 after a hot
+  /// cycle, SmCore::next_event after any other), and the first
   /// cycle its counters do not yet account.
   std::vector<Cycle> wake_at_;
   std::vector<Cycle> synced_;
-  /// SMs due at the next executed cycle: ticked active in the last one, or
+  /// SMs due at the next executed cycle: ticked hot in the last one, or
   /// touched, rebound or woken since. Every other SM sleeps until its
   /// wake_at_, and sleep_min_ is a lower bound on those: an SM going to
   /// sleep lowers it, and wake_sleepers and earliest_sm_wake make it
@@ -312,8 +332,11 @@ class Gpu {
   std::vector<int> active_;
   std::vector<int> waiting_;
   bool view_stale_ = true;
-  /// SMs ticked with work, touched or rebound since their last admission
-  /// evaluation, or under a view that changed since (dirty_); and the set
+  /// Bumped whenever active_/waiting_ change: AdmissionView::generation.
+  std::uint64_t view_generation_ = 0;
+  /// SMs whose tick changed what admission reads (see tick_sm), touched or
+  /// rebound since their last admission evaluation, or under a view that
+  /// changed since (dirty_); and the set
   /// this cycle's admission evaluates (eval_).
   std::uint64_t dirty_ = 0;
   std::uint64_t eval_ = 0;

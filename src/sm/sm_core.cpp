@@ -183,6 +183,7 @@ void SmCore::claim_tb_slot(int ctaid, Cycle now, Fill&& fill) {
   tb.start_cycle = now;
   tb_ctaid_[slot] = ctaid;
   tb_launch_seq_[slot] = tb.launch_seq;
+  issued_mask_ &= ~tb_bits(slot);
   fill(slot, tb);
   ++resident_tbs_;
   policy_->on_tb_launch(slot);
@@ -208,7 +209,6 @@ void SmCore::launch_tb(int ctaid, Cycle now) {
       warp_pc_[w] = 0;
       wc.allocated = true;
       wc.finished = false;
-      wc.issued_since_launch = false;
       wc.tb_slot = slot;
       ibuffer_ready_[w] = now + 1;
       refill_mask_ |= 1ull << w;
@@ -277,23 +277,33 @@ bool SmCore::drained() const {
 // ---------------------------------------------------------------------------
 
 bool SmCore::all_resident_spin_stuck() const {
-  if (resident_tbs_ == 0) return false;
-  for (int t = 0; t < max_resident_tbs_; ++t) {
+  // live_mask_ holds exactly the resident TBs' unfinished, unparked warps;
+  // each must spin and have issued since its TB was (re)launched.
+  const bool stuck = resident_tbs_ > 0 &&
+                     (live_mask_ & ~(spin_mask_ & issued_mask_)) == 0;
+#ifdef PROSIM_DEBUG_CHECKS
+  // The same verdict from each resident warp's SIMT stack, finish and
+  // barrier flags, and last issue cycle.
+  bool scan = resident_tbs_ > 0;
+  for (int t = 0; t < max_resident_tbs_ && scan; ++t) {
     if (!tbs_[t].active) continue;
     for (int i = 0; i < warps_per_tb_; ++i) {
       const int w = t * warps_per_tb_ + i;
       const WarpCtx& wc = warps_[w];
       if (wc.finished || (parked_mask_ & (1ull << w)) != 0) continue;
-      // A warp that has not issued since its TB was (re)launched is not
-      // evidence of a livelock — its spin-classified PC may fall straight
-      // through under the current memory state (e.g. a flag written while
-      // the TB was parked). Requiring one issue per residency span also
-      // bounds the yield rotation: every round makes real progress.
-      if (!wc.issued_since_launch) return false;
-      if ((spin_mask_ & (1ull << w)) == 0) return false;
+      // A warp cannot issue in its launch cycle (its fetch is due next).
+      const bool issued = last_issue_[static_cast<std::size_t>(w)] >
+                          tbs_[t].start_cycle;
+      if (!issued ||
+          !inst_meta_[static_cast<std::size_t>(wc.stack.pc())].in_spin) {
+        scan = false;
+        break;
+      }
     }
   }
-  return true;
+  PROSIM_CHECK(stuck == scan);
+#endif
+  return stuck;
 }
 
 int SmCore::oldest_tb_slot() const {
@@ -378,7 +388,6 @@ void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
       if (!in.finished) warp_pc_[w] = in.stack.pc();
       wc.allocated = true;
       wc.finished = in.finished;
-      wc.issued_since_launch = false;
       wc.barrier_arrive = in.barrier_arrive;
       wc.finish_cycle = in.finish_cycle;
       wc.tb_slot = slot;
@@ -407,19 +416,19 @@ void SmCore::resume_tb(const TbCheckpoint& ckpt, Cycle now) {
 // Cycle phases
 // ---------------------------------------------------------------------------
 
-bool SmCore::cycle(Cycle now) {
+SmCore::Tick SmCore::cycle(Cycle now) {
   stats_.occupancy_tb_cycles += static_cast<std::uint64_t>(resident_tbs_);
-  bool active = drain_responses(now);
-  active |= drain_writebacks(now);
+  bool drained = drain_responses(now);
+  drained |= drain_writebacks(now);
   // The LDST line retries: it waits on no port until it is refused again.
   if (ldst_blocked_port_ >= 0) {
     mem_.cancel_request_wait(ldst_blocked_port_, sm_id_);
   }
   ldst_blocked_port_ = -1;
-  if (ldst_op_.valid) active |= ldst_cycle(now);
-  active |= issue_cycle(now);
+  bool hot = ldst_op_.valid && ldst_cycle(now);
+  hot |= issue_cycle(now);
   if (trace_warp_states_enabled_) trace_warp_states(now);
-  return active;
+  return hot ? Tick::kHot : drained ? Tick::kDrained : Tick::kQuiet;
 }
 
 void SmCore::set_trace_sink(TraceSink* trace) {
@@ -462,8 +471,8 @@ void SmCore::skip_cycles(Cycle count) {
 }
 
 Cycle SmCore::next_event(Cycle now) const {
-  // A valid LDST op that dispatched made the cycle active; one that did
-  // not waits on external_wakeup(), so it sets no time here.
+  // A valid LDST op that dispatched made the cycle hot; one that did not
+  // waits on external_wakeup(), so it sets no time here.
   Cycle t = wb_.next_after(now);
   if (sfu_ready_at_ > now) t = std::min(t, sfu_ready_at_);
   if (ldst_busy_until_ > now) t = std::min(t, ldst_busy_until_);
@@ -609,6 +618,24 @@ void SmCore::refresh_issue_bits(int warp) {
 }
 
 #ifdef PROSIM_DEBUG_CHECKS
+void SmCore::check_asleep(Cycle now) const {
+  PROSIM_CHECK(wb_.next_after(now - 1) > now);
+  for (int sched = 0; sched < config_.num_schedulers; ++sched) {
+    const std::uint64_t candidates =
+        live_mask_ & ~yield_mask_ &
+        sched_mask_[static_cast<std::size_t>(sched)] &
+        policy_->consider_mask(sched);
+    std::uint64_t fetching = 0;
+    for (std::uint64_t scan = candidates & refill_mask_; scan != 0;
+         scan &= scan - 1) {
+      const int w = std::countr_zero(scan);
+      if (ibuffer_ready_[w] > now) fetching |= 1ull << w;
+    }
+    PROSIM_CHECK((candidates & ~fetching & ~hazard_mask_ &
+                  ~fu_busy_mask(now)) == 0);
+  }
+}
+
 void SmCore::check_issue_bits(std::uint64_t candidates, Cycle now) const {
   for (std::uint64_t scan = candidates; scan != 0; scan &= scan - 1) {
     const int w = std::countr_zero(scan);
@@ -802,7 +829,7 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
   const int tb_slot = wc.tb_slot;
 
   warp_progress_[warp] += static_cast<std::uint64_t>(lanes);
-  wc.issued_since_launch = true;
+  issued_mask_ |= 1ull << warp;
   last_issue_[static_cast<std::size_t>(warp)] = now;
   tb_progress_[tb_slot] += static_cast<std::uint64_t>(lanes);
   stats_.thread_insts += static_cast<std::uint64_t>(lanes);

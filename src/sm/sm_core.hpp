@@ -149,19 +149,29 @@ class SmCore {
   /// launch_seq (it is the newest resident), like a hardware re-dispatch.
   void resume_tb(const TbCheckpoint& ckpt, Cycle now);
 
-  /// Advances one cycle. Returns true when the cycle did any work (drained
-  /// a response, retired a writeback, dispatched LDST transactions, or
-  /// issued an instruction) — false means the cycle was pure bookkeeping
-  /// and the SM may sleep until next_event() or external_wakeup() (see
-  /// skip_cycles). An LDST head line blocked on a full MSHR or a full
-  /// interconnect port counts as quiet: a blocked retry mutates nothing.
-  bool cycle(Cycle now);
+  /// What one executed cycle did.
+  enum class Tick : std::uint8_t {
+    /// Pure bookkeeping. An LDST head line blocked on a full MSHR or a full
+    /// interconnect port counts as quiet: a blocked retry mutates nothing.
+    kQuiet,
+    /// Drained responses or retired writebacks, and nothing else. The drain
+    /// runs before the LDST and issue stages, which already saw its effects
+    /// and still did nothing: the next cycle can differ only through
+    /// next_event() or external_wakeup(), as after a quiet one.
+    kDrained,
+    /// Dispatched LDST transactions or issued an instruction.
+    kHot,
+  };
+
+  /// Advances one cycle. After anything but kHot the SM may sleep until
+  /// next_event() or external_wakeup() (see skip_cycles).
+  Tick cycle(Cycle now);
 
   /// Bulk-applies `count` quiet cycles' worth of per-cycle-constant stat
   /// increments (occupancy, scheduler cycles, the stall cause recorded by
-  /// the last executed cycle). Legal for a span that follows a
-  /// cycle() that returned false, in which neither next_event() nor
-  /// external_wakeup() fired and nothing else touched the SM.
+  /// the last executed cycle). Legal for a span that follows a cycle() that
+  /// was not kHot, in which neither next_event() nor external_wakeup() fired
+  /// and nothing else touched the SM.
   void skip_cycles(Cycle count);
 
   /// Lower bound (> now) on the next cycle at which this SM could do any
@@ -188,6 +198,12 @@ class SmCore {
   int resident_tbs() const { return resident_tbs_; }
   /// True when no TB is resident and no memory/writeback event is pending.
   bool drained() const;
+#ifdef PROSIM_DEBUG_CHECKS
+  /// PROSIM_CHECKs that an SM not due at `now` could do nothing there: no
+  /// writeback is due and no scheduler has a ready warp. Compiled and
+  /// called only where PROSIM_DEBUG_CHECKS is defined.
+  void check_asleep(Cycle now) const;
+#endif
 
   // -- sampling accessors (metrics/; cold path, read-only) ------------------
   /// Warps currently eligible for the issue scan: allocated, unfinished,
@@ -256,14 +272,6 @@ class SmCore {
     SimtStack stack;
     bool allocated = false;
     bool finished = false;
-    /// False until the warp issues its first instruction after its TB was
-    /// launched or resumed. A warp with no issues since (re)launch is never
-    /// spin-stuck evidence: the static in-spin PC classification only
-    /// proves a livelock once the warp has actually executed under the
-    /// current memory state. This also guarantees every demotion round
-    /// lets the victim retire at least one instruction — the preemptive
-    /// yield rotation can therefore never itself livelock.
-    bool issued_since_launch = false;
     Cycle barrier_arrive = 0;  // when parked at the barrier (stats)
     Cycle finish_cycle = 0;    // when the warp retired (stats)
     int tb_slot = -1;
@@ -465,6 +473,14 @@ class SmCore {
   std::uint64_t mem_wait_mask_ = 0;
   /// The pc lies inside a detected spin-wait loop.
   std::uint64_t spin_mask_ = 0;
+  /// Bit w set once warp w issued since its TB was launched or resumed. A
+  /// warp with no issues since (re)launch is never spin-stuck evidence: the
+  /// static in-spin pc classification only proves a livelock once the warp
+  /// has actually executed under the current memory state. This also
+  /// guarantees every demotion round lets the victim retire at least one
+  /// instruction, so the preemptive yield rotation can never itself
+  /// livelock.
+  std::uint64_t issued_mask_ = 0;
   /// The instruction issues to the SFU / the LDST unit.
   std::uint64_t sfu_mask_ = 0;
   std::uint64_t ldst_mask_ = 0;

@@ -1,10 +1,10 @@
 // The event-driven step loop. Pins the work it visits, not only its
 // results: the SimProfile counters of one Fig. 4 kernel under each Fig. 4
-// scheduler and of the 14-SM serving backlog trace under preemptive
-// admission. A change to how the loop finds due SMs, partitions and
-// admission decisions must visit exactly the same SM-cycles,
-// partition-cycles, evaluations and clock jumps. Its SM sets are one-word
-// masks, so the SM count is checked.
+// scheduler and of the 14-SM serving backlog trace under fifo_exclusive
+// and preemptive admission. A change to how the loop finds due SMs,
+// partitions and admission decisions must visit exactly the same
+// SM-cycles, partition-cycles, evaluations and clock jumps. Its SM sets
+// are one-word masks, so the SM count is checked.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,17 +29,17 @@ std::string visited(const SimProfile& p) {
 TEST(StepLoop, VisitsTheSameWork) {
   const std::pair<SchedulerKind, const char*> want[] = {
       {SchedulerKind::kLrr,
-       "sm_cycles_ticked=29459 partition_cycles_ticked=27105 "
-       "admission_evals=17930 ff_spans=1790 ff_skipped_cycles=3295"},
+       "sm_cycles_ticked=25492 partition_cycles_ticked=27105 "
+       "admission_evals=10844 ff_spans=2193 ff_skipped_cycles=4011"},
       {SchedulerKind::kGto,
-       "sm_cycles_ticked=30955 partition_cycles_ticked=27302 "
-       "admission_evals=16370 ff_spans=1231 ff_skipped_cycles=2154"},
+       "sm_cycles_ticked=25733 partition_cycles_ticked=27302 "
+       "admission_evals=10541 ff_spans=1653 ff_skipped_cycles=2747"},
       {SchedulerKind::kTl,
-       "sm_cycles_ticked=33828 partition_cycles_ticked=27311 "
-       "admission_evals=19042 ff_spans=1453 ff_skipped_cycles=2407"},
+       "sm_cycles_ticked=28721 partition_cycles_ticked=27311 "
+       "admission_evals=11779 ff_spans=1893 ff_skipped_cycles=3067"},
       {SchedulerKind::kPro,
-       "sm_cycles_ticked=29839 partition_cycles_ticked=27485 "
-       "admission_evals=16144 ff_spans=1494 ff_skipped_cycles=2581"},
+       "sm_cycles_ticked=25193 partition_cycles_ticked=27485 "
+       "admission_evals=9987 ff_spans=1916 ff_skipped_cycles=3221"},
   };
   const Workload& w = find_workload("bpnn_adjust_weights_cuda");
   for (const auto& [kind, profile] : want) {
@@ -76,30 +76,43 @@ TEST(StepLoop, VisitsTheSameWork) {
       {"scalarProdGPU", 460'672, kScalarProd},
       {"histogram64Kernel", 476'046, kHistogram},
   };
+  struct Cell {
+    const char* admission;
+    Cycle cycles;
+    const char* profile;
+  };
+  const Cell cells[] = {
+      {"fifo_exclusive", 2'942'753,
+       "sm_cycles_ticked=3517336 partition_cycles_ticked=1232756 "
+       "admission_evals=1908602 ff_spans=297087 ff_skipped_cycles=588324"},
+      {"preemptive_slo", 2'932'717,
+       "sm_cycles_ticked=3593358 partition_cycles_ticked=1237684 "
+       "admission_evals=1906521 ff_spans=292100 ff_skipped_cycles=523175"},
+  };
   GpuConfig serving = GpuConfig::test_config();
   serving.num_sms = 14;
   serving.scheduler.kind = SchedulerKind::kPro;
   serving.watchdog.barrier_timeout *= std::size(trace);
-  std::vector<GlobalMemory> memories(std::size(trace));
-  std::vector<KernelLaunch> launches;
-  for (std::size_t i = 0; i < std::size(trace); ++i) {
-    const Workload& kernel = find_workload(trace[i].kernel);
-    kernel.init(memories[i]);
-    KernelLaunch launch;
-    launch.kernel_id = static_cast<int>(i);
-    launch.name = trace[i].kernel;
-    launch.program = kernel.program;
-    launch.memory = &memories[i];
-    launch.arrival = trace[i].arrival;
-    launch.tenant.deadline_cycles = trace[i].deadline;
-    launches.push_back(std::move(launch));
+  for (const Cell& cell : cells) {
+    std::vector<GlobalMemory> memories(std::size(trace));
+    std::vector<KernelLaunch> launches;
+    for (std::size_t i = 0; i < std::size(trace); ++i) {
+      const Workload& kernel = find_workload(trace[i].kernel);
+      kernel.init(memories[i]);
+      KernelLaunch launch;
+      launch.kernel_id = static_cast<int>(i);
+      launch.name = trace[i].kernel;
+      launch.program = kernel.program;
+      launch.memory = &memories[i];
+      launch.arrival = trace[i].arrival;
+      launch.tenant.deadline_cycles = trace[i].deadline;
+      launches.push_back(std::move(launch));
+    }
+    Gpu gpu(serving, std::move(launches), cell.admission);
+    const GpuResult r = gpu.run();
+    EXPECT_EQ(r.cycles, cell.cycles) << cell.admission;
+    EXPECT_EQ(visited(r.profile), cell.profile) << cell.admission;
   }
-  Gpu gpu(serving, std::move(launches), "preemptive_slo");
-  const GpuResult r = gpu.run();
-  EXPECT_EQ(r.cycles, 2'932'717u);
-  EXPECT_EQ(visited(r.profile),
-            "sm_cycles_ticked=3904503 partition_cycles_ticked=1237684 "
-            "admission_evals=2336617 ff_spans=246436 ff_skipped_cycles=438880");
 }
 
 TEST(StepLoop, SmCountOutsideOneMaskIsAStructuredError) {

@@ -1,4 +1,4 @@
-// Differential test of the DRAM channel: the bank-mask Dram against a
+// Differential test of the DRAM channel: the per-bank-list Dram against a
 // linear-scan oracle that decodes bank and row per queued request on every
 // pass. Seeded random push/cycle/pop sequences must give the same
 // next_event, the same completions at the same cycles and the same
@@ -213,6 +213,36 @@ TEST(DramDifferential, MatchesLinearScanOracle) {
           run_differential(c, seed);
           if (::testing::Test::HasFatalFailure()) return;
         }
+      }
+    }
+  }
+}
+
+// Row hits and row misses complete through separate FIFOs. Equal latencies
+// make the two classes one issue-ordered stream; a miss latency one bus slot
+// above the hit latency makes a hit issued one slot after a miss finish in
+// the same cycle as it, where issue order must break the tie.
+TEST(DramDifferential, CompletionOrderAcrossHitsAndMisses) {
+  Rng seeds(0x7E5);
+  for (const DramSchedulerKind kind :
+       {DramSchedulerKind::kFrFcfs, DramSchedulerKind::kFcfs}) {
+    for (const Cycle miss_latency : {Cycle{20}, Cycle{22}}) {
+      for (const int banks : {1, 4}) {
+        DramConfig c;
+        c.scheduler = kind;
+        c.num_banks = banks;
+        c.row_bytes = 512;
+        c.row_hit_latency = 20;
+        c.row_miss_latency = miss_latency;
+        c.bus_cycles = 2;
+        const std::uint64_t seed = seeds.next_u64();
+        SCOPED_TRACE(::testing::Message()
+                     << (kind == DramSchedulerKind::kFrFcfs ? "FR-FCFS"
+                                                            : "FCFS")
+                     << " miss_latency=" << miss_latency
+                     << " banks=" << banks << " seed=" << seed);
+        run_differential(c, seed);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
