@@ -28,8 +28,6 @@ class Table {
   /// Renders as CSV (RFC-4180-ish quoting of commas/quotes).
   void print_csv(std::ostream& os) const;
 
-  int num_rows() const { return static_cast<int>(rows_.size()); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

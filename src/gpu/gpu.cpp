@@ -15,21 +15,7 @@ namespace prosim {
 namespace {
 
 void accumulate_stats(SmStats& into, const SmStats& s) {
-  into.issued += s.issued;
-  into.idle_stalls += s.idle_stalls;
-  into.scoreboard_stalls += s.scoreboard_stalls;
-  into.pipeline_stalls += s.pipeline_stalls;
-  into.sched_cycles += s.sched_cycles;
-  into.thread_insts += s.thread_insts;
-  into.warp_insts += s.warp_insts;
-  into.tbs_executed += s.tbs_executed;
-  into.smem_conflict_extra_cycles += s.smem_conflict_extra_cycles;
-  into.gmem_transactions += s.gmem_transactions;
-  into.const_transactions += s.const_transactions;
-  into.barrier_releases += s.barrier_releases;
-  into.barrier_wait_cycles += s.barrier_wait_cycles;
-  into.warp_finish_disparity_sum += s.warp_finish_disparity_sum;
-  into.occupancy_tb_cycles += s.occupancy_tb_cycles;
+  for (const SmStatsField& f : kSmStatsFields) into.*f.member += s.*f.member;
   for (int c = 0; c < kNumStallCauses; ++c)
     into.cause_cycles[c] += s.cause_cycles[c];
 }
@@ -57,6 +43,7 @@ const GpuConfig& require_sm_count(const GpuConfig& config) {
 
 void Gpu::CoreTotals::add(const SmCore& sm) {
   accumulate_stats(stats, sm.stats());
+  stats.derive_legacy_counts();
   l1_hits += sm.l1().hits;
   l1_misses += sm.l1().misses;
 }

@@ -103,8 +103,6 @@ class Gpu {
   int num_sms() const { return static_cast<int>(sms_.size()); }
 
   int num_streams() const { return static_cast<int>(streams_.size()); }
-  /// Kernel id SM `index` is currently bound to.
-  int sm_binding(int index) const { return binding_[index]; }
   /// Final per-thread registers of one kernel's grid (record_registers
   /// layout, [ctaid][tid][reg]); empty unless record_registers was set.
   const std::vector<RegValue>& stream_registers(int kernel) const;
@@ -140,6 +138,7 @@ class Gpu {
 
  private:
   /// Counters of SmCore generations: SM stats plus L1 hits and misses.
+  /// add() merges a live core's counters and derives the legacy counts.
   struct CoreTotals {
     SmStats stats;
     std::uint64_t l1_hits = 0;

@@ -8,20 +8,12 @@ namespace prosim {
 namespace {
 
 void write_sm_stats(std::ostream& os, const SmStats& s) {
-  os << "{\"issued\":" << s.issued << ",\"idle_stalls\":" << s.idle_stalls
-     << ",\"scoreboard_stalls\":" << s.scoreboard_stalls
-     << ",\"pipeline_stalls\":" << s.pipeline_stalls
-     << ",\"sched_cycles\":" << s.sched_cycles
-     << ",\"thread_insts\":" << s.thread_insts
-     << ",\"warp_insts\":" << s.warp_insts
-     << ",\"tbs_executed\":" << s.tbs_executed
-     << ",\"smem_conflict_extra_cycles\":" << s.smem_conflict_extra_cycles
-     << ",\"gmem_transactions\":" << s.gmem_transactions
-     << ",\"const_transactions\":" << s.const_transactions
-     << ",\"barrier_releases\":" << s.barrier_releases
-     << ",\"barrier_wait_cycles\":" << s.barrier_wait_cycles
-     << ",\"warp_finish_disparity_sum\":" << s.warp_finish_disparity_sum
-     << ",\"occupancy_tb_cycles\":" << s.occupancy_tb_cycles << "}";
+  char sep = '{';
+  for (const SmStatsField& f : kSmStatsFields) {
+    os << sep << '"' << f.name << "\":" << s.*f.member;
+    sep = ',';
+  }
+  os << '}';
 }
 
 SimError field_error(const std::string& what) {
@@ -70,21 +62,8 @@ int int_field(const JsonValue& obj, const char* key) {
 SmStats sm_stats_from_json(const JsonValue& obj) {
   PROSIM_REQUIRE(obj.is_object(), field_error("SmStats is not an object"));
   SmStats s;
-  s.issued = u64_field(obj, "issued");
-  s.idle_stalls = u64_field(obj, "idle_stalls");
-  s.scoreboard_stalls = u64_field(obj, "scoreboard_stalls");
-  s.pipeline_stalls = u64_field(obj, "pipeline_stalls");
-  s.sched_cycles = u64_field(obj, "sched_cycles");
-  s.thread_insts = u64_field(obj, "thread_insts");
-  s.warp_insts = u64_field(obj, "warp_insts");
-  s.tbs_executed = u64_field(obj, "tbs_executed");
-  s.smem_conflict_extra_cycles = u64_field(obj, "smem_conflict_extra_cycles");
-  s.gmem_transactions = u64_field(obj, "gmem_transactions");
-  s.const_transactions = u64_field(obj, "const_transactions");
-  s.barrier_releases = u64_field(obj, "barrier_releases");
-  s.barrier_wait_cycles = u64_field(obj, "barrier_wait_cycles");
-  s.warp_finish_disparity_sum = u64_field(obj, "warp_finish_disparity_sum");
-  s.occupancy_tb_cycles = u64_field(obj, "occupancy_tb_cycles");
+  for (const SmStatsField& f : kSmStatsFields)
+    s.*f.member = u64_field(obj, f.name);
   return s;
 }
 
@@ -92,8 +71,8 @@ SmStats sm_stats_from_json(const JsonValue& obj) {
 
 // Deliberate exceptions to "every field": GpuResult::throughput is
 // wall-clock measurement metadata stamped by the driver, and
-// SmStats::cause_cycles is measurement metadata refining counters the
-// document already carries. Both are skipped on write and left zero on
+// SmStats::cause_cycles is measurement metadata whose legacy-class sums
+// the document already carries. Both are skipped on write and left zero on
 // read, so cache files and every fingerprint derived from these bytes do
 // not depend on them.
 void write_gpu_result_json(std::ostream& os, const GpuResult& r) {

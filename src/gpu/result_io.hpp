@@ -1,11 +1,11 @@
 // Lossless GpuResult <-> JSON conversion.
 //
 // The serializer covers every field of GpuResult bit-exactly except the
-// per-cause stall cycles and the wall-clock measurements — it is the
-// storage format of the runner's on-disk result cache, and the determinism
-// tests compare sweeps by these strings. Integers round-trip exactly
-// (common/json.hpp keeps number tokens); there are no floating-point
-// fields in GpuResult itself.
+// per-cause stall cycles (it writes their legacy-class sums) and the
+// wall-clock measurements — it is the storage format of the runner's
+// on-disk result cache, and the determinism tests compare sweeps by these
+// strings. Integers round-trip exactly (common/json.hpp keeps number
+// tokens); there are no floating-point fields in GpuResult itself.
 #pragma once
 
 #include <iosfwd>

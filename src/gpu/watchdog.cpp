@@ -45,7 +45,8 @@ std::optional<SimError> Watchdog::check(
   next_check_ = now + config_.window;
 
   std::uint64_t issued = 0;
-  for (const auto& sm : sms) issued += sm->stats().issued;
+  for (const auto& sm : sms)
+    issued += sm->stats().cause_cycles[static_cast<int>(StallCause::kIssued)];
   if (issued != last_issued_) {
     last_issued_ = issued;
     stalled_windows_ = 0;

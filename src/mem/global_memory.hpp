@@ -99,10 +99,6 @@ class GlobalMemory {
     }
   }
 
-  /// Number of words in allocated pages (capacity-style metric; the store
-  /// is paged, so this counts whole touched pages, not individual words).
-  std::size_t footprint_words() const { return pages_.size() * kPageWords; }
-
   /// Folds the sparse image into `fp` deterministically: entries sorted by
   /// word address, explicit zeros skipped (absent == 0, so a stored zero
   /// and an untouched word hash identically). Lets workload fingerprints

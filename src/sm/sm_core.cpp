@@ -40,6 +40,22 @@ void write_lanes(RegValue* dst, ActiveMask active, F&& f) {
 
 }  // namespace
 
+void SmStats::derive_legacy_counts() {
+  std::uint64_t by_class[4] = {};
+  for (int c = 0; c < kNumStallCauses; ++c) {
+    const LegacyStallClass cls = legacy_stall_class(static_cast<StallCause>(c));
+    by_class[static_cast<int>(cls)] += cause_cycles[c];
+  }
+  issued = by_class[static_cast<int>(LegacyStallClass::kIssued)];
+  idle_stalls = by_class[static_cast<int>(LegacyStallClass::kIdle)];
+  scoreboard_stalls = by_class[static_cast<int>(LegacyStallClass::kScoreboard)];
+  pipeline_stalls = by_class[static_cast<int>(LegacyStallClass::kPipeline)];
+  sched_cycles = issued + idle_stalls + scoreboard_stalls + pipeline_stalls;
+  // A warp instruction issues in exactly the scheduler-cycles counted
+  // kIssued: a skipped span only repeats an all-stall cycle.
+  warp_insts = cause_cycles[static_cast<int>(StallCause::kIssued)];
+}
+
 SmCore::SmCore(int sm_id, const SmConfig& config, const Program& program,
                GlobalMemory& gmem, MemorySubsystem& mem,
                std::unique_ptr<SchedulerPolicy> policy,
@@ -464,10 +480,8 @@ void SmCore::skip_cycles(Cycle count) {
   // repeats verbatim. Warp states are likewise constant: no per-warp events
   // are needed, and slice durations span the skip via the transition cycle
   // numbers.
-  for (int sched = 0; sched < config_.num_schedulers; ++sched) {
-    stats_.sched_cycles += count;
+  for (int sched = 0; sched < config_.num_schedulers; ++sched)
     count_cause(sched, last_cause_[static_cast<std::size_t>(sched)], count);
-  }
 }
 
 Cycle SmCore::next_event(Cycle now) const {
@@ -664,7 +678,6 @@ bool SmCore::issue_cycle(Cycle now) {
   issued_now_mask_ = 0;
   for (int sched = 0; sched < config_.num_schedulers; ++sched) {
     const auto si = static_cast<std::size_t>(sched);
-    ++stats_.sched_cycles;
     // Candidates: allocated, unfinished, not at a barrier (live_mask_),
     // not draining toward a yield checkpoint (~yield_mask_), owned by this
     // hardware scheduler, and visible per the policy's consider mask.
@@ -718,20 +731,6 @@ bool SmCore::issue_cycle(Cycle now) {
 
 void SmCore::count_cause(int sched, StallCause cause, Cycle count) {
   stats_.cause_cycles[static_cast<int>(cause)] += count;
-  switch (legacy_stall_class(cause)) {
-    case LegacyStallClass::kIssued:
-      stats_.issued += count;
-      break;
-    case LegacyStallClass::kIdle:
-      stats_.idle_stalls += count;
-      break;
-    case LegacyStallClass::kScoreboard:
-      stats_.scoreboard_stalls += count;
-      break;
-    case LegacyStallClass::kPipeline:
-      stats_.pipeline_stalls += count;
-      break;
-  }
   if (trace_ != nullptr) trace_->on_sched_cycles(sm_id_, sched, cause, count);
 }
 
@@ -833,7 +832,6 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
   last_issue_[static_cast<std::size_t>(warp)] = now;
   tb_progress_[tb_slot] += static_cast<std::uint64_t>(lanes);
   stats_.thread_insts += static_cast<std::uint64_t>(lanes);
-  ++stats_.warp_insts;
   const bool long_latency =
       inst.op == Opcode::kLdg || inst.op == Opcode::kAtomGAdd ||
       inst.op == Opcode::kAtomGCas || inst.op == Opcode::kAtomGExch;
@@ -1212,7 +1210,7 @@ void SmCore::diagnose(Cycle now, std::vector<WarpBlockInfo>& warps,
   health.l1_mshr_occupancy = l1_mshr_.occupancy();
   health.const_mshr_occupancy = const_mshr_.occupancy();
   health.ldst_busy = ldst_op_.valid || ldst_busy_until_ > now;
-  health.issued = stats_.issued;
+  health.issued = stats_.cause_cycles[static_cast<int>(StallCause::kIssued)];
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -36,17 +37,21 @@
 
 namespace prosim {
 
-/// GPGPU-Sim's stall taxonomy, counted per hardware scheduler per cycle.
+/// Per-SM counters. Every hardware-scheduler cycle is counted once, by its
+/// StallCause in cause_cycles (the paper's stall breakdown, Figs. 1/5 and
+/// Table III). The six counts of GPGPU-Sim's taxonomy (issued, the three
+/// stall classes, sched_cycles and warp_insts) are sums of those causes:
+/// derive_legacy_counts() fills them where a live core's counters leave
+/// SmCore (Gpu::CoreTotals::add), and a result document carries them.
 struct SmStats {
-  /// issued + idle/scoreboard/pipeline_stalls: the legacy classes, each the
-  /// sum of its causes in cause_cycles (legacy_stall_class()).
+  /// The legacy classes: each the sum of its causes (legacy_stall_class()).
   std::uint64_t issued = 0;
   std::uint64_t idle_stalls = 0;
   std::uint64_t scoreboard_stalls = 0;
   std::uint64_t pipeline_stalls = 0;
-  std::uint64_t sched_cycles = 0;      ///< scheduler-cycles observed
+  std::uint64_t sched_cycles = 0;      ///< scheduler-cycles: every cause
   std::uint64_t thread_insts = 0;      ///< instructions weighted by lanes
-  std::uint64_t warp_insts = 0;        ///< warp instructions issued
+  std::uint64_t warp_insts = 0;        ///< warp instructions: kIssued
   std::uint64_t tbs_executed = 0;
   std::uint64_t smem_conflict_extra_cycles = 0;
   std::uint64_t gmem_transactions = 0;
@@ -60,12 +65,14 @@ struct SmStats {
   /// Sum over cycles of resident TBs (mean occupancy = sum / cycles):
   /// the §II-C hardware-utilization signal.
   std::uint64_t occupancy_tb_cycles = 0;
-  /// Hardware-scheduler cycles per StallCause (indexed by the enum), the
-  /// paper's stall breakdown (Figs. 1/5, Table III). Like
+  /// Hardware-scheduler cycles per StallCause (indexed by the enum). Like
   /// GpuResult::throughput it is measurement metadata: result_io does not
-  /// serialize it, so it is only valid for a freshly simulated result. A
-  /// cache hit carries zeros here next to nonzero legacy counters.
+  /// serialize it, so a cache hit carries zeros here next to nonzero
+  /// legacy counts.
   std::uint64_t cause_cycles[kNumStallCauses] = {};
+
+  /// Sets the six legacy counts from cause_cycles.
+  void derive_legacy_counts();
 
   /// SIMT lanes utilized per issued warp instruction, in [0, 1].
   double simt_efficiency() const {
@@ -74,6 +81,36 @@ struct SmStats {
                                  (32.0 * static_cast<double>(warp_insts));
   }
 };
+
+/// One SmStats counter and its name in the result document.
+struct SmStatsField {
+  const char* name;
+  std::uint64_t SmStats::*member;
+};
+
+/// Every SmStats counter but cause_cycles, in result-document order. The
+/// merge of two records and the result document's writer and reader loop
+/// over it.
+inline constexpr SmStatsField kSmStatsFields[] = {
+    {"issued", &SmStats::issued},
+    {"idle_stalls", &SmStats::idle_stalls},
+    {"scoreboard_stalls", &SmStats::scoreboard_stalls},
+    {"pipeline_stalls", &SmStats::pipeline_stalls},
+    {"sched_cycles", &SmStats::sched_cycles},
+    {"thread_insts", &SmStats::thread_insts},
+    {"warp_insts", &SmStats::warp_insts},
+    {"tbs_executed", &SmStats::tbs_executed},
+    {"smem_conflict_extra_cycles", &SmStats::smem_conflict_extra_cycles},
+    {"gmem_transactions", &SmStats::gmem_transactions},
+    {"const_transactions", &SmStats::const_transactions},
+    {"barrier_releases", &SmStats::barrier_releases},
+    {"barrier_wait_cycles", &SmStats::barrier_wait_cycles},
+    {"warp_finish_disparity_sum", &SmStats::warp_finish_disparity_sum},
+    {"occupancy_tb_cycles", &SmStats::occupancy_tb_cycles},
+};
+static_assert(sizeof(SmStats) / sizeof(std::uint64_t) ==
+                  std::size(kSmStatsFields) + kNumStallCauses,
+              "every SmStats counter is listed in kSmStatsFields");
 
 /// Architectural snapshot of one resident TB, taken at a yield point
 /// (preemptive admission, docs/SERVING.md): SIMT stacks, registers, shared
@@ -228,6 +265,8 @@ class SmCore {
     }
   }
 
+  /// The core's own counters: scheduler-cycles are in cause_cycles only,
+  /// and the six legacy counts read zero (SmStats::derive_legacy_counts).
   const SmStats& stats() const { return stats_; }
   const Cache& l1() const { return l1_; }
   const Cache& const_cache() const { return const_cache_; }
@@ -330,8 +369,8 @@ class SmCore {
   bool drain_writebacks(Cycle now);
   bool ldst_cycle(Cycle now);
   bool issue_cycle(Cycle now);
-  /// Counts `count` cycles of scheduler `sched` as `cause`: cause_cycles,
-  /// its legacy counter, and the trace sink's on_sched_cycles.
+  /// Counts `count` cycles of scheduler `sched` as `cause` in cause_cycles
+  /// and the trace sink's on_sched_cycles.
   void count_cause(int sched, StallCause cause, Cycle count);
 
   // -- issue helpers --------------------------------------------------------
@@ -410,7 +449,6 @@ class SmCore {
     static constexpr RegValue kZeroRow[kWarpSize] = {};
     return r == kNoReg ? kZeroRow : row(warp, r);
   }
-  int tb_of_warp(int warp) const { return warps_[warp].tb_slot; }
   int tid_of(int warp, int lane) const {
     const int warp_in_tb = warp - warps_[warp].tb_slot * warps_per_tb_;
     return warp_in_tb * kWarpSize + lane;

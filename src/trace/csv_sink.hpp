@@ -42,8 +42,6 @@ class WindowCsvSink final : public TraceSink {
   void write_histograms_csv(std::ostream& os) const;
 
   const std::vector<Window>& windows() const { return windows_; }
-  const Histogram& barrier_hist() const { return barrier_hist_; }
-  const Histogram& finish_hist() const { return finish_hist_; }
 
  private:
   std::vector<Window> windows_;

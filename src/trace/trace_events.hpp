@@ -33,8 +33,8 @@ enum class LegacyStallClass : std::uint8_t {
 
 /// Per-hardware-scheduler-cycle issue outcome. Exactly one cause is
 /// reported per scheduler per cycle; legacy_stall_class() maps each cause
-/// onto the coarse counter it reconciles with, so summing causes by class
-/// reproduces SmStats::{idle,scoreboard,pipeline}_stalls bit-exactly.
+/// onto its coarse class, and SmStats::derive_legacy_counts() sums the
+/// causes by class into SmStats::{issued,idle,scoreboard,pipeline}_stalls.
 enum class StallCause : std::uint8_t {
   kIssued = 0,     ///< a warp issued (not a stall)
   kFuBusy,         ///< pipeline: ready candidates, functional unit busy

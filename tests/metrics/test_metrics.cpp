@@ -5,7 +5,7 @@
 // series telescope to the slice counters, and the journal's demotion
 // accounting must reproduce the pinned preemptive counters from
 // test_litmus_preemptive — all while the canonical GpuResult bytes stay
-// identical to an unobserved run. Seeds/SimProperty.Holds (property 5)
+// identical to an unobserved run. Seeds/SimProperty.Holds (property 4)
 // telescopes the per-SM stall-cause series in every trial.
 #include <gtest/gtest.h>
 

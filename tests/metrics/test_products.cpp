@@ -118,9 +118,6 @@ TEST(ObservabilityProducts, SingleKernelCellMatchesRecordedDigests) {
   ASSERT_EQ(report.cells.size(), 1u);
   ASSERT_TRUE(report.cells[0].ok());
   EXPECT_EQ(report.cells[0].write_error, "");
-  const SmStats& totals = report.cells[0].result->totals;
-  EXPECT_EQ(totals.cause_cycles[static_cast<int>(StallCause::kIssued)],
-            totals.issued);
   const std::pair<const char*, const char*> want[] = {
       {"m.csv", "91c9e5f39e0c8eb5"},      {"m.json", "70313bef1722a325"},
       {"e.jsonl", "1d696ca54ee31a42"},    {"k.json", "6ebf8549a829e8bf"},

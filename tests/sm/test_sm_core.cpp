@@ -102,6 +102,24 @@ TEST(SmCore, StallAccountingInvariant) {
   EXPECT_GT(r.totals.sched_cycles, 0u);
 }
 
+TEST(SmStats, DerivesLegacyCountsFromCauses) {
+  // Cause c counts 10^c cycles, so each sum shows which causes it took.
+  SmStats s;
+  s.issued = s.idle_stalls = s.sched_cycles = s.warp_insts = 7;
+  std::uint64_t count = 1;
+  for (std::uint64_t& n : s.cause_cycles) {
+    n = count;
+    count *= 10;
+  }
+  s.derive_legacy_counts();
+  EXPECT_EQ(s.issued, 1u);                    // issued
+  EXPECT_EQ(s.pipeline_stalls, 10u);          // fu_busy
+  EXPECT_EQ(s.scoreboard_stalls, 11'100u);    // mem, alu, spin_wait
+  EXPECT_EQ(s.idle_stalls, 1'111'100'000u);   // barrier .. no_warp
+  EXPECT_EQ(s.sched_cycles, 1'111'111'111u);  // every cause
+  EXPECT_EQ(s.warp_insts, 1u);                // issued
+}
+
 TEST(SmCore, ThreadInstructionsMatchGoldenModel) {
   ProgramBuilder b("k");
   b.block_dim(96).grid_dim(5);

@@ -1,10 +1,11 @@
 // The acceptance gate for the StallCause taxonomy on EVERY cell of the
 // paper's Fig. 4 matrix (all 25 Table II kernels x {LRR, GTO, TL, PRO} on
-// the GTX480 config). The SM derives the legacy idle/scoreboard/pipeline
-// counters from the causes it counts, so their reconciliation holds by
-// construction; what is pinned is the fine split itself: an FNV-1a digest
-// of every cell's per-SM cause_cycles, recorded with the stall-attribution
-// trace sink that computed the causes before the SM counted them.
+// the GTX480 config). The SM counts causes only and the legacy
+// idle/scoreboard/pipeline counts are derived from them
+// (SmStats.DerivesLegacyCountsFromCauses), so what is pinned is the fine
+// split itself: an FNV-1a digest of every cell's per-SM cause_cycles,
+// recorded with the stall-attribution trace sink that computed the causes
+// before the SM counted them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 #include "common/fingerprint.hpp"
 #include "runner/matrix.hpp"
 #include "runner/runner.hpp"
-#include "stall_checks.hpp"
 
 namespace prosim {
 namespace {
@@ -74,12 +74,6 @@ TEST(StallReconciliation, EveryFig4CellReconcilesExactly) {
     EXPECT_EQ(fp.hash(), kCauseDigests[i])
         << cell.label << ": stall causes changed (actual 0x" << fp.hex()
         << ")";
-
-    expect_reconciles(r.totals, cell.label);
-    for (std::size_t sm = 0; sm < r.per_sm.size(); ++sm) {
-      expect_reconciles(r.per_sm[sm],
-                        cell.label + " sm " + std::to_string(sm));
-    }
   }
 }
 
