@@ -56,7 +56,14 @@ std::string Program::validate() const {
         }
       }
     }
-    if (oi.has_dst && !reg_ok(inst.dst, info.regs_per_thread)) {
+    // A destination exactly when the opcode writes one; optional on atomics.
+    if (!oi.is_atomic && oi.has_dst != (inst.dst != kNoReg)) {
+      err << "pc " << pc << ": " << oi.mnemonic
+          << (oi.has_dst ? " needs a dst register"
+                         : " writes no register");
+      return err.str();
+    }
+    if (!reg_ok(inst.dst, info.regs_per_thread)) {
       err << "pc " << pc << ": dst register out of range";
       return err.str();
     }

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "gpu/result_io.hpp"
 
 namespace prosim::runner {
@@ -29,12 +28,9 @@ std::optional<GpuResult> ResultCache::load(const std::string& key) const {
   if (!in) return std::nullopt;
   std::ostringstream text;
   text << in.rdbuf();
+  // An unreadable entry (say, from an older schema) is a miss.
   Expected<GpuResult> parsed = gpu_result_from_json(text.str());
-  if (!parsed.has_value()) {
-    PROSIM_WARN("result cache: discarding unreadable entry %s (%s)",
-                key.c_str(), parsed.error().message.c_str());
-    return std::nullopt;
-  }
+  if (!parsed.has_value()) return std::nullopt;
   return std::move(parsed.value());
 }
 

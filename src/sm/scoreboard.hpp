@@ -45,12 +45,8 @@ class Scoreboard {
     if (!inst.src1_is_imm) mask |= bit_or_zero(inst.src1);
     mask |= bit_or_zero(inst.src2);
     mask |= bit_or_zero(inst.pred);
-    // Atomics have has_dst == false (the dst operand is optional), but a
-    // result-returning atomic still reserves dst at issue — include it so
-    // WAW/RAW hazards against that reservation stall instead of aborting
-    // on a double reservation.
-    if (inst.info().has_dst || inst.info().is_atomic)
-      mask |= bit_or_zero(inst.dst);
+    // Program::validate admits a dst only on an opcode that writes it.
+    mask |= bit_or_zero(inst.dst);
     return mask;
   }
 

@@ -576,19 +576,14 @@ bool SmCore::ldst_cycle(Cycle now) {
         mem_.inject({line, MemReqKind::kRead, sm_id_, 0, is_const}, now);
         break;
       }
-      case MemReqKind::kWrite: {
+      case MemReqKind::kWrite:
+      case MemReqKind::kAtomic:
+        // Stores write through and atomics operate at the L2; both evict
+        // the line from the L1.
         if (!can_inject(line)) return ldst_op_.next != start;
-        l1_.invalidate(line);  // write-evict, write-through
-        mem_.inject({line, MemReqKind::kWrite, sm_id_, 0, false}, now);
+        l1_.invalidate(line);
+        mem_.inject({line, ldst_op_.kind, sm_id_, ldst_op_.token, false}, now);
         break;
-      }
-      case MemReqKind::kAtomic: {
-        if (!can_inject(line)) return ldst_op_.next != start;
-        l1_.invalidate(line);  // atomics operate at the L2
-        mem_.inject({line, MemReqKind::kAtomic, sm_id_, ldst_op_.token, false},
-                    now);
-        break;
-      }
     }
     ++ldst_op_.next;
     --budget;
@@ -789,6 +784,7 @@ void SmCore::trace_warp_states(Cycle now) {
 // ---------------------------------------------------------------------------
 
 void SmCore::schedule_release(int warp, std::uint8_t reg_idx, Cycle at) {
+  scoreboard_.reserve(warp, reg_idx);
   wb_.push({at, WbKind::kRegRelease, warp, reg_idx, 0});
 }
 
@@ -803,6 +799,7 @@ std::uint32_t SmCore::alloc_pending_load(int warp, std::uint8_t dst,
     pending_loads_.emplace_back();
   }
   pending_loads_[token] = {warp, dst, outstanding, true};
+  scoreboard_.reserve(warp, dst);
   warps_[warp].mem_pending |= 1ull << dst;
   ++live_pending_loads_;
   return token;
@@ -832,18 +829,18 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
   last_issue_[static_cast<std::size_t>(warp)] = now;
   tb_progress_[tb_slot] += static_cast<std::uint64_t>(lanes);
   stats_.thread_insts += static_cast<std::uint64_t>(lanes);
+  const OpcodeInfo& info = inst.info();
   const bool long_latency =
-      inst.op == Opcode::kLdg || inst.op == Opcode::kAtomGAdd ||
-      inst.op == Opcode::kAtomGCas || inst.op == Opcode::kAtomGExch;
+      info.space == MemSpace::kGlobal && (info.is_load || info.is_atomic);
   policy_->on_warp_issue(warp, lanes, long_latency);
 
   const std::int32_t prev_pc = warp_pc_[warp];
 
-  switch (inst.info().fu) {
+  switch (info.fu) {
     case FuType::kControl:
-      if (inst.op == Opcode::kBra) {
+      if (info.is_branch) {
         execute_branch(warp, inst, active);
-      } else if (inst.op == Opcode::kBar) {
+      } else if (info.is_barrier) {
         wc.stack.advance();
         do_barrier(warp, now);
       } else {  // exit
@@ -854,25 +851,20 @@ void SmCore::issue_warp(int warp, const Instruction& inst, Cycle now) {
       execute_memory(warp, inst, active, now);
       break;
     case FuType::kSfu:
-      sfu_ready_at_ = now + config_.sfu_initiation_interval;
-      execute_alu(warp, inst, active);
-      wc.stack.advance();
-      scoreboard_.reserve(warp, inst.dst);
-      schedule_release(warp, inst.dst, now + config_.sfu_latency);
-      break;
     case FuType::kSpInt:
-    case FuType::kSpFp: {
-      if (inst.op != Opcode::kNop) execute_alu(warp, inst, active);
-      wc.stack.advance();
-      if (inst.info().has_dst) {
-        const Cycle lat = inst.info().fu == FuType::kSpFp
-                              ? config_.fp_latency
-                              : config_.alu_latency;
-        scoreboard_.reserve(warp, inst.dst);
+    case FuType::kSpFp:
+      if (inst.dst != kNoReg) {  // every opcode here but nop
+        execute_alu(warp, inst, active);
+        const Cycle lat = info.fu == FuType::kSfu    ? config_.sfu_latency
+                          : info.fu == FuType::kSpFp ? config_.fp_latency
+                                                     : config_.alu_latency;
         schedule_release(warp, inst.dst, now + lat);
       }
+      if (info.fu == FuType::kSfu) {
+        sfu_ready_at_ = now + config_.sfu_initiation_interval;
+      }
+      wc.stack.advance();
       break;
-    }
   }
 
   if (wc.finished) return;
@@ -943,221 +935,133 @@ void SmCore::execute_branch(int warp, const Instruction& inst,
   wc.stack.take_branch(inst, (inst.pred_invert ? ~nonzero : nonzero) & active);
 }
 
-void SmCore::salt_lines(int count) {
-  if (addr_salt_ == 0) return;
-  for (int i = 0; i < count; ++i) ldst_op_.lines[i] += addr_salt_;
-}
-
 void SmCore::execute_memory(int warp, const Instruction& inst,
                             ActiveMask active, Cycle now) {
   WarpCtx& wc = warps_[warp];
   TbCtx& tb = tbs_[wc.tb_slot];
+  const OpcodeInfo& info = inst.info();
+  auto fault = [&](const char* what) {
+    return SimError::make(ErrorCategory::kInvariant, what)
+        .at_cycle(now).on_sm(sm_id_).on_warp(warp).at_pc(wc.stack.pc());
+  };
 
-  // Every lane's address; the coalescer and bank model read active ones.
+  // Every lane's address; the coalescer and bank model read active ones,
+  // and every active one must name a whole 8-byte word.
   const RegValue* base = src_row(warp, inst.src0);
+  Addr low_bits = 0;
   for (int lane = 0; lane < kWarpSize; ++lane) {
     lane_addrs_[lane] =
         static_cast<Addr>(static_cast<std::uint64_t>(base[lane]) +
                           static_cast<std::uint64_t>(inst.imm));
+    low_bits |= lane_addrs_[lane] & (Addr{0} - ((active >> lane) & 1u));
   }
-  // Value, compare and destination rows; side effects run in lane order.
+  PROSIM_REQUIRE((low_bits & 7) == 0, fault("unaligned memory access"));
+
+  // Functional half: the opcode's effects, in lane order.
   const RegValue* v = src_row(warp, inst.src1);
   const RegValue* n = src_row(warp, inst.src2);
   RegValue* const d = inst.dst == kNoReg ? nullptr : row(warp, inst.dst);
-
+  auto return_old = [&](int lane, RegValue old) {
+    if (d != nullptr) d[lane] = old;
+  };
   auto smem_word = [&](int lane) -> RegValue& {
-    const Addr addr = lane_addrs_[lane];
-    PROSIM_REQUIRE((addr & 7) == 0,
-                   SimError::make(ErrorCategory::kInvariant,
-                                  "unaligned shared-memory access")
-                       .at_cycle(now).on_sm(sm_id_).on_warp(warp)
-                       .at_pc(wc.stack.pc()));
-    const std::size_t word = addr >> 3;
+    const std::size_t word = lane_addrs_[lane] >> 3;
     PROSIM_REQUIRE(word < tb.smem.size(),
-                   SimError::make(ErrorCategory::kInvariant,
-                                  "shared-memory access out of range")
-                       .at_cycle(now).on_sm(sm_id_).on_warp(warp)
-                       .at_pc(wc.stack.pc()));
+                   fault("shared-memory access out of range"));
     return tb.smem[word];
   };
-
   switch (inst.op) {
-    case Opcode::kLdg: {
+    case Opcode::kLdg:
+    case Opcode::kLdc:
       for_each_lane(active,
                     [&](int lane) { d[lane] = gmem_.load(lane_addrs_[lane]); });
-      // fu_can_accept guarantees the LDST op slot is free at issue time, so
-      // the coalescer writes its line list straight into it.
-      const int count = coalesce_lines_into(
-          lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
-      salt_lines(count);
-      stats_.gmem_transactions += static_cast<std::uint64_t>(count);
-      const std::uint32_t token = alloc_pending_load(warp, inst.dst, count);
-      scoreboard_.reserve(warp, inst.dst);
-      ldst_op_.valid = true;
-      ldst_op_.warp = warp;
-      ldst_op_.num_lines = count;
-      ldst_op_.next = 0;
-      ldst_op_.kind = MemReqKind::kRead;
-      ldst_op_.token = token;
-      ldst_op_.is_const = false;
       break;
-    }
-    case Opcode::kStg: {
+    case Opcode::kStg:
       for_each_lane(active,
                     [&](int lane) { gmem_.store(lane_addrs_[lane], v[lane]); });
-      const int count = coalesce_lines_into(
-          lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
-      salt_lines(count);
-      stats_.gmem_transactions += static_cast<std::uint64_t>(count);
-      ldst_op_.valid = true;
-      ldst_op_.warp = warp;
-      ldst_op_.num_lines = count;
-      ldst_op_.next = 0;
-      ldst_op_.kind = MemReqKind::kWrite;
-      ldst_op_.token = kNoToken;
-      ldst_op_.is_const = false;
       break;
-    }
-    case Opcode::kAtomGAdd: {
+    case Opcode::kAtomGAdd:
       for_each_lane(active, [&](int lane) {
-        const RegValue old = gmem_.atomic_add(lane_addrs_[lane], v[lane]);
-        if (d != nullptr) d[lane] = old;
+        return_old(lane, gmem_.atomic_add(lane_addrs_[lane], v[lane]));
       });
-      const int count = coalesce_lines_into(
-          lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
-      salt_lines(count);
-      stats_.gmem_transactions += static_cast<std::uint64_t>(count);
-      std::uint32_t token = kNoToken;
-      if (inst.dst != kNoReg) {
-        token = alloc_pending_load(warp, inst.dst, count);
-        scoreboard_.reserve(warp, inst.dst);
-      }
-      ldst_op_.valid = true;
-      ldst_op_.warp = warp;
-      ldst_op_.num_lines = count;
-      ldst_op_.next = 0;
-      ldst_op_.kind = MemReqKind::kAtomic;
-      ldst_op_.token = token;
-      ldst_op_.is_const = false;
       break;
-    }
     case Opcode::kAtomGCas:
-    case Opcode::kAtomGExch: {
       for_each_lane(active, [&](int lane) {
-        const RegValue old =
-            inst.op == Opcode::kAtomGCas
-                ? gmem_.atomic_cas(lane_addrs_[lane], v[lane], n[lane])
-                : gmem_.atomic_exch(lane_addrs_[lane], v[lane]);
-        if (d != nullptr) d[lane] = old;
+        return_old(lane, gmem_.atomic_cas(lane_addrs_[lane], v[lane], n[lane]));
       });
-      const int count = coalesce_lines_into(
-          lane_addrs_, active, config_.l1d.line_bytes, ldst_op_.lines);
-      salt_lines(count);
-      stats_.gmem_transactions += static_cast<std::uint64_t>(count);
-      std::uint32_t token = kNoToken;
-      if (inst.dst != kNoReg) {
-        token = alloc_pending_load(warp, inst.dst, count);
-        scoreboard_.reserve(warp, inst.dst);
-      }
-      ldst_op_.valid = true;
-      ldst_op_.warp = warp;
-      ldst_op_.num_lines = count;
-      ldst_op_.next = 0;
-      ldst_op_.kind = MemReqKind::kAtomic;
-      ldst_op_.token = token;
-      ldst_op_.is_const = false;
       break;
-    }
-    case Opcode::kLds: {
+    case Opcode::kAtomGExch:
+      for_each_lane(active, [&](int lane) {
+        return_old(lane, gmem_.atomic_exch(lane_addrs_[lane], v[lane]));
+      });
+      break;
+    case Opcode::kLds:
       for_each_lane(active, [&](int lane) { d[lane] = smem_word(lane); });
-      const int degree =
-          smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
-      stats_.smem_conflict_extra_cycles +=
-          static_cast<std::uint64_t>(degree - 1);
-      ldst_busy_until_ = now + static_cast<Cycle>(degree);
-      scoreboard_.reserve(warp, inst.dst);
-      schedule_release(warp, inst.dst,
-                       now + config_.smem_latency + degree - 1);
       break;
-    }
-    case Opcode::kSts: {
+    case Opcode::kSts:
       for_each_lane(active, [&](int lane) { smem_word(lane) = v[lane]; });
-      const int degree =
-          smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
-      stats_.smem_conflict_extra_cycles +=
-          static_cast<std::uint64_t>(degree - 1);
-      ldst_busy_until_ = now + static_cast<Cycle>(degree);
       break;
-    }
-    case Opcode::kAtomSAdd: {
+    case Opcode::kAtomSAdd:
       for_each_lane(active, [&](int lane) {
         RegValue& word = smem_word(lane);
         const RegValue old = word;
-        word = static_cast<RegValue>(static_cast<std::uint64_t>(word) +
+        word = static_cast<RegValue>(static_cast<std::uint64_t>(old) +
                                      static_cast<std::uint64_t>(v[lane]));
-        if (d != nullptr) d[lane] = old;
+        return_old(lane, old);
       });
-      const int degree =
-          smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
-      stats_.smem_conflict_extra_cycles +=
-          static_cast<std::uint64_t>(degree - 1);
-      ldst_busy_until_ = now + static_cast<Cycle>(degree);
-      if (inst.dst != kNoReg) {
-        scoreboard_.reserve(warp, inst.dst);
-        schedule_release(warp, inst.dst,
-                         now + config_.smem_latency + degree - 1);
-      }
       break;
-    }
-    case Opcode::kAtomSCas: {
+    case Opcode::kAtomSCas:
       for_each_lane(active, [&](int lane) {
         RegValue& word = smem_word(lane);
         const RegValue old = word;
         if (old == v[lane]) word = n[lane];
-        if (d != nullptr) d[lane] = old;
+        return_old(lane, old);
       });
-      const int degree =
-          smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
-      stats_.smem_conflict_extra_cycles +=
-          static_cast<std::uint64_t>(degree - 1);
-      ldst_busy_until_ = now + static_cast<Cycle>(degree);
-      if (inst.dst != kNoReg) {
-        scoreboard_.reserve(warp, inst.dst);
-        schedule_release(warp, inst.dst,
-                         now + config_.smem_latency + degree - 1);
-      }
       break;
-    }
-    case Opcode::kLdc: {
-      for_each_lane(active,
-                    [&](int lane) { d[lane] = gmem_.load(lane_addrs_[lane]); });
-      scoreboard_.reserve(warp, inst.dst);
-      if (config_.const_cache_enabled) {
-        const int count = coalesce_lines_into(
-            lane_addrs_, active, config_.const_cache.line_bytes,
-            ldst_op_.lines);
-        salt_lines(count);
-        stats_.const_transactions += static_cast<std::uint64_t>(count);
-        const std::uint32_t token =
-            alloc_pending_load(warp, inst.dst, count);
-        ldst_op_.valid = true;
-        ldst_op_.warp = warp;
-        ldst_op_.num_lines = count;
-        ldst_op_.next = 0;
-        ldst_op_.kind = MemReqKind::kRead;
-        ldst_op_.token = token;
-        ldst_op_.is_const = true;
-      } else {
-        // Always-hit approximation: fixed latency, no tags.
-        ldst_busy_until_ = now + 1;
-        schedule_release(warp, inst.dst, now + config_.const_latency);
-      }
-      break;
-    }
     default:
       PROSIM_CHECK_MSG(false, "non-memory opcode in execute_memory");
   }
   wc.stack.advance();
+
+  // Timing half: one path per memory space.
+  if (info.space == MemSpace::kShared) {
+    const int degree =
+        smem_conflict_degree(lane_addrs_, active, config_.smem_banks);
+    stats_.smem_conflict_extra_cycles += static_cast<std::uint64_t>(degree - 1);
+    ldst_busy_until_ = now + static_cast<Cycle>(degree);
+    if (d != nullptr) {
+      schedule_release(warp, inst.dst, now + config_.smem_latency + degree - 1);
+    }
+    return;
+  }
+  const bool is_const = info.space == MemSpace::kConst;
+  if (is_const && !config_.const_cache_enabled) {
+    // Always-hit approximation: fixed latency, no tags.
+    ldst_busy_until_ = now + 1;
+    schedule_release(warp, inst.dst, now + config_.const_latency);
+    return;
+  }
+  // fu_can_accept guarantees the LDST op slot is free at issue time, so the
+  // coalescer writes its line list straight into it.
+  const int count = coalesce_lines_into(
+      lane_addrs_, active,
+      is_const ? config_.const_cache.line_bytes : config_.l1d.line_bytes,
+      ldst_op_.lines);
+  if (addr_salt_ != 0) {
+    for (int i = 0; i < count; ++i) ldst_op_.lines[i] += addr_salt_;
+  }
+  (is_const ? stats_.const_transactions : stats_.gmem_transactions) +=
+      static_cast<std::uint64_t>(count);
+  ldst_op_.valid = true;
+  ldst_op_.warp = warp;
+  ldst_op_.num_lines = count;
+  ldst_op_.next = 0;
+  ldst_op_.kind = info.is_atomic  ? MemReqKind::kAtomic
+                  : info.is_store ? MemReqKind::kWrite
+                                  : MemReqKind::kRead;
+  ldst_op_.token =
+      d != nullptr ? alloc_pending_load(warp, inst.dst, count) : kNoToken;
+  ldst_op_.is_const = is_const;
 }
 
 // ---------------------------------------------------------------------------

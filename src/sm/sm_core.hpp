@@ -431,9 +431,12 @@ class SmCore {
   /// Emits on_warp_state for every warp whose sampled state changed.
   void trace_warp_states(Cycle now);
 
+  /// Reserves `dst` until all `outstanding` transactions complete; returns
+  /// their token.
   std::uint32_t alloc_pending_load(int warp, std::uint8_t dst,
                                    int outstanding);
   void complete_load_transaction(std::uint32_t token, Cycle now);
+  /// Reserves `reg` and releases it at cycle `at`.
   void schedule_release(int warp, std::uint8_t reg, Cycle at);
 
   /// Register `r` of warp `warp`: kWarpSize contiguous lane values. The
@@ -564,9 +567,7 @@ class SmCore {
   // Scratch (per-issue) lane addresses.
   Addr lane_addrs_[kWarpSize] = {};
 
-  /// Adds addr_salt_ to the first `count` coalesced lines in ldst_op_
-  /// (no-op at salt 0; see set_addr_salt).
-  void salt_lines(int count);
+  /// Added to every coalesced line address (see set_addr_salt).
   Addr addr_salt_ = 0;
 
   SmStats stats_;

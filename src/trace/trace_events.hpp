@@ -88,7 +88,6 @@ enum class WarpState : std::uint8_t {
   kBarrierWait,      ///< parked at a barrier (§II-B barrierWait window)
   kFinishWait,       ///< retired, TB waiting for siblings (finishWait)
 };
-inline constexpr int kNumWarpStates = 10;
 
 const char* warp_state_name(WarpState state);
 
@@ -107,7 +106,6 @@ enum class SimEventKind : std::uint8_t {
   kSloMissed,          ///< finished past the tenant deadline (aux = it)
   kSimEnd,             ///< simulation completed
 };
-inline constexpr int kNumSimEventKinds = 12;
 
 const char* sim_event_kind_name(SimEventKind kind);
 

@@ -186,6 +186,15 @@ TEST(Assembler, ValidationRunsOnResult) {
   EXPECT_NE(e.message.find("exit"), std::string::npos);
 }
 
+TEST(Assembler, ErrorOnAtomicDestinationBeyondRegs) {
+  const AssemblerError e = fail(
+      ".regs 2\n    ishl r0, r0, #3\n    atomg.add r9, [r0+0], r1\n"
+      "    exit\n");
+  EXPECT_NE(e.message.find("dst register out of range"), std::string::npos);
+  ok(".regs 10\n    ishl r0, r0, #3\n    atomg.add r9, [r0+0], r1\n"
+     "    exit\n");
+}
+
 // Round-trip: builder -> disassemble -> assemble -> identical semantics.
 TEST(Assembler, DisassemblyReassembles) {
   ProgramBuilder b("rt");

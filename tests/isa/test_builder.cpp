@@ -194,6 +194,39 @@ TEST(ProgramValidate, RejectsRegisterOutOfRange) {
   EXPECT_NE(p.validate().find("register"), std::string::npos);
 }
 
+/// validate() of `inst` followed by exit, with two registers per thread.
+std::string validate_one(Opcode op, std::uint8_t dst) {
+  Program p;
+  p.info.name = "k";
+  p.info.regs_per_thread = 2;
+  Instruction inst;
+  inst.op = op;
+  inst.dst = dst;
+  p.code.push_back(inst);
+  Instruction ex;
+  ex.op = Opcode::kExit;
+  p.code.push_back(ex);
+  return p.validate();
+}
+
+TEST(ProgramValidate, RangeChecksAnAtomicDestination) {
+  EXPECT_NE(validate_one(Opcode::kAtomGAdd, 9).find("dst register"),
+            std::string::npos);
+  EXPECT_EQ(validate_one(Opcode::kAtomGAdd, 1), "");
+  EXPECT_EQ(validate_one(Opcode::kAtomGAdd, kNoReg), "");
+}
+
+TEST(ProgramValidate, RequiresADestinationExactlyWhereOneIsWritten) {
+  for (Opcode op : {Opcode::kStg, Opcode::kSts, Opcode::kNop, Opcode::kBar,
+                    Opcode::kExit}) {
+    EXPECT_NE(validate_one(op, 0).find("writes no register"),
+              std::string::npos)
+        << opcode_info(op).mnemonic;
+  }
+  EXPECT_NE(validate_one(Opcode::kMovi, kNoReg).find("movi needs a dst"),
+            std::string::npos);
+}
+
 TEST(Program, NumWarpsPerTbRoundsUp) {
   Program p;
   p.info.block_dim = 33;

@@ -268,6 +268,25 @@ TEST(SmCore, SharedMemoryBankConflictsCounted) {
   EXPECT_GT(r.totals.smem_conflict_extra_cycles, 0u);
 }
 
+TEST(SmCore, UnalignedGlobalLoadFailsWithAStructuredError) {
+  ProgramBuilder b("k");
+  b.block_dim(32).grid_dim(1);
+  b.s2r(0, SpecialReg::kTid);
+  b.ishli(1, 0, 3);
+  b.setpi(CmpOp::kEq, 2, 0, 5);
+  b.iadd(1, 1, 2);  // lane 5 alone reads 1 byte past its word
+  b.ldg(3, 1, 0);
+  b.exit_();
+  GlobalMemory mem;
+  const Expected<GpuResult> r = simulate_checked(one_sm(), b.build(), mem);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().category, ErrorCategory::kInvariant);
+  EXPECT_EQ(r.error().message, "unaligned memory access");
+  EXPECT_EQ(r.error().sm_id, 0);
+  EXPECT_EQ(r.error().warp, 0);
+  EXPECT_EQ(r.error().pc, 4);
+}
+
 TEST(SmCore, L1BypassMakesEveryAccessMiss) {
   ProgramBuilder b("k");
   b.block_dim(32).grid_dim(1);

@@ -180,6 +180,53 @@ TEST(SmTiming, CoalescingReducesMemoryTime) {
   EXPECT_GT(scattered, coalesced + 30);
 }
 
+/// Cycles of a kernel that runs `op` (r1 = its lane's byte address,
+/// r4 = 1), then a chain of SFU ops hanging off r2, the destination an
+/// atomic may name. The chain outlasts any one memory round trip, so the
+/// total moves exactly with the cycle the chain's first op issues.
+Cycle op_then_chain(int addr_scale,
+                    const std::function<void(ProgramBuilder&)>& op) {
+  return run_cycles([&](ProgramBuilder& b) {
+    b.s2r(0, SpecialReg::kTid);
+    b.imuli(1, 0, addr_scale);
+    b.movi(4, 1);
+    op(b);
+    b.iadd(3, 2, 2);
+    for (int i = 0; i < 40; ++i) b.rsqrt(3, 3);
+    b.exit_();
+  });
+}
+
+/// Stands in for an atomic without holding any register: reads r1 and r4.
+void independent_op(ProgramBuilder& b) { b.iadd(5, 1, 4); }
+
+TEST(SmTiming, GlobalAtomicHoldsOnlyANamedDestination) {
+  const Cycle base = op_then_chain(8, independent_op);
+  const Cycle no_dst = op_then_chain(
+      8, [](ProgramBuilder& b) { b.atomg_exch(kNoReg, 1, 0, 4); });
+  const Cycle dst = op_then_chain(
+      8, [](ProgramBuilder& b) { b.atomg_exch(2, 1, 0, 4); });
+  EXPECT_EQ(no_dst, base);      // the dependent op issues at once
+  EXPECT_GE(dst, no_dst + 80);  // it waits for the L2's response
+}
+
+TEST(SmTiming, SharedAtomicHoldsOnlyANamedDestination) {
+  const SmConfig sm;
+  // One word per bank (degree 1), then every lane on bank 0 (degree 32).
+  for (const int scale : {8, kWarpSize * 8}) {
+    const Cycle degree = scale == 8 ? 1 : kWarpSize;
+    const Cycle base = op_then_chain(scale, independent_op);
+    const Cycle no_dst = op_then_chain(
+        scale, [](ProgramBuilder& b) { b.atoms_cas(kNoReg, 1, 0, 4, 4); });
+    const Cycle dst = op_then_chain(
+        scale, [](ProgramBuilder& b) { b.atoms_cas(2, 1, 0, 4, 4); });
+    EXPECT_EQ(no_dst, base) << scale;
+    // The dependent op issues smem_latency + degree - 1 cycles after the
+    // atomic instead of 1.
+    EXPECT_EQ(dst, no_dst + sm.smem_latency + degree - 2) << scale;
+  }
+}
+
 TEST(SmTiming, TakenBranchPaysFetchPenalty) {
   const SmConfig sm;
   const int n = 12;
